@@ -20,7 +20,7 @@ from qdetect.errors import (
     DimensionMismatchError,
     InvalidPriorError,
 )
-from qdetect.states import FeatureVector, density_from_vector, feature_statistics
+from qdetect.states import ClassStatVector, FeatureVector, density_from_vector, feature_statistics
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,9 @@ class BinaryModel:
         p = np.asarray(self.projector, dtype=float)
         if p.shape != (self.dim, self.dim):
             raise ValueError(f"projector shape {p.shape} does not match dim {self.dim}")
+        # a NaN norm compares False, so finiteness is checked explicitly first
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite([self.lam, self.eta, self.beta]))):
+            raise ValueError("projector and eigenvalues must be finite")
         if float(np.linalg.norm(p @ p - p)) > 1e-10:
             raise ValueError("projector is not idempotent within 1e-10")
         if not (self.eta > 0.0 and self.beta < 0.0):
@@ -56,7 +59,19 @@ class BinaryModel:
             raise ValueError("lam is inconsistent with prior_negative")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if self.labels[0] == self.labels[1]:
+            raise ValueError("the two labels must differ")
         object.__setattr__(self, "projector", p)
+
+    @property
+    def priors(self) -> tuple[float, float]:
+        """(positive, negative) class priors, aligned with ``labels``."""
+        return (1.0 - self.prior_negative, self.prior_negative)
+
+    @property
+    def operators(self) -> tuple[np.ndarray]:
+        """The operator whose Born-rule score is the acceptance score."""
+        return (self.projector,)
 
 
 def detector_from_densities(
@@ -102,23 +117,14 @@ def detector_from_densities(
     )
 
 
-def train_binary(
-    pos: Sequence[FeatureVector],
-    neg: Sequence[FeatureVector],
-    dim: int,
-    prior_negative: float | None = None,
+def detector_from_statistics(
+    v_pos: ClassStatVector,
+    v_neg: ClassStatVector,
+    prior_negative: float,
     threshold: float = 0.5,
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
-    """Train from raw documents; the prior defaults to the negative proportion."""
-    v_pos = feature_statistics(pos, dim, label=labels[0])
-    v_neg = feature_statistics(neg, dim, label=labels[1])
-    if prior_negative is None:
-        prior_negative = len(neg) / (len(pos) + len(neg))
-    if not 0.0 < prior_negative < 1.0:
-        raise InvalidPriorError(
-            f"negative-class prior must lie in (0, 1), got {prior_negative}"
-        )
+    """Build the detector from two class statistics vectors."""
     cos = abs(float(v_pos.values @ v_neg.values)) / (
         float(np.linalg.norm(v_pos.values)) * float(np.linalg.norm(v_neg.values))
     )
@@ -135,14 +141,25 @@ def train_binary(
     )
 
 
+def train_binary(
+    pos: Sequence[FeatureVector],
+    neg: Sequence[FeatureVector],
+    dim: int,
+    prior_negative: float | None = None,
+    threshold: float = 0.5,
+    labels: tuple[str, str] = ("positive", "negative"),
+) -> BinaryModel:
+    """Train from raw documents; the prior defaults to the negative proportion."""
+    v_pos = feature_statistics(pos, dim, label=labels[0])
+    v_neg = feature_statistics(neg, dim, label=labels[1])
+    if prior_negative is None:
+        prior_negative = len(neg) / (len(pos) + len(neg))
+    return detector_from_statistics(v_pos, v_neg, prior_negative, threshold, labels)
+
+
 def score(model: BinaryModel, x: np.ndarray) -> float:
     """Born-rule acceptance score ``<x|P|x>`` of a unit vector, in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise DimensionMismatchError(
-            f"document dim {x.shape} does not match model dim {model.dim}"
-        )
-    return float(x @ model.projector @ x)
+    return float(linalg.born_scores(np.asarray(x, dtype=float)[None], model.operators)[0, 0])
 
 
 def decide(model: BinaryModel, x: np.ndarray) -> bool:

@@ -1,14 +1,17 @@
 """Dataset parsing, deterministic splits, and model serialization.
 
 The dataset format is line-oriented text: ``LABEL idx:val [idx:val ...]`` with
-0-based, strictly increasing integer indices and positive decimal values;
-``#``-prefixed lines are comments.  Models are stored as JSON with matrices
-rendered at 17 significant digits, which round-trips doubles bit-identically.
+0-based, strictly increasing integer indices and positive finite decimal
+values; ``#``-prefixed lines are comments.  Models are stored as compact JSON
+whose floats are written as the shortest repr that round-trips each double, so
+reloads are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -56,7 +59,8 @@ class LabeledDataset:
 
 def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> LabeledDataset:
     """Parse the line-oriented sparse format; ``dim`` may widen the feature space."""
-    rows: list[tuple[str, list[tuple[int, float]]]] = []
+    labels: list[str] = []
+    rows: list[dict[int, float]] = []
     max_index = -1
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -66,7 +70,7 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
         if len(tokens) < 2:
             raise ParseError(f"line {lineno}: expected LABEL followed by idx:val pairs")
         label = tokens[0]
-        pairs: list[tuple[int, float]] = []
+        entries: dict[int, float] = {}
         previous = -1
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
@@ -84,12 +88,13 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
                     f"line {lineno}: feature indices must be strictly increasing "
                     f"({idx} after {previous})"
                 )
-            if not value > 0.0:
-                raise ParseError(f"line {lineno}: feature value must be positive, got {tail}")
+            if not 0.0 < value < math.inf:
+                raise ParseError(f"line {lineno}: value must be positive and finite, got {tail}")
             previous = idx
-            pairs.append((idx, value))
+            entries[idx] = value
         max_index = max(max_index, previous)
-        rows.append((label, pairs))
+        labels.append(label)
+        rows.append(entries)
     if not rows:
         raise ParseError("dataset contains no documents")
     inferred = max_index + 1
@@ -99,10 +104,8 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
         raise ParseError(
             f"requested dim {dim} is smaller than the largest feature index + 1 ({inferred})"
         )
-    documents = tuple(
-        (label, FeatureVector(dim=dim, entries=dict(pairs))) for label, pairs in rows
-    )
-    return LabeledDataset(dim=dim, documents=documents)
+    vectors = [FeatureVector(dim=dim, entries=entries) for entries in rows]
+    return LabeledDataset(dim=dim, documents=tuple(zip(labels, vectors)))
 
 
 def serialize_sparse(ds: LabeledDataset) -> str:
@@ -197,47 +200,18 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON with 17-significant-digit floats (bit-exact double round trip)
+# Compact JSON; floats are written as the shortest repr that round-trips them,
+# and an array becomes nested lists only when the encoder reaches it
 
-
-def _canonical(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise ValueError("cannot serialize non-finite numbers")
-        text = format(value, ".17g")
-        # keep the literal float-typed so loads round-trip the schema
-        if "." not in text and "e" not in text and "E" not in text:
-            text += ".0"
-        return text
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(k)}:{_canonical(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+_JSON_SETTINGS = {"separators": (",", ":"), "allow_nan": False, "default": np.ndarray.tolist}
 
 
 def dumps_canonical(obj) -> str:
-    """Compact JSON, insertion-ordered keys, floats at 17 significant digits."""
-    return _canonical(obj) + "\n"
+    """Compact JSON, insertion-ordered keys, floats that reload bit-identically."""
+    return json.dumps(obj, **_JSON_SETTINGS) + "\n"
 
 
 FORMAT_VERSION = 1
-
-
-def _matrix(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m)]
 
 
 def _binary_payload(model: BinaryModel) -> dict:
@@ -247,54 +221,47 @@ def _binary_payload(model: BinaryModel) -> dict:
         "eta": model.eta,
         "beta": model.beta,
         "threshold": model.threshold,
-        "projector": _matrix(model.projector),
+        "projector": model.projector,
     }
 
 
 def model_to_dict(model) -> dict:
+    """The model file's JSON object; its matrices are the model's own arrays."""
     if isinstance(model, BinaryModel):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "strategy": "binary",
-            "dim": model.dim,
-            "labels": list(model.labels),
-        }
-        doc.update(_binary_payload(model))
-        return doc
-    if isinstance(model, MulticlassModel) and model.strategy == "pgm":
-        m = model.measurement
-        return {
-            "format_version": FORMAT_VERSION,
-            "strategy": "pgm",
-            "dim": model.dim,
-            "labels": list(model.labels),
-            "priors": list(model.priors),
-            "kind": m.kind,
-            "elements": [_matrix(e) for e in m.elements],
-            "residual": None if m.residual is None else _matrix(m.residual),
-        }
-    if isinstance(model, MulticlassModel) and model.strategy == "one_vs_rest":
-        return {
-            "format_version": FORMAT_VERSION,
-            "strategy": "one_vs_rest",
-            "dim": model.dim,
-            "labels": list(model.labels),
-            "priors": list(model.priors),
-            "detectors": [_binary_payload(det) for det in model.detectors],
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+        strategy, fields = "binary", _binary_payload(model)
+    elif isinstance(model, MulticlassModel):
+        strategy, fields = model.strategy, {"priors": list(model.priors)}
+        if strategy == "pgm":
+            m = model.measurement
+            fields["kind"] = m.kind
+            fields["elements"] = list(m.elements)
+            fields["residual"] = m.residual
+        else:
+            fields["detectors"] = [_binary_payload(det) for det in model.detectors]
+    else:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    return {
+        "format_version": FORMAT_VERSION,
+        "strategy": strategy,
+        "dim": int(model.dim),
+        "labels": list(model.labels),
+        **fields,
+    }
 
 
 def save_model(model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(model_to_dict(model)))
+        # streamed matrix by matrix, so the document is never held in memory whole
+        json.dump(model_to_dict(model), fh, **_JSON_SETTINGS)
+        fh.write("\n")
 
 
 def _require(doc: dict, key: str, kinds) -> object:
     if key not in doc:
         raise FormatError(f"model file is missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kinds):
+    # bool is a subclass of int but never a valid model field
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise FormatError(f"model field {key!r} has the wrong type")
     return value
 
@@ -302,7 +269,7 @@ def _require(doc: dict, key: str, kinds) -> object:
 def _binary_from_payload(payload: dict, dim: int, labels: tuple[str, str]) -> BinaryModel:
     return BinaryModel(
         dim=dim,
-        projector=np.array(_require(payload, "projector", list), dtype=float),
+        projector=np.array(_require(payload, "projector", (list, np.ndarray)), dtype=float),
         lam=float(_require(payload, "lambda", (int, float))),
         eta=float(_require(payload, "eta", (int, float))),
         beta=float(_require(payload, "beta", (int, float))),
@@ -329,61 +296,81 @@ def model_from_dict(doc: dict):
                 raise FormatError("binary models need exactly two labels")
             return _binary_from_payload(doc, dim, (labels[0], labels[1]))
         if strategy == "pgm":
-            elements = tuple(
-                np.array(e, dtype=float) for e in _require(doc, "elements", list)
-            )
             residual = doc.get("residual")
-            measurement = Measurement(
-                elements=elements,
+            fields = {"measurement": Measurement(
+                elements=tuple(np.array(e, dtype=float) for e in _require(doc, "elements", list)),
                 kind=str(_require(doc, "kind", str)),
                 residual=None if residual is None else np.array(residual, dtype=float),
-            )
-            priors = [float(x) for x in _require(doc, "priors", list)]
-            return MulticlassModel(
-                strategy="pgm",
-                dim=dim,
-                labels=tuple(labels),
-                priors=tuple(priors),
-                measurement=measurement,
-            )
-        if strategy == "one_vs_rest":
-            priors = [float(x) for x in _require(doc, "priors", list)]
+            )}
+        elif strategy == "one_vs_rest":
             detectors = tuple(
                 _binary_from_payload(payload, dim, (label, f"not-{label}"))
                 for label, payload in zip(labels, _require(doc, "detectors", list))
             )
             if len(detectors) != len(labels):
                 raise FormatError("one detector per label is required")
-            return MulticlassModel(
-                strategy="one_vs_rest",
-                dim=dim,
-                labels=tuple(labels),
-                priors=tuple(priors),
-                detectors=detectors,
-            )
+            fields = {"detectors": detectors}
+        else:
+            raise FormatError(f"unknown strategy {strategy!r}")
+        priors = tuple(float(x) for x in _require(doc, "priors", list))
+        return MulticlassModel(
+            strategy=strategy, dim=dim, labels=tuple(labels), priors=priors, **fields
+        )
     except (ValueError, TypeError) as exc:
         raise FormatError(f"model file is inconsistent: {exc}") from exc
-    raise FormatError(f"unknown strategy {strategy!r}")
+
+
+def _reject_constant(name: str):
+    raise FormatError(f"non-finite number {name} in JSON file")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_scan_value = _DECODER.scan_once  # the C scanner: one whole JSON value
+
+
+def _scan(text: str, idx: int):
+    # Objects are read field by field and arrays item by item, and the lists in
+    # an item become float arrays at once, so at most one matrix of a model
+    # file exists as Python floats at a time.
+    if text.startswith("{", idx):
+        return json.decoder.JSONObject((text, idx + 1), True, _scan, None, None)
+    if text.startswith("[", idx):
+        return json.decoder.JSONArray((text, idx + 1), _scan_item)
+    return _scan_value(text, idx)
+
+
+def _scan_item(text: str, idx: int):
+    item, end = _scan_value(text, idx)
+    if isinstance(item, dict):  # a one-vs-rest detector
+        item = {k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in item.items()}
+    return (np.array(item, dtype=float) if isinstance(item, list) else item), end
+
+
+_DECODER.scan_once = _scan  # decode() reads the document through _scan
+
+
+def _read_json(path, what: str):
+    try:
+        # decoded straight from the mapped file: the text is never also held as bytes
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            text = str(mm, "utf-8")
+        return _DECODER.decode(text)
+    except (ValueError, TypeError) as exc:  # invalid JSON, or a non-numeric array item
+        raise FormatError(f"{what} file is not valid: {exc}") from exc
 
 
 def load_model(path):
     """Load a model JSON file; raises FormatError / UnsupportedVersionError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(_read_json(path, "model"))
 
 
 def load_cost_matrix(path, n: int) -> np.ndarray:
     """Read an N x N nonnegative cost matrix from a JSON file."""
+    doc = _read_json(path, "cost")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"cost file is not valid JSON: {exc}") from exc
-    matrix = np.asarray(doc, dtype=float) if isinstance(doc, list) else None
-    if matrix is None or matrix.shape != (n, n) or np.any(matrix < 0.0):
-        raise FormatError(f"cost file must hold a nonnegative {n}x{n} JSON array")
+        matrix = np.asarray(doc, dtype=float) if isinstance(doc, list) else None
+    except ValueError:  # ragged or non-numeric arrays
+        matrix = None
+    if matrix is None or matrix.shape != (n, n) or not np.all((0 <= matrix) & (matrix < np.inf)):
+        raise FormatError(f"cost file must hold a finite nonnegative {n}x{n} JSON array")
     return matrix

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdetect.errors import ConvergenceError, NotPsdError
+from qdetect.errors import ConvergenceError, DimensionMismatchError, NotPsdError
 
 # Relative cutoff below which an eigenvalue counts as zero.
 ZERO_EIGENVALUE_RTOL = 1e-12
@@ -137,3 +137,20 @@ def trace_norm(m) -> float:
     m = symmetrize(m)
     w = np.linalg.eigvalsh(m)
     return float(np.sum(np.abs(w)))
+
+
+def born_scores(rows, operators) -> np.ndarray:
+    """Scores ``rows[i] @ A_k @ rows[i]`` of unit rows, shape (len(rows), len(operators)).
+
+    A ``rows`` that is not a matrix as wide as the operators' order raises
+    DimensionMismatchError.
+    """
+    rows = np.asarray(rows, dtype=float)
+    dim = operators[0].shape[0]
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"document dim {rows.shape[1:]} does not match model dim {dim}"
+        )
+    product = np.empty_like(rows)  # one buffer for every operator's rows @ A
+    return np.stack([np.einsum("ij,ij->i", np.matmul(rows, a, out=product), rows)
+                     for a in operators], axis=1)

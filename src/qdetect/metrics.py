@@ -10,55 +10,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdetect.binary import BinaryModel, decide, score as binary_score
+from qdetect.binary import BinaryModel
 from qdetect.dataio import LabeledDataset
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
-from qdetect.multiclass import class_scores, check_cost_matrix, zero_one_cost
-from qdetect.states import normalize_document
-
-
-def model_labels(model) -> list[str]:
-    return list(model.labels)
-
-
-def model_priors(model) -> list[float]:
-    if isinstance(model, BinaryModel):
-        return [1.0 - model.prior_negative, model.prior_negative]
-    return list(model.priors)
+from qdetect.linalg import born_scores
+from qdetect.multiclass import check_cost_matrix, zero_one_cost
+from qdetect.states import normalize_documents
 
 
 def default_label(model) -> str:
     """Fallback class for unclassifiable documents: the largest prior wins."""
-    priors = model_priors(model)
-    return model_labels(model)[int(np.argmax(priors))]
-
-
-def predict_one(model, doc, dim: int) -> tuple[str, float]:
-    """Predicted label and its score for one document, zero-padded to ``dim``."""
-    x = normalize_document(doc, dim)
-    if isinstance(model, BinaryModel):
-        value = binary_score(model, x)
-        return (model.labels[0], value) if decide(model, x) else (model.labels[1], value)
-    scores = class_scores(model, x)
-    best = int(np.argmax(scores))
-    return model.labels[best], float(scores[best])
+    return model.labels[int(np.argmax(model.priors))]
 
 
 def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
-    """(label, score, degenerate_flag) per document; degenerates take the fallback."""
+    """(label, score, degenerate_flag) per document; degenerates take the fallback.
+
+    Binary models accept at scores reaching the threshold; others take the top
+    class score, exact ties going to the lowest class index.
+    """
     if ds.dim > model.dim:
         raise DimensionMismatchError(
             f"dataset dim {ds.dim} exceeds model dim {model.dim}"
         )
+    docs = [doc for _, doc in ds.documents]
+    scores = born_scores(normalize_documents(docs, model.dim), model.operators)
+    if isinstance(model, BinaryModel):
+        picks = np.where(scores[:, 0] >= model.threshold, 0, 1)
+        values = scores[:, 0]
+    else:
+        picks = np.argmax(scores, axis=1)
+        values = scores[np.arange(len(docs)), picks]
     fallback = default_label(model)
-    out = []
-    for _, doc in ds.documents:
-        if doc.is_empty():
-            out.append((fallback, 0.0, True))
-        else:
-            label, value = predict_one(model, doc, model.dim)
-            out.append((label, value, False))
-    return out
+    return [
+        (fallback, 0.0, True) if doc.is_empty() else (model.labels[k], float(v), False)
+        for doc, k, v in zip(docs, picks, values)
+    ]
 
 
 @dataclass(frozen=True)
@@ -188,7 +175,7 @@ def evaluate(model, test: LabeledDataset, cost=None) -> EvalReport:
     ``cost`` defaults to the zero-one matrix, making the empirical cost the
     error rate; passing another matrix reweights mistakes per class pair.
     """
-    labels = model_labels(model)
+    labels = list(model.labels)
     index = {label: k for k, label in enumerate(labels)}
     unseen = sorted({label for label, _ in test.documents} - set(labels))
     if unseen:

@@ -15,16 +15,23 @@ from typing import Sequence
 import numpy as np
 
 from qdetect import linalg
-from qdetect.binary import BinaryModel, score as binary_score, train_binary
+from qdetect.binary import BinaryModel, detector_from_statistics
 from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
     NotRankOneError,
 )
-from qdetect.states import FeatureVector, density_from_vector, feature_statistics
+from qdetect.states import ClassStatVector, FeatureVector, density_from_vector, feature_statistics
 
 PSD_ATOL = 1e-10
 RESOLUTION_ATOL = 1e-10
+
+
+def _check_priors(priors) -> None:
+    if not np.all(np.asarray(priors) > 0.0):
+        raise ValueError("all priors must be strictly positive")
+    if abs(float(np.sum(priors)) - 1.0) > 1e-12:
+        raise ValueError("priors must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -42,10 +49,7 @@ class HypothesisSet:
             raise ValueError("priors and states must have matching lengths")
         if len(self.labels) != priors.size:
             raise ValueError("labels and states must have matching lengths")
-        if np.any(priors <= 0.0):
-            raise ValueError("all priors must be strictly positive")
-        if abs(float(np.sum(priors)) - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1 within 1e-12")
+        _check_priors(priors)
         dim = self.states[0].shape[0]
         for rho in self.states:
             if rho.shape != (dim, dim):
@@ -93,6 +97,8 @@ class Measurement:
         for e in self.all_elements(elements):
             if e.shape != (dim, dim):
                 raise DimensionMismatchError("measurement elements have mixed dimensions")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("measurement element has non-finite entries")
             if float(np.min(np.linalg.eigvalsh((e + e.T) / 2.0))) < -PSD_ATOL:
                 raise ValueError("measurement element is not PSD within 1e-10")
         total = sum(self.all_elements(elements), np.zeros((dim, dim)))
@@ -136,34 +142,33 @@ def check_cost_matrix(k, n: int) -> np.ndarray:
     return k
 
 
-def _group_by_label(
-    corpus: Sequence[tuple[str, FeatureVector]],
-) -> tuple[list[str], dict[str, list[FeatureVector]]]:
-    labels: list[str] = []
+def _class_statistics(
+    corpus: Sequence[tuple[str, FeatureVector]], dim: int, training: str
+) -> tuple[list[str], list[float], list[ClassStatVector]]:
+    """Labels in first-appearance order, document-frequency priors, per-class statistics."""
     groups: dict[str, list[FeatureVector]] = {}
     for label, doc in corpus:
-        if label not in groups:
-            labels.append(label)
-            groups[label] = []
-        groups[label].append(doc)
-    return labels, groups
+        groups.setdefault(label, []).append(doc)
+    if len(groups) < 2:
+        raise DegenerateCorpusError(
+            f"{training} training needs at least 2 classes, found {len(groups)}"
+        )
+    total = sum(len(docs) for docs in groups.values())
+    priors = [len(docs) / total for docs in groups.values()]
+    stats = [feature_statistics(docs, dim, label=label) for label, docs in groups.items()]
+    return list(groups), priors, stats
 
 
 def build_hypotheses(
     corpus: Sequence[tuple[str, FeatureVector]], dim: int
 ) -> HypothesisSet:
     """One prior/density pair per class, priors from document frequencies."""
-    labels, groups = _group_by_label(corpus)
-    if len(labels) < 2:
-        raise DegenerateCorpusError(
-            f"multi-class training needs at least 2 classes, found {len(labels)}"
-        )
-    total = sum(len(docs) for docs in groups.values())
-    priors = np.array([len(groups[label]) / total for label in labels])
-    stats = [feature_statistics(groups[label], dim, label=label) for label in labels]
+    labels, priors, stats = _class_statistics(corpus, dim, "multi-class")
     states = tuple(density_from_vector(s) for s in stats)
     pure = tuple(s.values / np.linalg.norm(s.values) for s in stats)
-    return HypothesisSet(priors=priors, states=states, labels=tuple(labels), pure_vectors=pure)
+    return HypothesisSet(
+        priors=np.array(priors), states=states, labels=tuple(labels), pure_vectors=pure
+    )
 
 
 def pgm(h: HypothesisSet) -> Measurement:
@@ -261,8 +266,20 @@ class MulticlassModel:
                 raise ValueError("one_vs_rest strategy requires one detector per label")
         else:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.operators[0].shape[0] != self.dim:
+            raise ValueError(f"operators of order {self.operators[0].shape[0]} for dim {self.dim}")
         if len(self.priors) != len(self.labels):
             raise ValueError("priors and labels must have matching lengths")
+        _check_priors(self.priors)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("labels must be distinct")
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        """Per-class operators whose Born-rule scores are the class scores."""
+        if self.strategy == "pgm":
+            return self.measurement.elements
+        return tuple(det.projector for det in self.detectors)
 
 
 def train_pgm(corpus: Sequence[tuple[str, FeatureVector]], dim: int) -> MulticlassModel:
@@ -288,40 +305,29 @@ def train_one_vs_rest(
     Each detector's negative-class prior defaults to one minus the class
     proportion; prediction picks the class with the highest acceptance score.
     """
-    labels, groups = _group_by_label(corpus)
-    if len(labels) < 2:
-        raise DegenerateCorpusError(
-            f"one-vs-rest training needs at least 2 classes, found {len(labels)}"
-        )
-    total = sum(len(docs) for docs in groups.values())
+    labels, priors, stats = _class_statistics(corpus, dim, "one-vs-rest")
+    # counts are integers held in floats, so each difference is exact
+    all_counts = sum(s.values for s in stats)
     detectors = []
     for k, label in enumerate(labels):
-        pos = groups[label]
-        neg = [doc for other, docs in groups.items() if other != label for doc in docs]
-        xi = 1.0 - len(pos) / total if neg_priors is None else float(neg_priors[k])
+        xi = 1.0 - priors[k] if neg_priors is None else float(neg_priors[k])
+        rest = ClassStatVector(values=all_counts - stats[k].values, label=f"not-{label}")
         detectors.append(
-            train_binary(pos, neg, dim, prior_negative=xi, threshold=threshold,
-                         labels=(label, f"not-{label}"))
+            detector_from_statistics(stats[k], rest, xi, threshold=threshold,
+                                     labels=(label, f"not-{label}"))
         )
     return MulticlassModel(
         strategy="one_vs_rest",
         dim=dim,
         labels=tuple(labels),
-        priors=tuple(len(groups[label]) / total for label in labels),
+        priors=tuple(priors),
         detectors=tuple(detectors),
     )
 
 
 def class_scores(model: MulticlassModel, x: np.ndarray) -> np.ndarray:
     """Per-class decision scores of a unit vector, aligned with ``model.labels``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise DimensionMismatchError(
-            f"document dim {x.shape} does not match model dim {model.dim}"
-        )
-    if model.strategy == "pgm":
-        return np.array([float(x @ mu @ x) for mu in model.measurement.elements])
-    return np.array([binary_score(det, x) for det in model.detectors])
+    return linalg.born_scores(np.asarray(x, dtype=float)[None], model.operators)[0]
 
 
 def classify(model: MulticlassModel, x: np.ndarray) -> str:

@@ -106,6 +106,19 @@ def density_from_vector(v) -> np.ndarray:
     return np.outer(v, v) / norm_sq
 
 
+def normalize_documents(docs: Sequence[FeatureVector], dim: int) -> np.ndarray:
+    """Dense L2-normalized rows zero-padded to ``dim``; empty documents give zero rows.
+
+    Dividing each row by its largest value before taking the norm keeps values
+    near the overflow or subnormal limits from giving an infinite or zero norm.
+    """
+    rows = np.array([doc.to_dense(dim) for doc in docs])
+    peak = rows.max(axis=1, keepdims=True)
+    rows /= np.where(peak > 0.0, peak, 1.0)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, np.where(norms > 0.0, norms, 1.0), out=rows)
+
+
 def normalize_document(doc: FeatureVector, dim: int | None = None) -> np.ndarray:
     """Dense L2-normalized copy of a document's raw values.
 
@@ -116,8 +129,7 @@ def normalize_document(doc: FeatureVector, dim: int | None = None) -> np.ndarray
     """
     if doc.is_empty():
         raise DegenerateDocumentError("document has no nonzero features")
-    dense = doc.to_dense(dim)
-    return dense / np.linalg.norm(dense)
+    return normalize_documents([doc], doc.dim if dim is None else dim)[0]
 
 
 def check_density(m, atol: float = 1e-10) -> np.ndarray:

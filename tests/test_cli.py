@@ -117,6 +117,25 @@ class TestPredictEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR dim-mismatch:")
 
+    def test_extreme_values_score_like_moderate_ones(self, tmp_path, capsys):
+        train = write(tmp_path, "train.txt", "a 0:2 1:1\na 0:1 1:3\nb 2:1\nb 1:1 2:4\n")
+        model = str(tmp_path / "model.json")
+        assert main(["train", "--data", train, "--strategy", "pgm", "--out", model]) == 0
+        rows = {}
+        for name, text in (("extreme", "a 0:1e308 1:1e308\nb 2:1e-320\n"),
+                           ("moderate", "a 0:1 1:1\nb 2:1\n")):
+            data = write(tmp_path, f"{name}.txt", text)
+            preds = tmp_path / f"{name}.tsv"
+            assert main(["predict", "--model", model, "--data", data, "--out", str(preds)]) == 0
+            rows[name] = [line.split("\t") for line in preds.read_text().splitlines()]
+        assert rows["extreme"] == rows["moderate"]
+        assert [label for _, label, _ in rows["extreme"]] == ["a", "b"]
+        infinite = write(tmp_path, "inf.txt", "a 0:inf\n")
+        rc = main(["predict", "--model", model, "--data", infinite,
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR parse: line 1:")
+
     def test_unsupported_model_version(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", '{"format_version":99,"strategy":"binary"}')
         data = write(tmp_path, "two.txt", TWO_CLASS)

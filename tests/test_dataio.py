@@ -78,6 +78,11 @@ class TestParseSparse:
         with pytest.raises(ParseError, match="positive"):
             parse("a 0:-2\n")
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ParseError, match="line 2"):
+            parse(f"a 0:1\nb 0:{value}\n")
+
     def test_malformed_pair_rejected(self):
         with pytest.raises(ParseError, match="malformed"):
             parse("a 0:1 junk\n")
@@ -224,6 +229,23 @@ class TestModelSerialization:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_any_json_layout_loads_bit_identically(self, tmp_path, strategy):
+        model = make_models()[strategy]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(model), indent=2, default=np.ndarray.tolist))
+        loaded = load_model(path)
+        assert [a.tobytes() for a in loaded.operators] == [a.tobytes() for a in model.operators]
+
+    @pytest.mark.parametrize(
+        "text", ["", "{} extra", '{"elements": [[[{"a": 1}]]]}',
+                 '{"detectors": [{"projector": [["x"]]}]}'])
+    def test_unreadable_file(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_model(path)
+
     def test_missing_field(self):
         doc = model_to_dict(make_models()["binary"])
         del doc["projector"]
@@ -235,6 +257,65 @@ class TestModelSerialization:
         doc["projector"] = [[0.7, 0.7], [0.7, 0.7], [0.7, 0.7]]
         with pytest.raises(FormatError):
             model_from_dict(doc)
+
+
+class TestModelValidation:
+    """Model files that violate an invariant of the model raise FormatError."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal(self, tmp_path, literal):
+        text = dumps_canonical(model_to_dict(make_models()["binary"]))
+        path = tmp_path / "model.json"
+        path.write_text(text.replace('"lambda":1.0', f'"lambda":{literal}'))
+        with pytest.raises(FormatError, match=literal):
+            load_model(path)
+
+    @pytest.mark.parametrize("strategy", ["binary", "one_vs_rest"])
+    def test_nan_projector_entry(self, strategy):
+        doc = model_to_dict(make_models()[strategy])
+        payload = doc if strategy == "binary" else doc["detectors"][1]
+        payload["projector"][0][0] = float("nan")
+        with pytest.raises(FormatError, match="finite"):
+            model_from_dict(doc)
+
+    def test_nan_measurement_element(self):
+        doc = model_to_dict(make_models()["pgm"])
+        doc["elements"][0][1][1] = float("nan")
+        with pytest.raises(FormatError, match="finite"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("priors", [[5.0, -3.0], [0.25, 0.25], [1.0, float("nan")]])
+    def test_bad_priors(self, strategy, priors):
+        doc = model_to_dict(make_models()[strategy])
+        doc["priors"] = priors
+        with pytest.raises(FormatError, match="priors"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_duplicate_labels(self, strategy):
+        doc = model_to_dict(make_models()[strategy])
+        doc["labels"] = ["a", "a"]
+        with pytest.raises(FormatError, match="labels"):
+            model_from_dict(doc)
+
+    def test_dim_disagrees_with_elements(self):
+        doc = model_to_dict(make_models()["pgm"])
+        doc["dim"] = 5
+        with pytest.raises(FormatError, match="dim 5"):
+            model_from_dict(doc)
+
+    def test_boolean_dim(self):
+        # a consistent one-dimensional model apart from the type of its dim
+        doc = {
+            "format_version": 1, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
+            "priors": [0.5, 0.5], "kind": "povm", "elements": [[[0.5]], [[0.5]]],
+            "residual": None,
+        }
+        with pytest.raises(FormatError, match="'dim'"):
+            model_from_dict(doc)
+        doc["dim"] = 1
+        assert model_from_dict(doc).dim == 1
 
 
 class TestCanonicalJson:
@@ -265,6 +346,15 @@ class TestCostMatrixFile:
     def test_wrong_shape(self, tmp_path):
         path = tmp_path / "cost.json"
         path.write_text("[[0.0, 2.0]]")
+        with pytest.raises(FormatError):
+            load_cost_matrix(path, 2)
+
+    @pytest.mark.parametrize(
+        "text", ["[[0.0, NaN], [1.0, 0.0]]", "[[0.0, 1e999], [1.0, 0.0]]", "[[0.0, 1.0], [1.0]]",
+                 '[["a", "b"], [1.0, 0.0]]'])
+    def test_non_finite_or_ragged(self, tmp_path, text):
+        path = tmp_path / "cost.json"
+        path.write_text(text)
         with pytest.raises(FormatError):
             load_cost_matrix(path, 2)
 
