@@ -18,7 +18,7 @@ from qdetect import (
     pgm,
     zero_one_cost,
 )
-from qdetect.multiclass import MulticlassModel
+from qdetect.multiclass import MulticlassModel, square_root_vectors
 
 
 def pure(angle):
@@ -60,10 +60,15 @@ cost = average_cost(m, trine, zero_one_cost(3))
 print("\ntrine zero-one cost:", round(cost, 12), " (best possible is 1/3)")
 
 # --- classification with the measurement -------------------------------------
+# A trained model keeps only the Gram-form vectors m_k of M = Psi G^(-1/2);
+# element k is m_k m_k^T, so the dense elements above are never stored.
+vectors, kind = square_root_vectors(np.column_stack(trine.pure_vectors), trine.priors)
 model = MulticlassModel(
     strategy="pgm", dim=2, labels=trine.labels, priors=tuple(trine.priors),
-    measurement=m,
+    vectors=vectors, kind=kind,
 )
+print("\nGram-form elements match the dense ones:",
+      all(np.allclose(a, b, atol=1e-12) for a, b in zip(model.measurement.elements, m.elements)))
 print("\nclassifying probes around the circle:")
 for degrees in (10, 100, 250, 355):
     x = pure(math.radians(degrees))

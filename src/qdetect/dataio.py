@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
-from qdetect.binary import BinaryModel
+from qdetect.binary import BinaryModel, DetectorScalars
 from qdetect.errors import (
     FormatError,
     ParseError,
     SplitError,
     UnsupportedVersionError,
 )
-from qdetect.multiclass import Measurement, MulticlassModel
+from qdetect.multiclass import Measurement, MulticlassModel, measurement_vectors
 from qdetect.states import FeatureVector
 
 
@@ -211,33 +210,32 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, **_JSON_SETTINGS) + "\n"
 
 
-FORMAT_VERSION = 1
+# Format 2 stores a pgm or one-vs-rest model's dim x N vectors as N rows of
+# length dim; format 1 stored each element and projector as a dense matrix.
+FORMAT_VERSION = 2
 
 
-def _binary_payload(model: BinaryModel) -> dict:
+def _scalar_payload(det) -> dict:
     return {
-        "prior_negative": model.prior_negative,
-        "lambda": model.lam,
-        "eta": model.eta,
-        "beta": model.beta,
-        "threshold": model.threshold,
-        "projector": model.projector,
+        "prior_negative": det.prior_negative,
+        "lambda": det.lam,
+        "eta": det.eta,
+        "beta": det.beta,
+        "threshold": det.threshold,
     }
 
 
 def model_to_dict(model) -> dict:
-    """The model file's JSON object; its matrices are the model's own arrays."""
+    """The model file's JSON object; its arrays are the model's own arrays."""
     if isinstance(model, BinaryModel):
-        strategy, fields = "binary", _binary_payload(model)
+        strategy, fields = "binary", {**_scalar_payload(model), "projector": model.projector}
     elif isinstance(model, MulticlassModel):
         strategy, fields = model.strategy, {"priors": list(model.priors)}
         if strategy == "pgm":
-            m = model.measurement
-            fields["kind"] = m.kind
-            fields["elements"] = list(m.elements)
-            fields["residual"] = m.residual
+            fields["kind"] = model.kind
         else:
-            fields["detectors"] = [_binary_payload(det) for det in model.detectors]
+            fields["detectors"] = [_scalar_payload(s) for s in model.detector_scalars]
+        fields["vectors"] = model.vectors.T
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     return {
@@ -251,9 +249,13 @@ def model_to_dict(model) -> dict:
 
 def save_model(model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        # streamed matrix by matrix, so the document is never held in memory whole
+        # streamed array by array, so the document is never held in memory whole
         json.dump(model_to_dict(model), fh, **_JSON_SETTINGS)
         fh.write("\n")
+
+
+_NUMBER = (int, float)
+_ARRAY = (list, np.ndarray)
 
 
 def _require(doc: dict, key: str, kinds) -> object:
@@ -266,55 +268,88 @@ def _require(doc: dict, key: str, kinds) -> object:
     return value
 
 
+def _scalars(payload: dict) -> dict:
+    """``DetectorScalars`` keyword arguments from a detector's fields."""
+    keys = {"lam": "lambda", "eta": "eta", "beta": "beta", "threshold": "threshold",
+            "prior_negative": "prior_negative"}
+    return {name: float(_require(payload, key, _NUMBER)) for name, key in keys.items()}
+
+
 def _binary_from_payload(payload: dict, dim: int, labels: tuple[str, str]) -> BinaryModel:
     return BinaryModel(
         dim=dim,
-        projector=np.array(_require(payload, "projector", (list, np.ndarray)), dtype=float),
-        lam=float(_require(payload, "lambda", (int, float))),
-        eta=float(_require(payload, "eta", (int, float))),
-        beta=float(_require(payload, "beta", (int, float))),
-        threshold=float(_require(payload, "threshold", (int, float))),
-        prior_negative=float(_require(payload, "prior_negative", (int, float))),
+        projector=np.array(_require(payload, "projector", _ARRAY), dtype=float),
         labels=labels,
+        **_scalars(payload),
     )
 
 
+def _vectors(doc: dict) -> np.ndarray:
+    return np.array(_require(doc, "vectors", _ARRAY), dtype=float).T
+
+
+def _pgm_fields(doc: dict, version: int) -> dict:
+    kind = _require(doc, "kind", str)
+    if version > 1:
+        return {"vectors": _vectors(doc), "kind": kind}
+    residual = doc.get("residual")
+    m = Measurement(
+        elements=tuple(np.array(e, dtype=float) for e in _require(doc, "elements", _ARRAY)),
+        kind=kind,
+        residual=None if residual is None else np.array(residual, dtype=float),
+    )
+    # each rank-1 element is trace * outer(v, v) for its unit vector v
+    vectors = [math.sqrt(np.trace(e)) * v for e, v in zip(m.elements, measurement_vectors(m))]
+    return {"vectors": np.column_stack(vectors), "kind": kind}
+
+
+def _one_vs_rest_fields(doc: dict, version: int, dim: int, labels: tuple[str, ...]) -> dict:
+    payloads = _require(doc, "detectors", list)
+    if len(payloads) != len(labels):
+        raise FormatError("one detector per label is required")
+    scalars = tuple(DetectorScalars(**_scalars(payload)) for payload in payloads)
+    if version > 1:
+        return {"vectors": _vectors(doc), "detector_scalars": scalars}
+    vectors = []
+    for label, payload in zip(labels, payloads):
+        basis = _binary_from_payload(payload, dim, (label, f"not-{label}")).basis
+        if basis.shape[1] != 1:
+            raise FormatError(f"detector {label!r} does not accept on a single vector")
+        vectors.append(basis[:, 0])
+    return {"vectors": np.column_stack(vectors), "detector_scalars": scalars}
+
+
 def model_from_dict(doc: dict):
+    """A model from a format 1 or format 2 JSON object; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise UnsupportedVersionError(
-            f"unsupported model format_version {version} (expected {FORMAT_VERSION})"
+            f"unsupported model format_version {version} (expected 1 or {FORMAT_VERSION})"
         )
     strategy = _require(doc, "strategy", str)
     dim = int(_require(doc, "dim", int))
-    labels = [str(x) for x in _require(doc, "labels", list)]
+    labels = tuple(_require(doc, "labels", list))
+    if not all(isinstance(x, str) for x in labels):
+        raise FormatError("model field 'labels' must hold strings")
     try:
         if strategy == "binary":
             if len(labels) != 2:
                 raise FormatError("binary models need exactly two labels")
-            return _binary_from_payload(doc, dim, (labels[0], labels[1]))
+            return _binary_from_payload(doc, dim, labels)
         if strategy == "pgm":
-            residual = doc.get("residual")
-            fields = {"measurement": Measurement(
-                elements=tuple(np.array(e, dtype=float) for e in _require(doc, "elements", list)),
-                kind=str(_require(doc, "kind", str)),
-                residual=None if residual is None else np.array(residual, dtype=float),
-            )}
+            fields = _pgm_fields(doc, version)
         elif strategy == "one_vs_rest":
-            detectors = tuple(
-                _binary_from_payload(payload, dim, (label, f"not-{label}"))
-                for label, payload in zip(labels, _require(doc, "detectors", list))
-            )
-            if len(detectors) != len(labels):
-                raise FormatError("one detector per label is required")
-            fields = {"detectors": detectors}
+            fields = _one_vs_rest_fields(doc, version, dim, labels)
         else:
             raise FormatError(f"unknown strategy {strategy!r}")
-        priors = tuple(float(x) for x in _require(doc, "priors", list))
+        priors = _require(doc, "priors", list)
+        if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in priors):
+            raise FormatError("model field 'priors' must hold numbers")
         return MulticlassModel(
-            strategy=strategy, dim=dim, labels=tuple(labels), priors=priors, **fields
+            strategy=strategy, dim=dim, labels=labels, priors=tuple(float(x) for x in priors),
+            **fields,
         )
     except (ValueError, TypeError) as exc:
         raise FormatError(f"model file is inconsistent: {exc}") from exc
@@ -324,38 +359,11 @@ def _reject_constant(name: str):
     raise FormatError(f"non-finite number {name} in JSON file")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-_scan_value = _DECODER.scan_once  # the C scanner: one whole JSON value
-
-
-def _scan(text: str, idx: int):
-    # Objects are read field by field and arrays item by item, and the lists in
-    # an item become float arrays at once, so at most one matrix of a model
-    # file exists as Python floats at a time.
-    if text.startswith("{", idx):
-        return json.decoder.JSONObject((text, idx + 1), True, _scan, None, None)
-    if text.startswith("[", idx):
-        return json.decoder.JSONArray((text, idx + 1), _scan_item)
-    return _scan_value(text, idx)
-
-
-def _scan_item(text: str, idx: int):
-    item, end = _scan_value(text, idx)
-    if isinstance(item, dict):  # a one-vs-rest detector
-        item = {k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in item.items()}
-    return (np.array(item, dtype=float) if isinstance(item, list) else item), end
-
-
-_DECODER.scan_once = _scan  # decode() reads the document through _scan
-
-
 def _read_json(path, what: str):
     try:
-        # decoded straight from the mapped file: the text is never also held as bytes
-        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            text = str(mm, "utf-8")
-        return _DECODER.decode(text)
-    except (ValueError, TypeError) as exc:  # invalid JSON, or a non-numeric array item
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # invalid JSON or undecodable bytes
         raise FormatError(f"{what} file is not valid: {exc}") from exc
 
 

@@ -139,18 +139,22 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(w)))
 
 
-def born_scores(rows, operators) -> np.ndarray:
-    """Scores ``rows[i] @ A_k @ rows[i]`` of unit rows, shape (len(rows), len(operators)).
+def born_scores(rows, factors) -> np.ndarray:
+    """Scores ``rows[i] @ F_k F_k^T @ rows[i]`` of unit rows, shape (len(rows), len(factors)).
 
-    A ``rows`` that is not a matrix as wide as the operators' order raises
-    DimensionMismatchError.
+    Each factor ``F_k`` (dim x r_k) holds the columns of class k, so its score
+    is the per-class sum of ``(rows @ F_k) ** 2``.  A ``rows`` that is not a
+    matrix as wide as the factors' row count raises DimensionMismatchError.
     """
     rows = np.asarray(rows, dtype=float)
-    dim = operators[0].shape[0]
+    dim = factors[0].shape[0]
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise DimensionMismatchError(
             f"document dim {rows.shape[1:]} does not match model dim {dim}"
         )
-    product = np.empty_like(rows)  # one buffer for every operator's rows @ A
-    return np.stack([np.einsum("ij,ij->i", np.matmul(rows, a, out=product), rows)
-                     for a in operators], axis=1)
+    return np.stack([np.square(rows @ f).sum(axis=1) for f in factors], axis=1)
+
+
+def outer_products(vectors) -> tuple[np.ndarray, ...]:
+    """Dense ``v v^T`` of each column ``v``: the small-dim view of rank-1 operators."""
+    return tuple(np.outer(v, v) for v in np.asarray(vectors, dtype=float).T)

@@ -165,7 +165,8 @@ def report_from_confusion(
         evaluated_count=total,
     )
     # Single-label sanity: micro-averaged F1 must equal accuracy exactly.
-    assert abs(report.micro_f1 - report.accuracy) <= 1e-12
+    if abs(report.micro_f1 - report.accuracy) > 1e-12:
+        raise ValueError(f"micro F1 {report.micro_f1!r} differs from accuracy {report.accuracy!r}")
     return report
 
 

@@ -4,7 +4,8 @@ A measurement is a family of PSD operators resolving the identity, one element
 per hypothesis plus an optional residual element covering the complement of
 the training support.  The square-root ("pretty good") measurement is the
 constructive default; a one-vs-rest bank of binary detectors is the pragmatic
-alternative.
+alternative.  Trained models keep both in rank-1 form, one vector per class;
+the dense ``Measurement`` and ``pgm`` are the small-dim reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from qdetect import linalg
-from qdetect.binary import BinaryModel, detector_from_statistics
+from qdetect.binary import BinaryModel, DetectorScalars, detector_from_statistics
 from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
@@ -246,51 +247,113 @@ def average_cost(m: Measurement, h: HypothesisSet, cost) -> float:
     return total
 
 
+def square_root_vectors(unit_vectors, priors) -> tuple[np.ndarray, str]:
+    """Gram form ``M = Psi G^(-1/2)`` of the square-root measurement of rank-1 states.
+
+    ``Psi`` holds the columns ``sqrt(xi_k) u_k`` for unit class vectors ``u_k``
+    and ``G = Psi^T Psi``; element k is ``m_k m_k^T`` for column ``m_k`` of
+    ``M``, and the residual ``I - M M^T`` stays implicit.  Returns ``M``
+    (dim x N) and the kind: ``"projective"`` when ``M^T M = I`` within 1e-10,
+    which holds when ``G`` has full rank N.
+    """
+    psi = np.asarray(unit_vectors, dtype=float) * np.sqrt(np.asarray(priors, dtype=float))
+    m = psi @ linalg.inv_sqrt_psd(psi.T @ psi)
+    gram = m.T @ m
+    kind = "projective" if float(np.linalg.norm(gram - np.eye(len(gram)))) <= PSD_ATOL else "povm"
+    return m, kind
+
+
 @dataclass(frozen=True)
 class MulticlassModel:
-    """Trained multi-class classifier: a measurement or a bank of detectors."""
+    """Trained multi-class classifier in rank-1 form: one column of ``vectors`` per class.
+
+    For ``pgm`` the columns are ``m_k`` of ``M = Psi G^(-1/2)`` (see
+    ``square_root_vectors``); for ``one_vs_rest`` they are the unit acceptance
+    vectors ``e_k`` of the detectors, whose scalars are ``detector_scalars``.
+    Class k scores ``(x . column_k)^2``.  ``measurement`` and ``detectors`` are
+    dense views built on demand, for small dims.
+    """
 
     strategy: str
     dim: int
     labels: tuple[str, ...]
     priors: tuple[float, ...]
-    measurement: Measurement | None = None
-    detectors: tuple[BinaryModel, ...] | None = None
+    vectors: np.ndarray
+    kind: str = "povm"
+    detector_scalars: tuple[DetectorScalars, ...] = ()
 
     def __post_init__(self):
+        n = len(self.labels)
+        vectors = np.array(self.vectors, dtype=float, order="C")
+        if vectors.shape != (self.dim, n):
+            raise ValueError(
+                f"vectors of shape {vectors.shape} do not match dim {self.dim} and {n} labels"
+            )
+        # a NaN norm compares False, so finiteness is checked explicitly first
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("vectors must be finite")
         if self.strategy == "pgm":
-            if self.measurement is None or self.measurement.n != len(self.labels):
-                raise ValueError("pgm strategy requires one measurement element per label")
+            gram = vectors.T @ vectors
+            if float(np.linalg.norm(gram @ gram - gram)) > RESOLUTION_ATOL:
+                raise ValueError("M^T M is not an orthogonal projector within 1e-10")
+            if self.kind == "projective" and float(np.linalg.norm(gram - np.eye(n))) > PSD_ATOL:
+                raise ValueError("projective measurement needs M^T M = I within 1e-10")
+            if self.kind not in ("projective", "povm"):
+                raise ValueError(f"unknown measurement kind {self.kind!r}")
         elif self.strategy == "one_vs_rest":
-            if self.detectors is None or len(self.detectors) != len(self.labels):
+            if len(self.detector_scalars) != n:
                 raise ValueError("one_vs_rest strategy requires one detector per label")
+            if np.any(np.abs(np.linalg.norm(vectors, axis=0) - 1.0) > 1e-10):
+                raise ValueError("acceptance vectors must have unit norm within 1e-10")
         else:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.operators[0].shape[0] != self.dim:
-            raise ValueError(f"operators of order {self.operators[0].shape[0]} for dim {self.dim}")
-        if len(self.priors) != len(self.labels):
+        if len(self.priors) != n:
             raise ValueError("priors and labels must have matching lengths")
         _check_priors(self.priors)
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(self.labels)) != n:
             raise ValueError("labels must be distinct")
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
-        """Per-class operators whose Born-rule scores are the class scores."""
-        if self.strategy == "pgm":
-            return self.measurement.elements
-        return tuple(det.projector for det in self.detectors)
+        """Per-class factors (dim x 1) whose Born-rule scores are the class scores."""
+        return tuple(self.vectors[:, k:k + 1] for k in range(len(self.labels)))
+
+    @property
+    def measurement(self) -> Measurement | None:
+        """Dense pgm view: elements ``m_k m_k^T`` and, below full rank, the residual."""
+        if self.strategy != "pgm":
+            return None
+        elements = linalg.outer_products(self.vectors)
+        # M^T M projects onto the span of the columns, so its trace is their rank
+        full_rank = round(float(np.sum(np.square(self.vectors)))) == self.dim
+        residual = None if full_rank else linalg.symmetrize(np.eye(self.dim) - sum(elements))
+        return Measurement(elements=elements, kind=self.kind, residual=residual)
+
+    @property
+    def detectors(self) -> tuple[BinaryModel, ...] | None:
+        """Dense one-vs-rest view: one detector with projector ``e_k e_k^T`` per class."""
+        if self.strategy != "one_vs_rest":
+            return None
+        return tuple(
+            BinaryModel(dim=self.dim, projector=p, labels=(label, f"not-{label}"), **vars(s))
+            for label, p, s in zip(self.labels, linalg.outer_products(self.vectors),
+                                   self.detector_scalars)
+        )
 
 
 def train_pgm(corpus: Sequence[tuple[str, FeatureVector]], dim: int) -> MulticlassModel:
-    """Hypotheses from the corpus, then the square-root measurement over them."""
-    h = build_hypotheses(corpus, dim)
+    """Square-root measurement of the class states, in Gram form."""
+    labels, priors, stats = _class_statistics(corpus, dim, "multi-class")
+    units = np.column_stack([s.values / np.linalg.norm(s.values) for s in stats])
+    vectors, kind = square_root_vectors(units, priors)
     return MulticlassModel(
         strategy="pgm",
         dim=dim,
-        labels=h.labels,
-        priors=tuple(float(x) for x in h.priors),
-        measurement=pgm(h),
+        labels=tuple(labels),
+        priors=tuple(priors),
+        vectors=vectors,
+        kind=kind,
     )
 
 
@@ -308,20 +371,20 @@ def train_one_vs_rest(
     labels, priors, stats = _class_statistics(corpus, dim, "one-vs-rest")
     # counts are integers held in floats, so each difference is exact
     all_counts = sum(s.values for s in stats)
-    detectors = []
+    vectors, scalars = [], []
     for k, label in enumerate(labels):
         xi = 1.0 - priors[k] if neg_priors is None else float(neg_priors[k])
         rest = ClassStatVector(values=all_counts - stats[k].values, label=f"not-{label}")
-        detectors.append(
-            detector_from_statistics(stats[k], rest, xi, threshold=threshold,
-                                     labels=(label, f"not-{label}"))
-        )
+        e, s = detector_from_statistics(stats[k], rest, xi, threshold=threshold)
+        vectors.append(e)
+        scalars.append(s)
     return MulticlassModel(
         strategy="one_vs_rest",
         dim=dim,
         labels=tuple(labels),
         priors=tuple(priors),
-        detectors=tuple(detectors),
+        vectors=np.column_stack(vectors),
+        detector_scalars=tuple(scalars),
     )
 
 

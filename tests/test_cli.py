@@ -38,7 +38,7 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", "--data", data, "--strategy", "binary", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
 

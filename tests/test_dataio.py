@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,14 @@ from qdetect.errors import (
     SplitError,
     UnsupportedVersionError,
 )
+from qdetect.metrics import predict_dataset
 from qdetect.multiclass import train_one_vs_rest, train_pgm
 from qdetect.states import FeatureVector
+
+# Format 1 model files written by the version before format 2, with the
+# predictions that version made for test.txt (see FORMAT_ONE_FILES).
+V1_DATA = Path(__file__).resolve().parent / "data" / "v1"
+FORMAT_ONE_FILES = {"binary": "binary", "pgm": "pgm", "one_vs_rest": "ovr"}
 
 
 def fv(dim, entries):
@@ -181,6 +188,16 @@ def make_models():
     }
 
 
+def v1_document(strategy):
+    """The JSON object of a format 1 model file."""
+    return json.loads((V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json").read_text())
+
+
+def v2_document(strategy):
+    """The JSON object of a format 2 model file."""
+    return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
+
+
 class TestModelSerialization:
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_round_trip_bit_identical(self, tmp_path, strategy):
@@ -272,16 +289,47 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("strategy", ["binary", "one_vs_rest"])
     def test_nan_projector_entry(self, strategy):
-        doc = model_to_dict(make_models()[strategy])
+        doc = v1_document(strategy)
         payload = doc if strategy == "binary" else doc["detectors"][1]
         payload["projector"][0][0] = float("nan")
         with pytest.raises(FormatError, match="finite"):
             model_from_dict(doc)
 
     def test_nan_measurement_element(self):
-        doc = model_to_dict(make_models()["pgm"])
+        doc = v1_document("pgm")
         doc["elements"][0][1][1] = float("nan")
         with pytest.raises(FormatError, match="finite"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_nan_vector_entry(self, strategy):
+        doc = v2_document(strategy)
+        doc["vectors"][1][0] = float("nan")
+        with pytest.raises(FormatError, match="finite"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_wrong_vector_length(self, strategy):
+        doc = v2_document(strategy)
+        doc["vectors"] = [row[:-1] for row in doc["vectors"]]
+        with pytest.raises(FormatError, match="dim 3"):
+            model_from_dict(doc)
+        doc["vectors"][0].append(0.0)  # ragged rows
+        with pytest.raises(FormatError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_missing_vectors(self, strategy):
+        doc = v2_document(strategy)
+        del doc["vectors"]
+        with pytest.raises(FormatError, match="vectors"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_non_orthonormal_vectors(self, strategy):
+        doc = v2_document(strategy)
+        doc["vectors"][0] = [1.01 * x for x in doc["vectors"][0]]
+        with pytest.raises(FormatError, match="projector|unit norm"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
@@ -300,9 +348,32 @@ class TestModelValidation:
             model_from_dict(doc)
 
     def test_dim_disagrees_with_elements(self):
-        doc = model_to_dict(make_models()["pgm"])
+        doc = v1_document("pgm")
         doc["dim"] = 5
         with pytest.raises(FormatError, match="dim 5"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_dim_disagrees_with_vectors(self, strategy):
+        doc = v2_document(strategy)
+        doc["dim"] = 5
+        with pytest.raises(FormatError, match="dim 5"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_non_string_labels(self, version, strategy):
+        doc = (v1_document if version == 1 else v2_document)(strategy)
+        doc["labels"] = list(range(1, len(doc["labels"]) + 1))
+        with pytest.raises(FormatError, match="labels"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_non_numeric_priors(self, version, strategy):
+        doc = (v1_document if version == 1 else v2_document)(strategy)
+        doc["priors"] = [str(x) for x in doc["priors"]]
+        with pytest.raises(FormatError, match="priors"):
             model_from_dict(doc)
 
     def test_boolean_dim(self):
@@ -316,6 +387,29 @@ class TestModelValidation:
             model_from_dict(doc)
         doc["dim"] = 1
         assert model_from_dict(doc).dim == 1
+
+
+class TestFormatOneFiles:
+    """Format 1 files still load and predict what the version that wrote them did."""
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_predictions_match_the_writing_version(self, strategy):
+        model = load_model(V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
+        ds = parse_sparse((V1_DATA / "test.txt").read_text().splitlines())
+        got = predict_dataset(model, ds)
+        want = [line.split("\t") for line in
+                (V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.tsv").read_text().splitlines()]
+        assert [label for label, _, _ in got] == [label for _, label, _ in want]
+        np.testing.assert_allclose([score for _, score, _ in got],
+                                   [float(score) for _, _, score in want], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    def test_resaved_as_format_two(self, tmp_path, strategy):
+        model = load_model(V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
+        save_model(model, tmp_path / "model.json")
+        again = load_model(tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 2
+        assert again.vectors.tobytes() == model.vectors.tobytes()
 
 
 class TestCanonicalJson:

@@ -288,10 +288,10 @@ class TestOneVsRest:
 
 class TestClassify:
     def setup_method(self):
-        measurement = Measurement(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        # elements diag(1, 0) and diag(0, 1): the outer products of the basis vectors
         self.model = MulticlassModel(
             strategy="pgm", dim=2, labels=("c0", "c1"), priors=(0.5, 0.5),
-            measurement=measurement,
+            vectors=np.eye(2),
         )
 
     def test_argmax(self):
