@@ -211,9 +211,20 @@ def train_binary(
     v_neg = feature_statistics(neg, dim, label=labels[1])
     if prior_negative is None:
         prior_negative = len(neg) / (len(pos) + len(neg))
+    return binary_from_statistics(v_pos, v_neg, prior_negative, threshold, labels)
+
+
+def binary_from_statistics(
+    v_pos: ClassStatVector,
+    v_neg: ClassStatVector,
+    prior_negative: float,
+    threshold: float = 0.5,
+    labels: tuple[str, str] = ("positive", "negative"),
+) -> BinaryModel:
+    """The trained detector for two class statistics vectors."""
     e, scalars = detector_from_statistics(v_pos, v_neg, prior_negative, threshold)
     (projector,) = linalg.outer_products(e[:, None])
-    return BinaryModel(dim=dim, projector=projector, labels=labels, **vars(scalars))
+    return BinaryModel(dim=v_pos.dim, projector=projector, labels=labels, **vars(scalars))
 
 
 def score(model: BinaryModel, x: np.ndarray) -> float:

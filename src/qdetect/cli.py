@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from qdetect.binary import binary_bayes_cost, detector_from_densities, train_binary
+from qdetect.binary import binary_bayes_cost, binary_from_statistics, detector_from_densities
 from qdetect.dataio import (
     SplitSpec,
     dumps_canonical,
@@ -34,6 +34,7 @@ from qdetect.multiclass import (
     zero_one_cost,
 )
 from qdetect.oracles import grid_oracle_dim2, helstrom_oracle
+from qdetect.states import class_statistics
 from qdetect.synth import synth_corpus
 
 
@@ -50,30 +51,24 @@ def _cmd_train(args) -> int:
     ds = _read_dataset(args.data, dim=args.dim)
     threshold = 0.5 if args.threshold is None else args.threshold
     if args.strategy == "binary":
-        labels = list(ds.class_index)
-        if len(labels) != 2:
+        if len(ds.classes) != 2:
             raise DegenerateCorpusError(
-                f"binary strategy needs exactly 2 classes, found {len(labels)}"
+                f"binary strategy needs exactly 2 classes, found {len(ds.classes)}"
             )
-        pos = [doc for label, doc in ds.documents if label == labels[0]]
-        neg = [doc for label, doc in ds.documents if label == labels[1]]
-        model = train_binary(
-            pos, neg, ds.dim,
-            prior_negative=args.prior,
-            threshold=threshold,
-            labels=(labels[0], labels[1]),
-        )
+        priors, (v_pos, v_neg) = class_statistics(ds, ds.dim)
+        prior = priors[1] if args.prior is None else args.prior
+        model = binary_from_statistics(v_pos, v_neg, prior, threshold, labels=ds.classes)
     elif args.strategy == "pgm":
         if args.prior is not None or args.threshold is not None:
             raise UsageError("--prior and --threshold do not apply to the pgm strategy")
-        model = train_pgm(ds.documents, ds.dim)
+        model = train_pgm(ds, ds.dim)
     else:
         if args.prior is not None:
             raise UsageError(
                 "--prior does not apply to one-vs-rest; per-class priors come from "
                 "class proportions"
             )
-        model = train_one_vs_rest(ds.documents, ds.dim, threshold=threshold)
+        model = train_one_vs_rest(ds, ds.dim, threshold=threshold)
     save_model(model, args.out)
     return 0
 
@@ -315,6 +310,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"ERROR io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"ERROR memory: {exc}", file=sys.stderr)
         return 1
 
 

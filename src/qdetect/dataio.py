@@ -1,16 +1,17 @@
 """Dataset parsing, deterministic splits, and model serialization.
 
 The dataset format is line-oriented text: ``LABEL idx:val [idx:val ...]`` with
-0-based, strictly increasing integer indices and positive finite decimal
-values; ``#``-prefixed lines are comments.  Models are stored as compact JSON
-whose floats are written as the shortest repr that round-trips each double, so
-reloads are bit-identical.
+0-based, strictly increasing integer indices that fit int64 and positive
+finite decimal values; ``#``-prefixed lines are comments.  Models are stored
+as compact JSON whose floats are written as the shortest repr that round-trips
+each double, so reloads are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -24,87 +25,185 @@ from qdetect.errors import (
     UnsupportedVersionError,
 )
 from qdetect.multiclass import Measurement, MulticlassModel, measurement_vectors
-from qdetect.states import FeatureVector
+from qdetect.states import LabeledDataset
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Ordered labeled documents over a shared feature space."""
+# the largest feature index an int64 index array holds
+_MAX_INDEX = np.iinfo(np.int64).max
 
-    dim: int
-    documents: tuple[tuple[str, FeatureVector], ...]
 
-    def __post_init__(self):
-        if not self.documents:
-            raise ValueError("a dataset needs at least one document")
-        for label, doc in self.documents:
-            if not label:
-                raise ValueError("labels must be nonempty strings")
-            if doc.dim != self.dim:
-                raise ValueError("all documents must share the dataset dim")
+def _checked_pairs(tokens: list[str], lineno: int) -> tuple[list[int], list[float]]:
+    """Indices and values of one line's ``idx:val`` tokens; the first bad token raises."""
+    indices: list[int] = []
+    values: list[float] = []
+    previous = -1
+    for token in tokens:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise ParseError(f"line {lineno}: malformed pair {token!r}")
+        try:
+            idx = int(head)
+            value = float(tail)
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed pair {token!r}") from None
+        if idx < 0:
+            raise ParseError(f"line {lineno}: negative feature index {idx}")
+        if idx <= previous:
+            raise ParseError(
+                f"line {lineno}: feature indices must be strictly increasing "
+                f"({idx} after {previous})"
+            )
+        if idx > _MAX_INDEX:
+            raise ParseError(f"line {lineno}: feature index {idx} does not fit in int64")
+        if not 0.0 < value < math.inf:
+            raise ParseError(f"line {lineno}: value must be positive and finite, got {tail}")
+        previous = idx
+        indices.append(idx)
+        values.append(value)
+    return indices, values
 
-    @property
-    def class_index(self) -> dict[str, int]:
-        """Label -> dense index, assigned in first-appearance order."""
-        index: dict[str, int] = {}
-        for label, _ in self.documents:
-            if label not in index:
-                index[label] = len(index)
-        return index
 
-    def __len__(self) -> int:
-        return len(self.documents)
+# Lines are converted in chunks of about this many characters of pairs.
+_CHUNK_CHARS = 1 << 15
+# Numbers of at most this many digits are exact doubles, and so are the powers
+# of ten up to it: a decimal m / 10**k of such numbers, divided once, is the
+# correctly rounded double that float() gives.
+_DIGITS = 15
+_POW10 = np.array([float(10**k) for k in range(_DIGITS + 1)])
+# byte classes of the chunk conversion; any other byte (a sign, an exponent,
+# a letter, anything outside ASCII) sends the chunk to the per-token path
+_OTHER, _SPACE, _DIGIT, _COLON, _DOT = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.int8)
+_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _SPACE
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord(":")] = _COLON
+_BYTE_CLASS[ord(".")] = _DOT
+
+
+def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Entries of several lines' pair texts, by array operations over their bytes.
+
+    Returns the entry count of each line, the indices and the values, or None
+    unless every token is ``digits:digits[.digits]`` with at most 15 digits on
+    either side, every value is positive and each line's indices increase;
+    the per-token path then gives the same entries or the first error.
+    """
+    text = "\n".join(texts)
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    kind = _BYTE_CLASS[raw]
+    if np.any(kind == _OTHER):
+        return None
+    bounds = np.flatnonzero(np.diff(kind != _SPACE, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]  # of each token
+    colons = np.flatnonzero(kind == _COLON)
+    # colon i inside token i, after its first byte, means one colon per token
+    if len(colons) != len(starts) or np.any(colons <= starts) or np.any(colons >= ends):
+        return None
+    if np.any(ends - colons > _DIGITS + 2):
+        return None  # a value longer than 15 digits and a dot, before the digit pass
+    dots = np.flatnonzero(kind == _DOT)
+    dotted = np.searchsorted(starts, dots, side="right") - 1  # their tokens
+    if np.any(dots < colons[dotted]) or np.any(np.diff(dotted) == 0):
+        return None  # a dot in an index, or two in one value
+    # numbers in text order (index 0, value 0, index 1, ...), each as the run
+    # of ``digits`` from its first digit to the next number's first
+    is_digit = kind == _DIGIT
+    digits = np.flatnonzero(is_digit)
+    before = np.cumsum(is_digit)  # digits up to and including each byte
+    firsts = np.column_stack((before[starts] - 1, before[colons])).ravel()
+    lengths = np.diff(firsts, append=len(digits))
+    if np.any(lengths > _DIGITS) or np.any(lengths[1::2] < 1):
+        return None  # too long, or a value without digits
+    # each digit times ten to the number of digits after it in its number
+    place = np.repeat(firsts + lengths, lengths) - 1 - np.arange(len(digits))
+    numbers = np.add.reduceat(_POW10[place] * (raw[digits] - ord("0")), firsts)
+    indices, mantissas = numbers[0::2].astype(np.int64), numbers[1::2]
+    fraction = np.zeros(len(starts), dtype=np.intp)  # digits after each value's dot
+    fraction[dotted] = (firsts[1::2] + lengths[1::2])[dotted] - before[dots]
+    line_ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
+    counts = np.bincount(np.searchsorted(line_ends, starts, side="right"), minlength=len(texts))
+    increasing = np.diff(indices) > 0
+    increasing[np.cumsum(counts)[:-1] - 1] = True  # across a line boundary
+    if not (np.all(mantissas > 0) and np.all(increasing)):
+        return None
+    return counts, indices, mantissas / _POW10[fraction]
+
+
+class _Columns:
+    """The growing CSR buffers of a parse; lines are queued and converted in chunks."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.label_ids, self.indptr = array("q"), array("q", [0])
+        self.indices, self.values = array("q"), array("d")
+        self.max_index = -1
+        self._linenos: list[int] = []
+        self._texts: list[str] = []
+        self._chars = 0
+
+    def add(self, lineno: int, label: str, text: str) -> None:
+        self.label_ids.append(self.index.setdefault(label, len(self.index)))
+        self._linenos.append(lineno)
+        self._texts.append(text)
+        self._chars += len(text)
+        if self._chars >= _CHUNK_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Convert the queued lines; the first bad token among them raises."""
+        if not self._texts:
+            return
+        converted = _convert_chunk(self._texts)
+        if converted is None:
+            for lineno, text in zip(self._linenos, self._texts):
+                indices, values = _checked_pairs(text.split(), lineno)
+                self.indices.extend(indices)
+                self.values.extend(values)
+                self.indptr.append(len(self.indices))
+                self.max_index = max(self.max_index, indices[-1])
+        else:
+            counts, indices, values = converted
+            ends = len(self.indices) + np.cumsum(counts)
+            self.indices.frombytes(indices.tobytes())
+            self.values.frombytes(values.tobytes())
+            self.indptr.frombytes(ends.tobytes())
+            self.max_index = max(self.max_index, int(indices.max()))
+        self._linenos.clear()
+        self._texts.clear()
+        self._chars = 0
 
 
 def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> LabeledDataset:
-    """Parse the line-oriented sparse format; ``dim`` may widen the feature space."""
-    labels: list[str] = []
-    rows: list[dict[int, float]] = []
-    max_index = -1
+    """Parse the line-oriented sparse format; ``dim`` may widen the feature space.
+
+    One pass over the lines fills the dataset's CSR buffers, so no
+    per-document object is built; errors name the first bad line.
+    """
+    columns = _Columns()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if len(tokens) < 2:
+        fields = line.split(None, 1)
+        if len(fields) < 2:
+            columns.flush()  # an error on an earlier line comes first
             raise ParseError(f"line {lineno}: expected LABEL followed by idx:val pairs")
-        label = tokens[0]
-        entries: dict[int, float] = {}
-        previous = -1
-        for token in tokens[1:]:
-            head, sep, tail = token.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: malformed pair {token!r}")
-            try:
-                idx = int(head)
-                value = float(tail)
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed pair {token!r}") from None
-            if idx < 0:
-                raise ParseError(f"line {lineno}: negative feature index {idx}")
-            if idx <= previous:
-                raise ParseError(
-                    f"line {lineno}: feature indices must be strictly increasing "
-                    f"({idx} after {previous})"
-                )
-            if not 0.0 < value < math.inf:
-                raise ParseError(f"line {lineno}: value must be positive and finite, got {tail}")
-            previous = idx
-            entries[idx] = value
-        max_index = max(max_index, previous)
-        labels.append(label)
-        rows.append(entries)
-    if not rows:
+        columns.add(lineno, *fields)
+    columns.flush()
+    if not columns.label_ids:
         raise ParseError("dataset contains no documents")
-    inferred = max_index + 1
+    inferred = columns.max_index + 1
     if dim is None:
         dim = inferred
     elif dim < inferred:
         raise ParseError(
             f"requested dim {dim} is smaller than the largest feature index + 1 ({inferred})"
         )
-    vectors = [FeatureVector(dim=dim, entries=entries) for entries in rows]
-    return LabeledDataset(dim=dim, documents=tuple(zip(labels, vectors)))
+    return LabeledDataset.from_arrays(
+        dim, tuple(columns.index),
+        *(np.frombuffer(buffer, dtype=buffer.typecode) for buffer in
+          (columns.label_ids, columns.indptr, columns.indices, columns.values)),
+    )
 
 
 def serialize_sparse(ds: LabeledDataset) -> str:
@@ -275,17 +374,30 @@ def _scalars(payload: dict) -> dict:
     return {name: float(_require(payload, key, _NUMBER)) for name, key in keys.items()}
 
 
+def _float_array(value) -> np.ndarray:
+    """A float array from nested lists of numbers, or from a numeric array.
+
+    ``np.array(value, dtype=float)`` alone would also turn numeric strings and
+    booleans into numbers, so the type of every item is checked first.
+    """
+    items = np.array(value, dtype=object)
+    if not all(issubclass(kind, _NUMBER) and not issubclass(kind, bool)
+               for kind in set(map(type, items.flat))):
+        raise FormatError("model arrays must hold only numbers")
+    return items.astype(float)
+
+
 def _binary_from_payload(payload: dict, dim: int, labels: tuple[str, str]) -> BinaryModel:
     return BinaryModel(
         dim=dim,
-        projector=np.array(_require(payload, "projector", _ARRAY), dtype=float),
+        projector=_float_array(_require(payload, "projector", _ARRAY)),
         labels=labels,
         **_scalars(payload),
     )
 
 
 def _vectors(doc: dict) -> np.ndarray:
-    return np.array(_require(doc, "vectors", _ARRAY), dtype=float).T
+    return _float_array(_require(doc, "vectors", _ARRAY)).T
 
 
 def _pgm_fields(doc: dict, version: int) -> dict:
@@ -294,9 +406,9 @@ def _pgm_fields(doc: dict, version: int) -> dict:
         return {"vectors": _vectors(doc), "kind": kind}
     residual = doc.get("residual")
     m = Measurement(
-        elements=tuple(np.array(e, dtype=float) for e in _require(doc, "elements", _ARRAY)),
+        elements=tuple(_float_array(e) for e in _require(doc, "elements", _ARRAY)),
         kind=kind,
-        residual=None if residual is None else np.array(residual, dtype=float),
+        residual=None if residual is None else _float_array(residual),
     )
     # each rank-1 element is trace * outer(v, v) for its unit vector v
     vectors = [math.sqrt(np.trace(e)) * v for e, v in zip(m.elements, measurement_vectors(m))]
@@ -376,8 +488,8 @@ def load_cost_matrix(path, n: int) -> np.ndarray:
     """Read an N x N nonnegative cost matrix from a JSON file."""
     doc = _read_json(path, "cost")
     try:
-        matrix = np.asarray(doc, dtype=float) if isinstance(doc, list) else None
-    except ValueError:  # ragged or non-numeric arrays
+        matrix = _float_array(doc) if isinstance(doc, list) else None
+    except (ValueError, FormatError):  # ragged or non-numeric arrays
         matrix = None
     if matrix is None or matrix.shape != (n, n) or not np.all((0 <= matrix) & (matrix < np.inf)):
         raise FormatError(f"cost file must hold a finite nonnegative {n}x{n} JSON array")

@@ -11,16 +11,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdetect.binary import BinaryModel
-from qdetect.dataio import LabeledDataset
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
 from qdetect.linalg import born_scores
 from qdetect.multiclass import check_cost_matrix, zero_one_cost
-from qdetect.states import normalize_documents
+from qdetect.states import LabeledDataset
 
 
 def default_label(model) -> str:
     """Fallback class for unclassifiable documents: the largest prior wins."""
     return model.labels[int(np.argmax(model.priors))]
+
+
+def _decisions(model, ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per document: the chosen label's index, its score, and the degenerate flag.
+
+    Degenerate (empty) documents take the largest-prior class with score 0.
+    """
+    if ds.dim > model.dim:
+        raise DimensionMismatchError(
+            f"dataset dim {ds.dim} exceeds model dim {model.dim}"
+        )
+    scores = born_scores(ds.unit_rows(model.dim), model.operators)
+    if isinstance(model, BinaryModel):
+        picks = np.where(scores[:, 0] >= model.threshold, 0, 1)
+        values = scores[:, 0]
+    else:
+        picks = np.argmax(scores, axis=1)
+        values = scores[np.arange(len(picks)), picks]
+    empty = ds.empty_rows()
+    picks = np.where(empty, int(np.argmax(model.priors)), picks)
+    return picks, np.where(empty, 0.0, values), empty
 
 
 def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
@@ -29,23 +49,9 @@ def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
     Binary models accept at scores reaching the threshold; others take the top
     class score, exact ties going to the lowest class index.
     """
-    if ds.dim > model.dim:
-        raise DimensionMismatchError(
-            f"dataset dim {ds.dim} exceeds model dim {model.dim}"
-        )
-    docs = [doc for _, doc in ds.documents]
-    scores = born_scores(normalize_documents(docs, model.dim), model.operators)
-    if isinstance(model, BinaryModel):
-        picks = np.where(scores[:, 0] >= model.threshold, 0, 1)
-        values = scores[:, 0]
-    else:
-        picks = np.argmax(scores, axis=1)
-        values = scores[np.arange(len(docs)), picks]
-    fallback = default_label(model)
-    return [
-        (fallback, 0.0, True) if doc.is_empty() else (model.labels[k], float(v), False)
-        for doc, k, v in zip(docs, picks, values)
-    ]
+    picks, values, empty = _decisions(model, ds)
+    return [(model.labels[k], v, flag)
+            for k, v, flag in zip(picks.tolist(), values.tolist(), empty.tolist())]
 
 
 @dataclass(frozen=True)
@@ -178,13 +184,11 @@ def evaluate(model, test: LabeledDataset, cost=None) -> EvalReport:
     """
     labels = list(model.labels)
     index = {label: k for k, label in enumerate(labels)}
-    unseen = sorted({label for label, _ in test.documents} - set(labels))
+    unseen = sorted(set(test.classes) - set(labels))
     if unseen:
         raise UnseenLabelError(f"test labels not known to the model: {unseen}")
-    predictions = predict_dataset(model, test)
-    confusion = np.zeros((len(labels), len(labels)), dtype=int)
-    degenerate = 0
-    for (true_label, _), (pred_label, _, flagged) in zip(test.documents, predictions):
-        confusion[index[true_label], index[pred_label]] += 1
-        degenerate += int(flagged)
-    return report_from_confusion(labels, confusion, cost, degenerate)
+    picks, _, empty = _decisions(model, test)
+    truth = np.array([index[label] for label in test.classes], dtype=np.int64)[test.label_ids]
+    n = len(labels)
+    confusion = np.bincount(truth * n + picks, minlength=n * n).reshape(n, n)
+    return report_from_confusion(labels, confusion, cost, int(np.sum(empty)))

@@ -11,7 +11,7 @@ the dense ``Measurement`` and ``pgm`` are the small-dim reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,7 +22,14 @@ from qdetect.errors import (
     DimensionMismatchError,
     NotRankOneError,
 )
-from qdetect.states import ClassStatVector, FeatureVector, density_from_vector, feature_statistics
+from qdetect.states import (
+    ClassStatVector,
+    FeatureVector,
+    LabeledDataset,
+    as_dataset,
+    class_statistics,
+    density_from_vector,
+)
 
 PSD_ATOL = 1e-10
 RESOLUTION_ATOL = 1e-10
@@ -143,26 +150,24 @@ def check_cost_matrix(k, n: int) -> np.ndarray:
     return k
 
 
+# A corpus is a LabeledDataset or a sequence of (label, FeatureVector) pairs.
+Corpus = Union[LabeledDataset, Sequence[tuple[str, FeatureVector]]]
+
+
 def _class_statistics(
-    corpus: Sequence[tuple[str, FeatureVector]], dim: int, training: str
+    corpus: Corpus, dim: int, training: str
 ) -> tuple[list[str], list[float], list[ClassStatVector]]:
     """Labels in first-appearance order, document-frequency priors, per-class statistics."""
-    groups: dict[str, list[FeatureVector]] = {}
-    for label, doc in corpus:
-        groups.setdefault(label, []).append(doc)
-    if len(groups) < 2:
+    ds = as_dataset(corpus, dim)
+    if len(ds.classes) < 2:
         raise DegenerateCorpusError(
-            f"{training} training needs at least 2 classes, found {len(groups)}"
+            f"{training} training needs at least 2 classes, found {len(ds.classes)}"
         )
-    total = sum(len(docs) for docs in groups.values())
-    priors = [len(docs) / total for docs in groups.values()]
-    stats = [feature_statistics(docs, dim, label=label) for label, docs in groups.items()]
-    return list(groups), priors, stats
+    priors, stats = class_statistics(ds, dim)
+    return list(ds.classes), priors, stats
 
 
-def build_hypotheses(
-    corpus: Sequence[tuple[str, FeatureVector]], dim: int
-) -> HypothesisSet:
+def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
     """One prior/density pair per class, priors from document frequencies."""
     labels, priors, stats = _class_statistics(corpus, dim, "multi-class")
     states = tuple(density_from_vector(s) for s in stats)
@@ -342,7 +347,7 @@ class MulticlassModel:
         )
 
 
-def train_pgm(corpus: Sequence[tuple[str, FeatureVector]], dim: int) -> MulticlassModel:
+def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
     """Square-root measurement of the class states, in Gram form."""
     labels, priors, stats = _class_statistics(corpus, dim, "multi-class")
     units = np.column_stack([s.values / np.linalg.norm(s.values) for s in stats])
@@ -358,7 +363,7 @@ def train_pgm(corpus: Sequence[tuple[str, FeatureVector]], dim: int) -> Multicla
 
 
 def train_one_vs_rest(
-    corpus: Sequence[tuple[str, FeatureVector]],
+    corpus: Corpus,
     dim: int,
     neg_priors: Sequence[float] | None = None,
     threshold: float = 0.5,

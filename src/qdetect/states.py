@@ -1,14 +1,17 @@
-"""Feature statistics vectors and density operators built from labeled documents.
+"""Labeled corpora, feature statistics vectors and density operators.
 
-A document is a sparse nonnegative feature vector.  Each class contributes one
-statistics vector (per feature, the number of class documents in which the
-feature is nonzero) which is normalized into a rank-1 density operator.
+A document is a sparse nonnegative feature vector; a corpus holds its
+documents as CSR arrays.  Each class contributes one statistics vector (per
+feature, the number of class documents in which the feature is nonzero) which
+is normalized into a rank-1 density operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,6 +79,134 @@ class ClassStatVector:
         return self.values.shape[0]
 
 
+# numpy refuses an array larger than the address space with a ValueError;
+# that is an out-of-memory condition like any other
+_MAX_ITEMS = np.iinfo(np.intp).max // 8
+
+
+def _check_size(rows: int, cols: int) -> None:
+    if rows * cols > _MAX_ITEMS:
+        raise MemoryError(f"a {rows} x {cols} array of 8-byte numbers exceeds the address space")
+
+
+def _readonly(values, dtype) -> np.ndarray:
+    out = np.asarray(values, dtype=dtype).view()  # the caller's array keeps its flags
+    out.flags.writeable = False
+    return out
+
+
+def _csr(docs: Sequence[FeatureVector], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``indptr``, ``indices`` and ``values`` of documents no wider than ``dim``."""
+    for doc in docs:
+        if doc.dim > dim:
+            raise ValueError(f"document dim {doc.dim} exceeds corpus dim {dim}")
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(doc.entries) for doc in docs], dtype=np.int64)
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(doc.entries for doc in docs), np.int64, nnz)
+    values = np.fromiter(chain.from_iterable(doc.entries.values() for doc in docs), float, nnz)
+    return indptr, indices, values
+
+
+class LabeledDataset:
+    """Ordered labeled documents over a shared feature space, held as CSR arrays.
+
+    ``classes`` lists the distinct labels in first-appearance order.  Row i has
+    label ``classes[label_ids[i]]`` and holds the features
+    ``indices[indptr[i]:indptr[i + 1]]`` with their ``values`` (int64 and
+    float64, read-only).  ``documents`` holds the same rows as
+    ``(label, FeatureVector)`` pairs, built on first use.
+    """
+
+    def __init__(self, dim: int, documents: Iterable[tuple[str, FeatureVector]]):
+        documents = tuple(documents)
+        if not documents:
+            raise ValueError("a dataset needs at least one document")
+        for label, doc in documents:
+            if not label:
+                raise ValueError("labels must be nonempty strings")
+            if doc.dim != dim:
+                raise ValueError("all documents must share the dataset dim")
+        columns = _csr([doc for _, doc in documents], dim)
+        self._store(dim, *_label_ids(label for label, _ in documents), *columns)
+        self.__dict__["documents"] = documents
+
+    @classmethod
+    def from_arrays(cls, dim: int, classes, label_ids, indptr, indices, values) -> LabeledDataset:
+        """A dataset over arrays whose entries the caller has checked.
+
+        Unlike the constructor, any number of rows is accepted, including none.
+        """
+        ds = cls.__new__(cls)
+        ds._store(dim, classes, label_ids, indptr, indices, values)
+        return ds
+
+    def _store(self, dim, classes, label_ids, indptr, indices, values) -> None:
+        self.dim = dim
+        self.classes = tuple(classes)
+        self.label_ids = _readonly(label_ids, np.int64)
+        self.indptr = _readonly(indptr, np.int64)
+        self.indices = _readonly(indices, np.int64)
+        self.values = _readonly(values, float)
+
+    @cached_property
+    def documents(self) -> tuple[tuple[str, FeatureVector], ...]:
+        ptr, idx, val = self.indptr.tolist(), self.indices.tolist(), self.values.tolist()
+        return tuple(
+            (self.classes[k], FeatureVector(dim=self.dim, entries=dict(zip(idx[a:b], val[a:b]))))
+            for k, a, b in zip(self.label_ids.tolist(), ptr, ptr[1:])
+        )
+
+    @property
+    def class_index(self) -> dict[str, int]:
+        """Label -> dense index, assigned in first-appearance order."""
+        return {label: k for k, label in enumerate(self.classes)}
+
+    def empty_rows(self) -> np.ndarray:
+        """Per row, whether the document has no nonzero feature."""
+        return self.indptr[1:] == self.indptr[:-1]
+
+    def unit_rows(self, dim: int) -> np.ndarray:
+        """Dense L2-normalized rows zero-padded to ``dim`` (see ``normalize_documents``)."""
+        return _unit_rows(self.indptr, self.indices, self.values, dim)
+
+    def __len__(self) -> int:
+        return len(self.label_ids)
+
+
+def _label_ids(labels: Iterable[str]) -> tuple[tuple[str, ...], list[int]]:
+    """Distinct labels in first-appearance order, and each label's position there."""
+    index: dict[str, int] = {}
+    ids = [index.setdefault(label, len(index)) for label in labels]
+    return tuple(index), ids
+
+
+def as_dataset(corpus, dim: int) -> LabeledDataset:
+    """``corpus`` itself, or its ``(label, FeatureVector)`` pairs as a dataset of width ``dim``."""
+    if isinstance(corpus, LabeledDataset):
+        return corpus
+    pairs = tuple(corpus)
+    columns = _csr([doc for _, doc in pairs], dim)
+    return LabeledDataset.from_arrays(dim, *_label_ids(label for label, _ in pairs), *columns)
+
+
+def class_statistics(ds: LabeledDataset, dim: int) -> tuple[list[float], list[ClassStatVector]]:
+    """Document-frequency priors and per-class statistics, aligned with ``ds.classes``.
+
+    All class count vectors come from one ``bincount`` of ``label_id * dim +
+    index`` over the entries.
+    """
+    if ds.dim > dim:
+        raise ValueError(f"document dim {ds.dim} exceeds corpus dim {dim}")
+    n = len(ds.classes)
+    _check_size(n, dim)
+    keys = np.repeat(ds.label_ids * dim, np.diff(ds.indptr)) + ds.indices
+    counts = np.bincount(keys, minlength=n * dim).reshape(n, dim).astype(float)
+    sizes = np.bincount(ds.label_ids, minlength=n).tolist()
+    priors = [size / len(ds) for size in sizes]
+    return priors, [ClassStatVector(values=c, label=label) for c, label in zip(counts, ds.classes)]
+
+
 def feature_statistics(
     docs: Sequence[FeatureVector], dim: int, label: str | None = None
 ) -> ClassStatVector:
@@ -86,13 +217,8 @@ def feature_statistics(
     """
     if not docs:
         raise DegenerateClassError(f"class {label!r} has no documents")
-    counts = np.zeros(dim)
-    for doc in docs:
-        if doc.dim > dim:
-            raise ValueError(f"document dim {doc.dim} exceeds corpus dim {dim}")
-        for idx in doc.entries:
-            counts[idx] += 1.0
-    return ClassStatVector(values=counts, label=label)
+    _, stats = class_statistics(as_dataset([(label, doc) for doc in docs], dim), dim)
+    return stats[0]
 
 
 def density_from_vector(v) -> np.ndarray:
@@ -106,17 +232,25 @@ def density_from_vector(v) -> np.ndarray:
     return np.outer(v, v) / norm_sq
 
 
-def normalize_documents(docs: Sequence[FeatureVector], dim: int) -> np.ndarray:
-    """Dense L2-normalized rows zero-padded to ``dim``; empty documents give zero rows.
-
-    Dividing each row by its largest value before taking the norm keeps values
-    near the overflow or subnormal limits from giving an infinite or zero norm.
-    """
-    rows = np.array([doc.to_dense(dim) for doc in docs])
+def _unit_rows(indptr, indices, values, dim: int) -> np.ndarray:
+    n = len(indptr) - 1
+    _check_size(n, dim)
+    rows = np.zeros((n, dim))
+    rows[np.repeat(np.arange(n), np.diff(indptr)), indices] = values
     peak = rows.max(axis=1, keepdims=True)
     rows /= np.where(peak > 0.0, peak, 1.0)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return np.divide(rows, np.where(norms > 0.0, norms, 1.0), out=rows)
+
+
+def normalize_documents(docs: Sequence[FeatureVector], dim: int) -> np.ndarray:
+    """Dense L2-normalized rows zero-padded to ``dim``; empty documents give zero rows.
+
+    The rows are filled with one scatter.  Dividing each row by its largest
+    value before taking the norm keeps values near the overflow or subnormal
+    limits from giving an infinite or zero norm.
+    """
+    return _unit_rows(*_csr(docs, dim), dim)
 
 
 def normalize_document(doc: FeatureVector, dim: int | None = None) -> np.ndarray:

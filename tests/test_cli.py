@@ -1,12 +1,25 @@
 """Command-line behavior: flows, error lines, exit codes, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import qdetect.cli
 from qdetect.cli import main
 from qdetect.dataio import serialize_sparse
+from qdetect.states import FeatureVector
 from qdetect.synth import synth_corpus
+
+# Corpora and the model, prediction and report files the version before the
+# columnar corpus wrote for them (see GOLDEN_RUNS).
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
+# strategy -> (train file, extra train arguments, test file)
+GOLDEN_RUNS = {
+    "pgm": ("train.txt", [], "test.txt"),
+    "ovr": ("train.txt", ["--dim", "30"], "test.txt"),
+    "binary": ("binary-train.txt", [], "binary-test.txt"),
+}
 
 TWO_CLASS = """ham 0:3 1:1
 ham 0:2
@@ -157,6 +170,68 @@ class TestPredictEvaluate:
                          "--out", str(preds)]) == 0
             outs.append((model.read_bytes(), preds.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def run_golden(tmp_path, strategy):
+    """Train, predict and evaluate on the golden corpora; returns file name -> bytes."""
+    train, extra, test = GOLDEN_RUNS[strategy]
+    outs = {f"{strategy}.json": tmp_path / f"{strategy}.json",
+            f"{strategy}.tsv": tmp_path / f"{strategy}.tsv",
+            f"{strategy}.report.json": tmp_path / f"{strategy}.report.json"}
+    model, preds, report = (str(path) for path in outs.values())
+    assert main(["train", "--data", str(GOLDEN / train), "--strategy", strategy, *extra,
+                 "--out", model]) == 0
+    assert main(["predict", "--model", model, "--data", str(GOLDEN / test),
+                 "--out", preds]) == 0
+    assert main(["evaluate", "--model", model, "--data", str(GOLDEN / test),
+                 "--out", report]) == 0
+    return {name: path.read_bytes() for name, path in outs.items()}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
+    def test_outputs_are_byte_identical(self, tmp_path, strategy):
+        for name, got in run_golden(tmp_path, strategy).items():
+            assert got == (GOLDEN / name).read_bytes(), name
+
+    def test_no_feature_vector_on_the_command_path(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a FeatureVector was built on the command path")
+
+        monkeypatch.setattr(FeatureVector, "__post_init__", refuse)
+        for strategy in ("pgm", "ovr"):
+            for name, got in run_golden(tmp_path, strategy).items():
+                assert got == (GOLDEN / name).read_bytes(), name
+
+
+class TestResourceErrors:
+    def test_memory_error_is_a_coded_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(qdetect.cli, "train_pgm", exhausted)
+        data = write(tmp_path, "two.txt", TWO_CLASS)
+        rc = main(["train", "--data", data, "--strategy", "pgm",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR memory: Unable to allocate 22.4 GiB for an array\n"
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "ovr"])
+    def test_index_past_the_address_space(self, tmp_path, capsys, strategy):
+        # dim 2**62 + 1: the count table cannot exist, so nothing is allocated
+        data = write(tmp_path, "wide.txt", f"a 0:1\nb {2**62}:1\n")
+        rc = main(["train", "--data", data, "--strategy", strategy,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR memory:")
+
+    def test_index_past_int64_is_a_parse_error(self, tmp_path, capsys):
+        data = write(tmp_path, "huge.txt", "a 0:1\nb 99999999999999999999:1\n")
+        rc = main(["train", "--data", data, "--strategy", "pgm",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR parse: line 2:")
 
 
 class TestBench:

@@ -90,6 +90,23 @@ class TestParseSparse:
         with pytest.raises(ParseError, match="line 2"):
             parse(f"a 0:1\nb 0:{value}\n")
 
+    def test_index_past_int64_rejected(self):
+        with pytest.raises(ParseError, match="line 2: feature index 99999999999999999999"):
+            parse("a 0:1\nb 3:1 99999999999999999999:1\n")
+        assert parse(f"a {2**63 - 1}:1\n").dim == 2**63
+
+    def test_columns(self):
+        ds = parse(SMALL_CORPUS)
+        assert ds.classes == ("sports", "politics")
+        assert ds.label_ids.tolist() == [0, 1, 0, 1]
+        assert ds.indptr.tolist() == [0, 2, 4, 6, 7]
+        assert ds.indices.tolist() == [0, 3, 1, 2, 0, 3, 2]
+        assert ds.values.tolist() == [2.0, 1.0, 1.0, 4.0, 1.0, 2.0, 1.0]
+        assert (ds.indices.dtype, ds.values.dtype) == (np.int64, np.float64)
+        assert not ds.values.flags.writeable
+        assert ds.documents is ds.documents
+        assert ds.documents[1] == ("politics", fv(4, {1: 1.0, 2: 4.0}))
+
     def test_malformed_pair_rejected(self):
         with pytest.raises(ParseError, match="malformed"):
             parse("a 0:1 junk\n")
@@ -376,6 +393,29 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="priors"):
             model_from_dict(doc)
 
+    # the identity in two dims, a valid projective pgm model apart from its item types
+    IDENTITY_PGM = {"format_version": 2, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
+                    "priors": [0.5, 0.5], "kind": "projective"}
+
+    def test_string_vector_entries(self):
+        doc = dict(self.IDENTITY_PGM, vectors=[[1.0, 0.0], [0.0, 1.0]])
+        assert model_from_dict(doc).dim == 2
+        doc["vectors"] = [["1.0", "0.0"], ["0.0", "1.0"]]
+        with pytest.raises(FormatError, match="numbers"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("vectors", [[[True, False], [False, True]],
+                                         [[1.0, False], [0.0, 1.0]]])
+    def test_boolean_vector_entries(self, vectors):
+        with pytest.raises(FormatError, match="numbers"):
+            model_from_dict(dict(self.IDENTITY_PGM, vectors=vectors))
+
+    def test_string_projector_entries(self):
+        doc = v1_document("binary")
+        doc["projector"] = [[str(x) for x in row] for row in doc["projector"]]
+        with pytest.raises(FormatError, match="numbers"):
+            model_from_dict(doc)
+
     def test_boolean_dim(self):
         # a consistent one-dimensional model apart from the type of its dim
         doc = {
@@ -447,6 +487,13 @@ class TestCostMatrixFile:
         "text", ["[[0.0, NaN], [1.0, 0.0]]", "[[0.0, 1e999], [1.0, 0.0]]", "[[0.0, 1.0], [1.0]]",
                  '[["a", "b"], [1.0, 0.0]]'])
     def test_non_finite_or_ragged(self, tmp_path, text):
+        path = tmp_path / "cost.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_cost_matrix(path, 2)
+
+    @pytest.mark.parametrize("text", ['[["0", "1"], ["1", "0"]]', "[[false, true], [true, false]]"])
+    def test_non_numeric_items(self, tmp_path, text):
         path = tmp_path / "cost.json"
         path.write_text(text)
         with pytest.raises(FormatError):
