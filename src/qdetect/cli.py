@@ -8,6 +8,7 @@ files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -301,8 +302,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command in this process, built on the first one, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except QdetectError as exc:

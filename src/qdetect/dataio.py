@@ -70,63 +70,66 @@ _CHUNK_CHARS = 1 << 15
 # correctly rounded double that float() gives.
 _DIGITS = 15
 _POW10 = np.array([float(10**k) for k in range(_DIGITS + 1)])
-# byte classes of the chunk conversion; any other byte (a sign, an exponent,
-# a letter, anything outside ASCII) sends the chunk to the per-token path
-_OTHER, _SPACE, _DIGIT, _COLON, _DOT = range(5)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.int8)
-_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = _SPACE
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[ord(":")] = _COLON
-_BYTE_CLASS[ord(".")] = _DOT
+# The bytes the chunk conversion reads: digits, colons, dots and the ASCII
+# whitespace that str.split() separates on (all of it below b"!").  Any other
+# byte (a sign, an exponent, a letter, anything outside ASCII) sends the chunk
+# to the per-token path.
+_PLAIN_BYTES = bytes(c for c in range(128) if chr(c).isspace() or chr(c) in "0123456789:.")
+_COLON, _DOT, _ZERO = b":.0"
 
 
 def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Entries of several lines' pair texts, by array operations over their bytes.
+    """Entries of several lines' pair texts, by array operations over their numbers.
 
     Returns the entry count of each line, the indices and the values, or None
     unless every token is ``digits:digits[.digits]`` with at most 15 digits on
     either side, every value is positive and each line's indices increase;
     the per-token path then gives the same entries or the first error.
     """
-    text = "\n".join(texts)
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    kind = _BYTE_CLASS[raw]
-    if np.any(kind == _OTHER):
+    # a lone surrogate encodes to bytes above 127, which the check rejects
+    text = "\n".join(texts).encode("utf-8", "surrogatepass")
+    if text.translate(None, _PLAIN_BYTES):
         return None
-    bounds = np.flatnonzero(np.diff(kind != _SPACE, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]  # of each token
-    colons = np.flatnonzero(kind == _COLON)
-    # colon i inside token i, after its first byte, means one colon per token
-    if len(colons) != len(starts) or np.any(colons <= starts) or np.any(colons >= ends):
+    raw = np.frombuffer(text, dtype=np.uint8)
+    # a number is a run of digits and dots: it starts and ends where this mask flips
+    inside = np.zeros(len(raw) + 2, dtype=bool)
+    np.logical_and(raw > 32, raw != _COLON, out=inside[1:-1])
+    bounds = np.flatnonzero(inside[1:] != inside[:-1])
+    # Per pair: index start and end, value start and end.  Every index ends at
+    # a colon and every value starts right after it, so with no other colon
+    # every token is exactly ``number:number``.
+    if len(bounds) != 4 * text.count(b":") or (
+            np.any(raw[bounds[1::4]] != _COLON) or np.any(bounds[2::4] - bounds[1::4] != 1)):
         return None
-    if np.any(ends - colons > _DIGITS + 2):
-        return None  # a value longer than 15 digits and a dot, before the digit pass
-    dots = np.flatnonzero(kind == _DOT)
-    dotted = np.searchsorted(starts, dots, side="right") - 1  # their tokens
-    if np.any(dots < colons[dotted]) or np.any(np.diff(dotted) == 0):
+    starts, ends = bounds[0::2], bounds[1::2]  # of each number: index 0, value 0, ...
+    digits = ends - starts
+    if digits.max() > _DIGITS + 1:
+        return None  # longer than 15 digits and a dot, before any digit is read
+    dots = np.flatnonzero(raw == _DOT) if _DOT in text else np.zeros(0, dtype=np.intp)
+    dotted = np.searchsorted(starts, dots, side="right") - 1  # the number holding each dot
+    if np.any(dotted % 2 == 0) or np.any(np.diff(dotted) == 0):
         return None  # a dot in an index, or two in one value
-    # numbers in text order (index 0, value 0, index 1, ...), each as the run
-    # of ``digits`` from its first digit to the next number's first
-    is_digit = kind == _DIGIT
-    digits = np.flatnonzero(is_digit)
-    before = np.cumsum(is_digit)  # digits up to and including each byte
-    firsts = np.column_stack((before[starts] - 1, before[colons])).ravel()
-    lengths = np.diff(firsts, append=len(digits))
-    if np.any(lengths > _DIGITS) or np.any(lengths[1::2] < 1):
-        return None  # too long, or a value without digits
-    # each digit times ten to the number of digits after it in its number
-    place = np.repeat(firsts + lengths, lengths) - 1 - np.arange(len(digits))
-    numbers = np.add.reduceat(_POW10[place] * (raw[digits] - ord("0")), firsts)
-    indices, mantissas = numbers[0::2].astype(np.int64), numbers[1::2]
-    fraction = np.zeros(len(starts), dtype=np.intp)  # digits after each value's dot
-    fraction[dotted] = (firsts[1::2] + lengths[1::2])[dotted] - before[dots]
+    digits[dotted] -= 1
+    longest = int(digits.max())
+    if digits.min() < 1 or longest > _DIGITS:
+        return None  # a value without digits, or too many
+    # Horner's rule over the text without its dots, one digit column at a
+    # time over the numbers that reach it
+    packed = np.frombuffer(text.replace(b".", b""), dtype=np.uint8)
+    firsts = starts - np.searchsorted(dots, starts)
+    numbers = packed[firsts].astype(np.int64) - _ZERO
+    for j in range(1, longest):
+        more = np.flatnonzero(digits > j)
+        numbers[more] = numbers[more] * 10 + packed[firsts[more] + j] - _ZERO
+    indices, values = numbers[0::2], numbers[1::2].astype(float)
+    values[dotted // 2] /= _POW10[ends[dotted] - dots - 1]  # the digits after each dot
     line_ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
-    counts = np.bincount(np.searchsorted(line_ends, starts, side="right"), minlength=len(texts))
+    counts = np.diff(np.searchsorted(bounds, line_ends) // 4, prepend=0)  # four bounds a pair
     increasing = np.diff(indices) > 0
     increasing[np.cumsum(counts)[:-1] - 1] = True  # across a line boundary
-    if not (np.all(mantissas > 0) and np.all(increasing)):
+    if not (values.min() > 0 and np.all(increasing)):
         return None
-    return counts, indices, mantissas / _POW10[fraction]
+    return counts, indices, values
 
 
 class _Columns:
@@ -137,40 +140,58 @@ class _Columns:
         self.label_ids, self.indptr = array("q"), array("q", [0])
         self.indices, self.values = array("q"), array("d")
         self.max_index = -1
-        self._linenos: list[int] = []
-        self._texts: list[str] = []
+        self._queued: list[tuple[int, list[str]]] = []  # line number, [label, pair text]
         self._chars = 0
 
-    def add(self, lineno: int, label: str, text: str) -> None:
-        self.label_ids.append(self.index.setdefault(label, len(self.index)))
-        self._linenos.append(lineno)
-        self._texts.append(text)
-        self._chars += len(text)
+    def add(self, lineno: int, fields: list[str]) -> None:
+        self._queued.append((lineno, fields))
+        self._chars += len(fields[1])
         if self._chars >= _CHUNK_CHARS:
             self.flush()
 
     def flush(self) -> None:
         """Convert the queued lines; the first bad token among them raises."""
-        if not self._texts:
-            return
-        converted = _convert_chunk(self._texts)
-        if converted is None:
-            for lineno, text in zip(self._linenos, self._texts):
-                indices, values = _checked_pairs(text.split(), lineno)
-                self.indices.extend(indices)
-                self.values.extend(values)
-                self.indptr.append(len(self.indices))
-                self.max_index = max(self.max_index, indices[-1])
-        else:
+        if self._queued:
+            index = self.index
+            self.label_ids.extend(
+                [index.setdefault(label, len(index)) for _, (label, _) in self._queued])
+            texts = [text for _, (_, text) in self._queued]
+            self._append(texts, 0, len(texts), _convert_chunk(texts))
+        self._queued.clear()
+        self._chars = 0
+
+    def _append(self, texts: list[str], lo: int, hi: int,
+                converted: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> None:
+        """Append queued lines ``lo`` to ``hi - 1``, given their chunk conversion.
+
+        A rejected range is split in halves.  While one half converts, the
+        other is split again, so a lone line the array path cannot take goes
+        token by token alone.  When both halves are rejected, all their lines
+        go token by token: a corpus the array path cannot take costs a few
+        conversions per chunk, not one per line.  Conversions never raise, so
+        an earlier line's error still comes first.
+        """
+        if converted is not None:
             counts, indices, values = converted
             ends = len(self.indices) + np.cumsum(counts)
             self.indices.frombytes(indices.tobytes())
             self.values.frombytes(values.tobytes())
             self.indptr.frombytes(ends.tobytes())
             self.max_index = max(self.max_index, int(indices.max()))
-        self._linenos.clear()
-        self._texts.clear()
-        self._chars = 0
+            return
+        mid = (lo + hi) // 2
+        if mid > lo:
+            left, right = _convert_chunk(texts[lo:mid]), _convert_chunk(texts[mid:hi])
+            if left is not None or right is not None:
+                self._append(texts, lo, mid, left)
+                self._append(texts, mid, hi, right)
+                return
+        for text, (lineno, _) in zip(texts[lo:hi], self._queued[lo:hi]):
+            indices, values = _checked_pairs(text.split(), lineno)
+            self.indices.extend(indices)
+            self.values.extend(values)
+            self.indptr.append(len(self.indices))
+            self.max_index = max(self.max_index, indices[-1])
 
 
 def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> LabeledDataset:
@@ -188,7 +209,7 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
         if len(fields) < 2:
             columns.flush()  # an error on an earlier line comes first
             raise ParseError(f"line {lineno}: expected LABEL followed by idx:val pairs")
-        columns.add(lineno, *fields)
+        columns.add(lineno, fields)
     columns.flush()
     if not columns.label_ids:
         raise ParseError("dataset contains no documents")
@@ -207,13 +228,17 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
 
 
 def serialize_sparse(ds: LabeledDataset) -> str:
-    """Render a dataset back to the sparse text format (parse round-trips it)."""
-    lines = []
-    for label, doc in ds.documents:
-        pairs = " ".join(
-            f"{idx}:{format(value, '.17g')}" for idx, value in sorted(doc.entries.items())
-        )
-        lines.append(f"{label} {pairs}")
+    """Render a dataset back to the sparse text format (parse round-trips it).
+
+    Each row's pairs are written in increasing index order.
+    """
+    rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
+    order = np.lexsort((ds.indices, rows))
+    pairs = [f"{idx}:{value:.17g}"
+             for idx, value in zip(ds.indices[order].tolist(), ds.values[order].tolist())]
+    ptr = ds.indptr.tolist()
+    lines = [f"{ds.classes[k]} {' '.join(pairs[a:b])}"
+             for k, a, b in zip(ds.label_ids.tolist(), ptr, ptr[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -269,13 +294,13 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
     rng = Lcg(spec.seed)
     train_idx: list[int] = []
     if spec.stratified:
-        by_class: dict[str, list[int]] = {}
-        for i, (label, _) in enumerate(ds.documents):
-            by_class.setdefault(label, []).append(i)
-        for label, indices in by_class.items():
+        by_class: dict[int, list[int]] = {}
+        for i, k in enumerate(ds.label_ids.tolist()):
+            by_class.setdefault(k, []).append(i)
+        for k, indices in by_class.items():
             if len(indices) < 2:
                 raise SplitError(
-                    f"class {label!r} has only one document; stratified split needs >= 2"
+                    f"class {ds.classes[k]!r} has only one document; stratified split needs >= 2"
                 )
             shuffled = _shuffle(indices, rng)
             take = _round_half_up(spec.train_fraction * len(indices))
@@ -284,17 +309,14 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
         shuffled = _shuffle(list(range(len(ds))), rng)
         take = _round_half_up(spec.train_fraction * len(ds))
         train_idx = shuffled[:take]
-    chosen = set(train_idx)
-    train_docs = tuple(ds.documents[i] for i in range(len(ds)) if i in chosen)
-    test_docs = tuple(ds.documents[i] for i in range(len(ds)) if i not in chosen)
-    if not train_docs or not test_docs:
+    chosen = np.zeros(len(ds), dtype=bool)
+    chosen[train_idx] = True
+    train_rows, test_rows = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+    if not len(train_rows) or not len(test_rows):
         raise SplitError(
-            f"split produced an empty side (train {len(train_docs)}, test {len(test_docs)})"
+            f"split produced an empty side (train {len(train_rows)}, test {len(test_rows)})"
         )
-    return (
-        LabeledDataset(dim=ds.dim, documents=train_docs),
-        LabeledDataset(dim=ds.dim, documents=test_docs),
-    )
+    return ds.take(train_rows), ds.take(test_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +370,7 @@ def model_to_dict(model) -> dict:
 
 def save_model(model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        # streamed array by array, so the document is never held in memory whole
-        json.dump(model_to_dict(model), fh, **_JSON_SETTINGS)
-        fh.write("\n")
+        fh.write(dumps_canonical(model_to_dict(model)))
 
 
 _NUMBER = (int, float)

@@ -170,6 +170,26 @@ class LabeledDataset:
         """Dense L2-normalized rows zero-padded to ``dim`` (see ``normalize_documents``)."""
         return _unit_rows(self.indptr, self.indices, self.values, dim)
 
+    def take(self, rows) -> LabeledDataset:
+        """The given rows, in that order, as a dataset over the same features.
+
+        Its ``classes`` are the labels of those rows in first-appearance order.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        label_ids = self.label_ids[rows]
+        present, first = np.unique(label_ids, return_index=True)
+        order = present[np.argsort(first)]
+        renumber = np.zeros(len(self.classes), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        # each kept entry's position in this dataset's entry arrays
+        entries = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return LabeledDataset.from_arrays(
+            self.dim, [self.classes[k] for k in order.tolist()], renumber[label_ids],
+            indptr, self.indices[entries], self.values[entries],
+        )
+
     def __len__(self) -> int:
         return len(self.label_ids)
 

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -261,3 +262,13 @@ class TestOracle:
                    "--priors", "0.9,0.9"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR usage:")
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys):
+        qdetect.cli._parser.cache_clear()
+        with mock.patch.object(qdetect.cli, "build_parser", wraps=qdetect.cli.build_parser) as build:
+            for angles in ("0,45", "0,30"):
+                assert main(["oracle", "--mode", "helstrom", "--angles", angles]) == 0
+        assert build.call_count == 1
+        assert capsys.readouterr().out.count("helstrom_cost") == 2

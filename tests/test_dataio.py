@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from qdetect.binary import train_binary
 from qdetect.dataio import (
     Lcg,
     SplitSpec,
+    _round_half_up,
+    _shuffle,
     dumps_canonical,
     load_cost_matrix,
     load_model,
@@ -30,7 +34,7 @@ from qdetect.errors import (
 )
 from qdetect.metrics import predict_dataset
 from qdetect.multiclass import train_one_vs_rest, train_pgm
-from qdetect.states import FeatureVector
+from qdetect.states import FeatureVector, LabeledDataset, as_dataset
 
 # Format 1 model files written by the version before format 2, with the
 # predictions that version made for test.txt (see FORMAT_ONE_FILES).
@@ -129,6 +133,30 @@ class TestParseSparse:
         with pytest.raises(ParseError, match="smaller"):
             parse("a 0:1\nb 5:1\n", dim=3)
 
+    def test_lone_surrogate_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 1: malformed pair"):
+            parse_sparse(["a 0:1 1:\ud800\n"])
+
+    def test_peak_memory_of_a_chunked_parse(self):
+        # About 690 KB in 6000 lines, like the benchmark's many-docs train
+        # file.  The parse peaks near 3 MB; converting the whole file at once
+        # instead of 32K characters at a time peaks above 17 MB.
+        rng = np.random.default_rng(0)
+        lines = []
+        for i in range(6000):
+            indices = np.flatnonzero(rng.random(64) < 0.36).tolist()
+            counts = rng.integers(1, 4, len(indices)).tolist()
+            pairs = " ".join(f"{k}:{c}" for k, c in zip(indices, counts))
+            lines.append(f"c{i % 8:02d} {pairs}\n")
+        tracemalloc.start()
+        try:
+            ds = parse_sparse(lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 6000
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_serialize_round_trip(self):
         ds = parse(SMALL_CORPUS)
         again = parse(serialize_sparse(ds))
@@ -192,6 +220,68 @@ class TestSplit:
         train, test = split(ds, SplitSpec(0.8, 42))
         test_positions = [ds.documents.index(doc) for doc in test.documents]
         assert test_positions == [4, 5]
+
+
+def documents_split(ds, spec):
+    """The split as written over ``documents``, kept as the reference."""
+    rng = Lcg(spec.seed)
+    train_idx = []
+    if spec.stratified:
+        by_class = {}
+        for i, (label, _) in enumerate(ds.documents):
+            by_class.setdefault(label, []).append(i)
+        for indices in by_class.values():
+            take = _round_half_up(spec.train_fraction * len(indices))
+            train_idx.extend(_shuffle(indices, rng)[:take])
+    else:
+        take = _round_half_up(spec.train_fraction * len(ds))
+        train_idx = _shuffle(list(range(len(ds))), rng)[:take]
+    chosen = set(train_idx)
+    sides = ([doc for i, doc in enumerate(ds.documents) if i in chosen],
+             [doc for i, doc in enumerate(ds.documents) if i not in chosen])
+    return tuple(LabeledDataset(dim=ds.dim, documents=side) for side in sides)
+
+
+def documents_serialize(ds):
+    """``serialize_sparse`` as written over ``documents``, kept as the reference."""
+    lines = []
+    for label, doc in ds.documents:
+        pairs = " ".join(
+            f"{idx}:{format(value, '.17g')}" for idx, value in sorted(doc.entries.items())
+        )
+        lines.append(f"{label} {pairs}")
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarSplitAndSerialize:
+    """``split`` and ``serialize_sparse`` read the CSR arrays, not ``documents``."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(5)
+        docs = []
+        for i in range(60):
+            features = rng.permutation(30)[: rng.integers(1, 8)].tolist()  # unsorted
+            values = np.round(rng.uniform(0.1, 5.0, len(features)), 3).tolist()
+            docs.append((("z", "a", "m", "q")[rng.integers(4)], fv(30, dict(zip(features, values)))))
+        return docs
+
+    def test_match_the_documents_based_versions(self):
+        docs = self.corpus()
+        reference = LabeledDataset(dim=30, documents=docs)
+        specs = [SplitSpec(0.7, 3), SplitSpec(0.5, 11, stratified=True), SplitSpec(0.25, 1)]
+        want = [documents_split(reference, spec) for spec in specs]
+        ds = as_dataset(docs, 30)  # the same arrays, with no documents built yet
+        with mock.patch.object(FeatureVector, "__post_init__",
+                               side_effect=AssertionError("a FeatureVector was built")):
+            got = [split(ds, spec) for spec in specs]
+            text = serialize_sparse(ds)
+        assert text == documents_serialize(reference)
+        for sides, want_sides in zip(got, want):
+            for side, want_side in zip(sides, want_sides):
+                assert (side.dim, side.classes) == (want_side.dim, want_side.classes)
+                for name in ("label_ids", "indptr", "indices", "values"):
+                    assert getattr(side, name).tobytes() == getattr(want_side, name).tobytes()
 
 
 def make_models():

@@ -12,6 +12,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,9 +88,11 @@ ANY_VALUES = st.one_of(GOOD_VALUES, st.sampled_from(
 ODD_TOKENS = st.sampled_from(["3", ":5", "3:", "3:4:5", "x:1", "-:1", "3 4:5:6", "3.5:1", "1:2.5.",
                               "12345678901234567:1", "\uff13:1"])
 # tokens that look plain byte by byte; each must send its chunk token by token
-NEAR_MISSES = st.sampled_from(["3:.", "3:1..2", "3:1.2.", "3.5:1", ".3:1", "3:", ":5", "3:4:5",
-                               "3::4", "3:0", "3:0.0", "3:00.000", "1234567890123456:1",
-                               "3:1234567890123456", "3:.1234567890123456", "3.:1"])
+NEAR_MISS_TOKENS = ["3:.", "3:1..2", "3:1.2.", "3.5:1", ".3:1", "3:", ":5", "3:4:5", "3::4", "3:0",
+                    "3:0.0", "3:00.000", "1234567890123456:1", "3:1234567890123456",
+                    "3:.1234567890123456", "3.:1", "3: 4", "3 :4", "3:1234567890123456.",
+                    "3 4:5:6", ":", "3:4:"]
+NEAR_MISSES = st.sampled_from(NEAR_MISS_TOKENS)
 
 
 @st.composite
@@ -184,6 +187,60 @@ def test_plain_corpora_take_the_array_path(lines, chunk_chars):
     with mock.patch.object(dataio, "_checked_pairs", side_effect=AssertionError("per token")):
         ds = parse(text, None, chunk_chars)
     assert [ds.classes[k] for k in ds.label_ids] == labels
+    assert ds.dim == dim
+    assert np.diff(ds.indptr).tolist() == [len(row) for row in rows]
+    assert ds.indices.tolist() == [i for row in rows for i in row]
+    assert ds.values.tobytes() == np.array([v for row in rows for v in row.values()]).tobytes()
+
+
+@pytest.mark.parametrize("token", NEAR_MISS_TOKENS)
+def test_near_misses_take_the_per_token_path(token):
+    text = f"a 0:1 {token} 99:2"
+    assert dataio._convert_chunk([text.split(None, 1)[1]]) is None
+    try:
+        _, _, rows = reference_parse([text])
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_sparse([text])
+        assert str(got.value) == str(exc)
+        return
+    ds = parse_sparse([text])
+    assert ds.indices.tolist() == list(rows[0])
+    assert ds.values.tolist() == list(rows[0].values())
+
+
+def plain_corpus(n_lines):
+    """Lines the array conversion takes, about 30 characters each."""
+    return [f"c{i % 3} {i % 7}:1 {i % 7 + 3}:2.5 {i % 50 + 10}:{i % 9 + 1}" for i in range(n_lines)]
+
+
+def test_an_odd_line_goes_token_by_token_alone():
+    lines = plain_corpus(3000)
+    lines.insert(1700, "c9 5:1e2")
+    with mock.patch.object(dataio, "_checked_pairs", wraps=dataio._checked_pairs) as per_token:
+        ds = parse_sparse(io.StringIO("\n".join(lines)))
+    per_token.assert_called_once_with(["5:1e2"], 1701)
+    _, _, rows = reference_parse(io.StringIO("\n".join(lines)))
+    assert ds.indices.tolist() == [i for row in rows for i in row]
+    assert ds.values.tobytes() == np.array([v for row in rows for v in row.values()]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[], [2200], [2200, 2900], [2, 2200]])
+def test_odd_lines_in_a_large_corpus_match_the_reference(bad):
+    lines = plain_corpus(3000)
+    for k in (10, 1500, 1501, 2199, 2201):
+        lines[k] += " 90:3e-1"  # valid, but only the per-token path reads exponents
+    for k in bad:
+        lines[k] += " 95:-1"
+    text = "\n".join(lines)
+    try:
+        _, dim, rows = reference_parse(io.StringIO(text))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_sparse(io.StringIO(text))
+        assert str(got.value) == str(exc)
+        return
+    ds = parse_sparse(io.StringIO(text))
     assert ds.dim == dim
     assert np.diff(ds.indptr).tolist() == [len(row) for row in rows]
     assert ds.indices.tolist() == [i for row in rows for i in row]
