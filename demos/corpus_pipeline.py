@@ -36,7 +36,7 @@ print("split:", len(train_ds), "train /", len(test_ds), "test (stratified, seede
 # --- train both multi-class strategies and compare ---------------------------
 for name, trainer in (("square-root measurement", train_pgm),
                       ("one-vs-rest detectors", train_one_vs_rest)):
-    model = trainer(train_ds.documents, train_ds.dim)
+    model = trainer(train_ds, train_ds.dim)
     report = evaluate(model, test_ds)
     print(f"\n{name}")
     print("  accuracy:", round(report.accuracy, 4),
@@ -48,7 +48,7 @@ for name, trainer in (("square-root measurement", train_pgm),
         print(f"    {label:>7}", [int(x) for x in row])
 
 # --- models and datasets survive serialization exactly -----------------------
-model = train_pgm(train_ds.documents, train_ds.dim)
+model = train_pgm(train_ds, train_ds.dim)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.json"
     save_model(model, path)

@@ -1,6 +1,6 @@
 """Detection-theoretic classifiers over density operators.
 
-Binary detection keeps the projector onto the positive eigenspace of the
+Binary detection keeps an orthonormal basis of the positive eigenspace of the
 prior-weighted density difference; multi-class detection builds measurements
 that resolve the identity and minimize the Bayes average cost, checked
 against closed-form and brute-force oracles.

@@ -1,17 +1,18 @@
-"""Two-hypothesis detector: eigenspace projector of the weighted density difference.
+"""Two-hypothesis detector: positive eigenspace of the weighted density difference.
 
 Training eigendecomposes ``rho_pos - lam * rho_neg`` with ``lam = xi / (1 - xi)``
-(``xi`` the prior of the negative class) and keeps the projector onto the
+(``xi`` the prior of the negative class) and keeps an orthonormal basis of the
 positive eigenspace.  For two rank-1 class states that eigenspace is one unit
 vector ``e``, found from a closed-form 2x2 problem.  A document is accepted
-when its Born-rule score on the projector reaches the decision threshold.
+when its Born-rule score on the eigenspace's projector reaches the decision
+threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -22,21 +23,6 @@ from qdetect.errors import (
     InvalidPriorError,
 )
 from qdetect.states import ClassStatVector, FeatureVector, feature_statistics
-
-
-def _check_scalars(lam, eta, beta, threshold, prior_negative) -> None:
-    # a NaN compares False, so finiteness is checked explicitly first
-    if not np.all(np.isfinite([lam, eta, beta])):
-        raise ValueError("lam, eta and beta must be finite")
-    if not (eta > 0.0 and beta < 0.0):
-        raise ValueError("expected eta > 0 and beta < 0")
-    if not 0.0 < prior_negative < 1.0:
-        raise ValueError("prior_negative must lie strictly inside (0, 1)")
-    expected_lam = prior_negative / (1.0 - prior_negative)
-    if abs(lam - expected_lam) > 1e-12 * max(1.0, abs(expected_lam)):
-        raise ValueError("lam is inconsistent with prior_negative")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -54,43 +40,50 @@ class DetectorScalars:
     prior_negative: float
 
     def __post_init__(self):
-        _check_scalars(self.lam, self.eta, self.beta, self.threshold, self.prior_negative)
+        # a NaN compares False, so finiteness is checked explicitly first
+        if not np.all(np.isfinite([self.lam, self.eta, self.beta])):
+            raise ValueError("lam, eta and beta must be finite")
+        if not (self.eta > 0.0 and self.beta < 0.0):
+            raise ValueError("expected eta > 0 and beta < 0")
+        if not 0.0 < self.prior_negative < 1.0:
+            raise ValueError("prior_negative must lie strictly inside (0, 1)")
+        expected_lam = self.prior_negative / (1.0 - self.prior_negative)
+        if abs(self.lam - expected_lam) > 1e-12 * max(1.0, abs(expected_lam)):
+            raise ValueError("lam is inconsistent with prior_negative")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
-class BinaryModel:
-    """Immutable trained detector; safe to score from many threads.
+class BinaryModel(DetectorScalars):
+    """Immutable trained detector: its scalars and its acceptance subspace.
 
-    ``projector`` spans the acceptance subspace, ``basis`` holds an
-    orthonormal basis of it, and ``labels`` names the (positive, negative)
-    classes; the scalars are those of ``DetectorScalars``.
+    ``vectors`` (dim x r) holds an orthonormal basis of the acceptance
+    subspace, one unit vector ``e`` for two rank-1 class states, and
+    ``labels`` names the (positive, negative) classes.  ``projector`` is the
+    dense view, built on demand.  Safe to score from many threads.
     """
 
     dim: int
-    projector: np.ndarray
-    lam: float
-    eta: float
-    beta: float
-    threshold: float
-    prior_negative: float
+    vectors: np.ndarray
     labels: tuple[str, str] = ("positive", "negative")
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    strategy: ClassVar[str] = "binary"
 
     def __post_init__(self):
-        p = np.asarray(self.projector, dtype=float)
-        if p.shape != (self.dim, self.dim):
-            raise ValueError(f"projector shape {p.shape} does not match dim {self.dim}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("projector and eigenvalues must be finite")
-        _check_scalars(self.lam, self.eta, self.beta, self.threshold, self.prior_negative)
-        es = linalg.eigh(p)
-        basis = es.eigenvectors[:, es.eigenvalues > 0.5]
-        if float(np.linalg.norm(basis @ basis.T - p)) > 1e-10:
-            raise ValueError("projector is not an orthogonal projector within 1e-10")
+        super().__post_init__()
+        vectors = np.array(self.vectors, dtype=float, order="C")
+        if vectors.ndim != 2 or vectors.shape[0] != self.dim or not vectors.shape[1]:
+            raise ValueError(f"vectors of shape {vectors.shape} do not match dim {self.dim}")
+        # orthonormal columns have entries in [-1, 1]; a larger entry could
+        # overflow below, and a NaN would compare False there
+        if not np.all(np.abs(vectors) <= 1.0 + 1e-10):
+            raise ValueError("vectors must be finite, with entries in [-1, 1]")
+        gram = vectors.T @ vectors
+        if float(np.linalg.norm(gram - np.eye(len(gram)))) > 1e-10:
+            raise ValueError("vectors are not orthonormal within 1e-10")
         if self.labels[0] == self.labels[1]:
             raise ValueError("the two labels must differ")
-        object.__setattr__(self, "projector", p)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def priors(self) -> tuple[float, float]:
@@ -98,9 +91,18 @@ class BinaryModel:
         return (1.0 - self.prior_negative, self.prior_negative)
 
     @property
-    def operators(self) -> tuple[np.ndarray]:
-        """The factor whose Born-rule score is the acceptance score (see ``born_scores``)."""
-        return (self.basis,)
+    def projector(self) -> np.ndarray:
+        """Dense acceptance projector ``V V^T``, for small dims."""
+        return linalg.symmetrize(self.vectors @ self.vectors.T)
+
+    def decisions(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Label index and acceptance score per row of per-column scores.
+
+        The acceptance score is the row sum; reaching the threshold accepts
+        (index 0), boundary inclusive.
+        """
+        accept = scores.sum(axis=1)
+        return np.where(accept >= self.threshold, 0, 1), accept
 
 
 def detector_from_densities(
@@ -121,7 +123,6 @@ def detector_from_densities(
         raise DimensionMismatchError(
             f"density shapes differ: {rho_pos.shape} vs {rho_neg.shape}"
         )
-    dim = rho_pos.shape[0]
     lam = prior_negative / (1.0 - prior_negative)
     es = linalg.eigh(rho_pos - lam * rho_neg)
     w = es.eigenvalues
@@ -133,10 +134,9 @@ def detector_from_densities(
             "difference operator lacks a strictly positive or strictly negative "
             "eigenvalue; the classes cannot be separated at this prior"
         )
-    projector = linalg.projector_from_eigenspace(es, "positive")
     return BinaryModel(
-        dim=dim,
-        projector=projector,
+        dim=rho_pos.shape[0],
+        vectors=es.eigenvectors[:, w > cutoff],
         lam=lam,
         eta=eta,
         beta=beta,
@@ -223,13 +223,13 @@ def binary_from_statistics(
 ) -> BinaryModel:
     """The trained detector for two class statistics vectors."""
     e, scalars = detector_from_statistics(v_pos, v_neg, prior_negative, threshold)
-    (projector,) = linalg.outer_products(e[:, None])
-    return BinaryModel(dim=v_pos.dim, projector=projector, labels=labels, **vars(scalars))
+    return BinaryModel(dim=v_pos.dim, vectors=e[:, None], labels=labels, **vars(scalars))
 
 
 def score(model: BinaryModel, x: np.ndarray) -> float:
     """Born-rule acceptance score ``<x|P|x>`` of a unit vector, in [0, 1]."""
-    return float(linalg.born_scores(np.asarray(x, dtype=float)[None], model.operators)[0, 0])
+    scores = linalg.born_scores(np.asarray(x, dtype=float)[None], model.vectors)
+    return float(model.decisions(scores)[1][0])
 
 
 def decide(model: BinaryModel, x: np.ndarray) -> bool:
@@ -242,13 +242,14 @@ def binary_bayes_cost(
 ) -> float:
     """Average zero-one decision cost of the detector against the given pair.
 
-    ``xi * Tr(rho_neg P) + (1 - xi) * Tr(rho_pos (I - P))`` where ``P`` accepts.
+    ``xi * Tr(rho_neg P) + (1 - xi) * Tr(rho_pos (I - P))`` where ``P = V V^T``
+    accepts, so ``Tr(rho P) = Tr(V^T rho V)``.
     """
     rho_pos = np.asarray(rho_pos, dtype=float)
     rho_neg = np.asarray(rho_neg, dtype=float)
     if rho_pos.shape != (model.dim, model.dim) or rho_neg.shape != (model.dim, model.dim):
         raise DimensionMismatchError("density shape does not match model dim")
-    p = model.projector
-    false_accept = float(np.trace(rho_neg @ p))
-    false_reject = float(np.trace(rho_pos @ (np.eye(model.dim) - p)))
+    v = model.vectors
+    false_accept = float(np.trace(v.T @ rho_neg @ v))
+    false_reject = float(np.trace(rho_pos)) - float(np.trace(v.T @ rho_pos @ v))
     return prior_negative * false_accept + (1.0 - prior_negative) * false_reject

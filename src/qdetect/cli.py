@@ -44,7 +44,8 @@ class UsageError(QdetectError):
 
 
 def _read_dataset(path: str, dim: int | None = None):
-    with open(path, "r", encoding="utf-8") as fh:
+    # the parser rejects undecodable bytes, kept as lone surrogates, by line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_sparse(fh, dim=dim)
 
 
@@ -184,7 +185,7 @@ def _suite_synthetic(seed: int):
         corpus = synth_corpus("orthogonal", 25, noise, seed, n_classes=4)
         train_ds, test_ds = split(corpus, SplitSpec(0.8, seed, stratified=True))
         for strategy, trainer in (("pgm", train_pgm), ("ovr", train_one_vs_rest)):
-            model = trainer(train_ds.documents, train_ds.dim)
+            model = trainer(train_ds, train_ds.dim)
             report = evaluate(model, test_ds)
             if noise == 0.0:
                 ok = report.accuracy == 1.0

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
+from qdetect import linalg
 from qdetect.binary import BinaryModel, DetectorScalars
 from qdetect.errors import (
     FormatError,
     ParseError,
+    QdetectError,
     SplitError,
     UnsupportedVersionError,
 )
@@ -30,6 +33,8 @@ from qdetect.states import LabeledDataset
 
 # the largest feature index an int64 index array holds
 _MAX_INDEX = np.iinfo(np.int64).max
+# what a byte that is not UTF-8 becomes when read with errors="surrogateescape"
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _checked_pairs(tokens: list[str], lineno: int) -> tuple[list[int], list[float]]:
@@ -209,6 +214,9 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
         if len(fields) < 2:
             columns.flush()  # an error on an earlier line comes first
             raise ParseError(f"line {lineno}: expected LABEL followed by idx:val pairs")
+        if not fields[0].isascii() and _SURROGATE.search(fields[0]):
+            columns.flush()
+            raise ParseError(f"line {lineno}: label {fields[0]!r} is not valid UTF-8")
         columns.add(lineno, fields)
     columns.flush()
     if not columns.label_ids:
@@ -230,11 +238,13 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
 def serialize_sparse(ds: LabeledDataset) -> str:
     """Render a dataset back to the sparse text format (parse round-trips it).
 
-    Each row's pairs are written in increasing index order.
+    Each row's pairs are written in increasing index order, each value as the
+    shortest repr that round-trips it, so 0.1 stays a plain decimal that the
+    chunk conversion reads.
     """
     rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
     order = np.lexsort((ds.indices, rows))
-    pairs = [f"{idx}:{value:.17g}"
+    pairs = [f"{idx}:{value!r}"
              for idx, value in zip(ds.indices[order].tolist(), ds.values[order].tolist())]
     ptr = ds.indptr.tolist()
     lines = [f"{ds.classes[k]} {' '.join(pairs[a:b])}"
@@ -331,40 +341,37 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, **_JSON_SETTINGS) + "\n"
 
 
-# Format 2 stores a pgm or one-vs-rest model's dim x N vectors as N rows of
-# length dim; format 1 stored each element and projector as a dense matrix.
-FORMAT_VERSION = 2
+# Format 3 stores every model's dim x r vectors as r rows of length dim next
+# to the scalars of its decision rule.  Format 2 stored a binary model's
+# projector as a dense matrix; format 1 stored every measurement element and
+# projector that way.
+FORMAT_VERSION = 3
+# each ``DetectorScalars`` field and its key in a model file, in file order
+_SCALAR_KEYS = {"prior_negative": "prior_negative", "lam": "lambda", "eta": "eta",
+                "beta": "beta", "threshold": "threshold"}
 
 
 def _scalar_payload(det) -> dict:
-    return {
-        "prior_negative": det.prior_negative,
-        "lambda": det.lam,
-        "eta": det.eta,
-        "beta": det.beta,
-        "threshold": det.threshold,
-    }
+    return {key: getattr(det, name) for name, key in _SCALAR_KEYS.items()}
 
 
 def model_to_dict(model) -> dict:
     """The model file's JSON object; its arrays are the model's own arrays."""
-    if isinstance(model, BinaryModel):
-        strategy, fields = "binary", {**_scalar_payload(model), "projector": model.projector}
-    elif isinstance(model, MulticlassModel):
-        strategy, fields = model.strategy, {"priors": list(model.priors)}
-        if strategy == "pgm":
+    if model.strategy == "binary":
+        fields = _scalar_payload(model)
+    else:
+        fields = {"priors": list(model.priors)}
+        if model.strategy == "pgm":
             fields["kind"] = model.kind
         else:
             fields["detectors"] = [_scalar_payload(s) for s in model.detector_scalars]
-        fields["vectors"] = model.vectors.T
-    else:
-        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     return {
         "format_version": FORMAT_VERSION,
-        "strategy": strategy,
+        "strategy": model.strategy,
         "dim": int(model.dim),
         "labels": list(model.labels),
         **fields,
+        "vectors": model.vectors.T,
     }
 
 
@@ -389,9 +396,7 @@ def _require(doc: dict, key: str, kinds) -> object:
 
 def _scalars(payload: dict) -> dict:
     """``DetectorScalars`` keyword arguments from a detector's fields."""
-    keys = {"lam": "lambda", "eta": "eta", "beta": "beta", "threshold": "threshold",
-            "prior_negative": "prior_negative"}
-    return {name: float(_require(payload, key, _NUMBER)) for name, key in keys.items()}
+    return {name: float(_require(payload, key, _NUMBER)) for name, key in _SCALAR_KEYS.items()}
 
 
 def _float_array(value) -> np.ndarray:
@@ -407,58 +412,55 @@ def _float_array(value) -> np.ndarray:
     return items.astype(float)
 
 
-def _binary_from_payload(payload: dict, dim: int, labels: tuple[str, str]) -> BinaryModel:
-    return BinaryModel(
-        dim=dim,
-        projector=_float_array(_require(payload, "projector", _ARRAY)),
-        labels=labels,
-        **_scalars(payload),
-    )
+def _projector_vectors(payload: dict, dim: int) -> np.ndarray:
+    """Orthonormal basis of the dense ``projector`` a format 1 or 2 detector stored.
+
+    The eigenvectors of eigenvalues above 1/2 must rebuild it within 1e-10.
+    """
+    p = _float_array(_require(payload, "projector", _ARRAY))
+    if p.shape != (dim, dim):
+        raise FormatError(f"projector of shape {p.shape} does not match dim {dim}")
+    if not np.all(np.abs(p) <= 1.0 + 1e-10):
+        raise FormatError("projector entries must be finite and within [-1, 1]")
+    es = linalg.eigh(p)
+    vectors = es.eigenvectors[:, es.eigenvalues > 0.5]
+    if float(np.linalg.norm(vectors @ vectors.T - p)) > 1e-10:
+        raise FormatError("projector is not an orthogonal projector within 1e-10")
+    return vectors
 
 
-def _vectors(doc: dict) -> np.ndarray:
-    return _float_array(_require(doc, "vectors", _ARRAY)).T
+def _dense_vectors(doc: dict, strategy: str, dim: int) -> np.ndarray:
+    """The vectors of a file that stored dense matrices: format 1, or a format 2 binary.
 
-
-def _pgm_fields(doc: dict, version: int) -> dict:
-    kind = _require(doc, "kind", str)
-    if version > 1:
-        return {"vectors": _vectors(doc), "kind": kind}
+    A detector's projector gives an orthonormal basis of its acceptance
+    subspace, and each rank-1 pgm element is ``trace * outer(v, v)`` for its
+    unit vector ``v``.
+    """
+    if strategy == "binary":
+        return _projector_vectors(doc, dim)
+    if strategy == "one_vs_rest":
+        bases = [_projector_vectors(payload, dim) for payload in doc["detectors"]]
+        if any(basis.shape[1] != 1 for basis in bases):
+            raise FormatError("a one-vs-rest detector does not accept on a single vector")
+        return np.hstack(bases)
     residual = doc.get("residual")
     m = Measurement(
         elements=tuple(_float_array(e) for e in _require(doc, "elements", _ARRAY)),
-        kind=kind,
+        kind=doc["kind"],
         residual=None if residual is None else _float_array(residual),
     )
-    # each rank-1 element is trace * outer(v, v) for its unit vector v
-    vectors = [math.sqrt(np.trace(e)) * v for e, v in zip(m.elements, measurement_vectors(m))]
-    return {"vectors": np.column_stack(vectors), "kind": kind}
-
-
-def _one_vs_rest_fields(doc: dict, version: int, dim: int, labels: tuple[str, ...]) -> dict:
-    payloads = _require(doc, "detectors", list)
-    if len(payloads) != len(labels):
-        raise FormatError("one detector per label is required")
-    scalars = tuple(DetectorScalars(**_scalars(payload)) for payload in payloads)
-    if version > 1:
-        return {"vectors": _vectors(doc), "detector_scalars": scalars}
-    vectors = []
-    for label, payload in zip(labels, payloads):
-        basis = _binary_from_payload(payload, dim, (label, f"not-{label}")).basis
-        if basis.shape[1] != 1:
-            raise FormatError(f"detector {label!r} does not accept on a single vector")
-        vectors.append(basis[:, 0])
-    return {"vectors": np.column_stack(vectors), "detector_scalars": scalars}
+    return np.column_stack(
+        [math.sqrt(np.trace(e)) * v for e, v in zip(m.elements, measurement_vectors(m))])
 
 
 def model_from_dict(doc: dict):
-    """A model from a format 1 or format 2 JSON object; raises FormatError."""
+    """A model from a format 1, 2 or 3 JSON object; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise UnsupportedVersionError(
-            f"unsupported model format_version {version} (expected 1 or {FORMAT_VERSION})"
+            f"unsupported model format_version {version} (expected 1 to {FORMAT_VERSION})"
         )
     strategy = _require(doc, "strategy", str)
     dim = int(_require(doc, "dim", int))
@@ -469,21 +471,32 @@ def model_from_dict(doc: dict):
         if strategy == "binary":
             if len(labels) != 2:
                 raise FormatError("binary models need exactly two labels")
-            return _binary_from_payload(doc, dim, labels)
-        if strategy == "pgm":
-            fields = _pgm_fields(doc, version)
+            fields = _scalars(doc)
+        elif strategy == "pgm":
+            fields = {"kind": _require(doc, "kind", str)}
         elif strategy == "one_vs_rest":
-            fields = _one_vs_rest_fields(doc, version, dim, labels)
+            payloads = _require(doc, "detectors", list)
+            if len(payloads) != len(labels):
+                raise FormatError("one detector per label is required")
+            fields = {"detector_scalars": tuple(DetectorScalars(**_scalars(p)) for p in payloads)}
         else:
             raise FormatError(f"unknown strategy {strategy!r}")
+        dense = version == 1 or (version == 2 and strategy == "binary")
+        vectors = (_dense_vectors(doc, strategy, dim) if dense
+                   else _float_array(_require(doc, "vectors", _ARRAY)).T)
+        if strategy == "binary":
+            return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
         priors = _require(doc, "priors", list)
         if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in priors):
             raise FormatError("model field 'priors' must hold numbers")
         return MulticlassModel(
             strategy=strategy, dim=dim, labels=labels, priors=tuple(float(x) for x in priors),
-            **fields,
+            vectors=vectors, **fields,
         )
-    except (ValueError, TypeError) as exc:
+    except FormatError:
+        raise
+    except (ValueError, TypeError, QdetectError) as exc:
+        # an inconsistent array: a shape, norm or spectrum the model rejects
         raise FormatError(f"model file is inconsistent: {exc}") from exc
 
 

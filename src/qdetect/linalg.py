@@ -139,22 +139,17 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(w)))
 
 
-def born_scores(rows, factors) -> np.ndarray:
-    """Scores ``rows[i] @ F_k F_k^T @ rows[i]`` of unit rows, shape (len(rows), len(factors)).
+def born_scores(rows, vectors) -> np.ndarray:
+    """Per-column Born-rule scores ``(rows @ v) ** 2`` of unit rows, shape (len(rows), r).
 
-    Each factor ``F_k`` (dim x r_k) holds the columns of class k, so its score
-    is the per-class sum of ``(rows @ F_k) ** 2``.  A ``rows`` that is not a
-    matrix as wide as the factors' row count raises DimensionMismatchError.
+    ``vectors`` is dim x r.  Each column is projected on its own, so a score
+    does not depend on the other columns.  A ``rows`` that is not a matrix as
+    wide as ``vectors`` is tall raises DimensionMismatchError.
     """
     rows = np.asarray(rows, dtype=float)
-    dim = factors[0].shape[0]
+    dim = vectors.shape[0]
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise DimensionMismatchError(
             f"document dim {rows.shape[1:]} does not match model dim {dim}"
         )
-    return np.stack([np.square(rows @ f).sum(axis=1) for f in factors], axis=1)
-
-
-def outer_products(vectors) -> tuple[np.ndarray, ...]:
-    """Dense ``v v^T`` of each column ``v``: the small-dim view of rank-1 operators."""
-    return tuple(np.outer(v, v) for v in np.asarray(vectors, dtype=float).T)
+    return np.hstack([np.square(rows @ vectors[:, k:k + 1]) for k in range(vectors.shape[1])])

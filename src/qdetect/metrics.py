@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdetect.binary import BinaryModel
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
 from qdetect.linalg import born_scores
 from qdetect.multiclass import check_cost_matrix, zero_one_cost
@@ -31,23 +30,16 @@ def _decisions(model, ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.nd
         raise DimensionMismatchError(
             f"dataset dim {ds.dim} exceeds model dim {model.dim}"
         )
-    scores = born_scores(ds.unit_rows(model.dim), model.operators)
-    if isinstance(model, BinaryModel):
-        picks = np.where(scores[:, 0] >= model.threshold, 0, 1)
-        values = scores[:, 0]
-    else:
-        picks = np.argmax(scores, axis=1)
-        values = scores[np.arange(len(picks)), picks]
+    picks, values = model.decisions(born_scores(ds.unit_rows(model.dim), model.vectors))
     empty = ds.empty_rows()
     picks = np.where(empty, int(np.argmax(model.priors)), picks)
     return picks, np.where(empty, 0.0, values), empty
 
 
 def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
-    """(label, score, degenerate_flag) per document; degenerates take the fallback.
+    """(label, score, degenerate_flag) per document, decided by the model's rule.
 
-    Binary models accept at scores reaching the threshold; others take the top
-    class score, exact ties going to the lowest class index.
+    Degenerate documents take the fallback label with score 0.
     """
     picks, values, empty = _decisions(model, ds)
     return [(model.labels[k], v, flag)

@@ -99,14 +99,15 @@ class Measurement:
 
     def __post_init__(self):
         elements = tuple(np.asarray(e, dtype=float) for e in self.elements)
-        if not elements:
-            raise ValueError("a measurement needs at least one element")
+        if not elements or elements[0].ndim != 2:
+            raise ValueError("a measurement needs at least one element, each a matrix")
         dim = elements[0].shape[0]
         for e in self.all_elements(elements):
             if e.shape != (dim, dim):
                 raise DimensionMismatchError("measurement elements have mixed dimensions")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("measurement element has non-finite entries")
+            # 0 <= e <= I bounds every entry by 1, and keeps the sums below finite
+            if not np.all(np.abs(e) <= 1.0 + PSD_ATOL):
+                raise ValueError("measurement element entries must be finite and within [-1, 1]")
             if float(np.min(np.linalg.eigvalsh((e + e.T) / 2.0))) < -PSD_ATOL:
                 raise ValueError("measurement element is not PSD within 1e-10")
         total = sum(self.all_elements(elements), np.zeros((dim, dim)))
@@ -275,8 +276,9 @@ class MulticlassModel:
     For ``pgm`` the columns are ``m_k`` of ``M = Psi G^(-1/2)`` (see
     ``square_root_vectors``); for ``one_vs_rest`` they are the unit acceptance
     vectors ``e_k`` of the detectors, whose scalars are ``detector_scalars``.
-    Class k scores ``(x . column_k)^2``.  ``measurement`` and ``detectors`` are
-    dense views built on demand, for small dims.
+    Class k scores ``(x . column_k)^2`` and the top score decides.
+    ``measurement`` (dense, for small dims) and ``detectors`` are views built
+    on demand.
     """
 
     strategy: str
@@ -294,9 +296,10 @@ class MulticlassModel:
             raise ValueError(
                 f"vectors of shape {vectors.shape} do not match dim {self.dim} and {n} labels"
             )
-        # a NaN norm compares False, so finiteness is checked explicitly first
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("vectors must be finite")
+        # columns of norm at most 1 have entries in [-1, 1]; a larger entry
+        # could overflow below, and a NaN would compare False there
+        if not np.all(np.abs(vectors) <= 1.0 + PSD_ATOL):
+            raise ValueError("vectors must be finite, with entries in [-1, 1]")
         if self.strategy == "pgm":
             gram = vectors.T @ vectors
             if float(np.linalg.norm(gram @ gram - gram)) > RESOLUTION_ATOL:
@@ -319,17 +322,20 @@ class MulticlassModel:
             raise ValueError("labels must be distinct")
         object.__setattr__(self, "vectors", vectors)
 
-    @property
-    def operators(self) -> tuple[np.ndarray, ...]:
-        """Per-class factors (dim x 1) whose Born-rule scores are the class scores."""
-        return tuple(self.vectors[:, k:k + 1] for k in range(len(self.labels)))
+    def decisions(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Label index and score of the top class per row of per-column scores.
+
+        Exact ties go to the lowest class index.
+        """
+        picks = np.argmax(scores, axis=1)
+        return picks, scores[np.arange(len(picks)), picks]
 
     @property
     def measurement(self) -> Measurement | None:
         """Dense pgm view: elements ``m_k m_k^T`` and, below full rank, the residual."""
         if self.strategy != "pgm":
             return None
-        elements = linalg.outer_products(self.vectors)
+        elements = tuple(np.outer(v, v) for v in self.vectors.T)
         # M^T M projects onto the span of the columns, so its trace is their rank
         full_rank = round(float(np.sum(np.square(self.vectors)))) == self.dim
         residual = None if full_rank else linalg.symmetrize(np.eye(self.dim) - sum(elements))
@@ -337,13 +343,13 @@ class MulticlassModel:
 
     @property
     def detectors(self) -> tuple[BinaryModel, ...] | None:
-        """Dense one-vs-rest view: one detector with projector ``e_k e_k^T`` per class."""
+        """One-vs-rest view: one detector on the column ``e_k`` per class."""
         if self.strategy != "one_vs_rest":
             return None
         return tuple(
-            BinaryModel(dim=self.dim, projector=p, labels=(label, f"not-{label}"), **vars(s))
-            for label, p, s in zip(self.labels, linalg.outer_products(self.vectors),
-                                   self.detector_scalars)
+            BinaryModel(dim=self.dim, vectors=self.vectors[:, k:k + 1],
+                        labels=(label, f"not-{label}"), **vars(s))
+            for k, (label, s) in enumerate(zip(self.labels, self.detector_scalars))
         )
 
 
@@ -395,10 +401,10 @@ def train_one_vs_rest(
 
 def class_scores(model: MulticlassModel, x: np.ndarray) -> np.ndarray:
     """Per-class decision scores of a unit vector, aligned with ``model.labels``."""
-    return linalg.born_scores(np.asarray(x, dtype=float)[None], model.operators)[0]
+    return linalg.born_scores(np.asarray(x, dtype=float)[None], model.vectors)[0]
 
 
 def classify(model: MulticlassModel, x: np.ndarray) -> str:
     """Label with the highest score; exact ties go to the lowest class index."""
-    scores = class_scores(model, x)
-    return model.labels[int(np.argmax(scores))]
+    picks, _ = model.decisions(class_scores(model, x)[None])
+    return model.labels[int(picks[0])]

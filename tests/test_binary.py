@@ -94,7 +94,7 @@ class TestScoreAndDecide:
         assert score(self.model, np.array([0.6, 0.8])) == pytest.approx(0.36)
 
     def test_full_projector_scores_one(self):
-        full = dataclasses.replace(self.model, projector=np.eye(2))
+        full = dataclasses.replace(self.model, vectors=np.eye(2))
         assert score(full, np.array([0.6, 0.8])) == pytest.approx(1.0)
 
     def test_tilted_score(self):
@@ -115,7 +115,8 @@ class TestScoreAndDecide:
 
     def test_complement_scores_sum_to_one(self):
         model = train_binary([fv(2, {0: 1, 1: 1})], [fv(2, {0: 1})], 2, prior_negative=0.5)
-        complement = dataclasses.replace(model, projector=np.eye(2) - model.projector)
+        (e0, e1), = model.vectors.T
+        complement = dataclasses.replace(model, vectors=np.array([[-e1], [e0]]))
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(size=2)
@@ -186,21 +187,36 @@ class TestModelInvariants:
     def test_invalid_eta_sign(self):
         with pytest.raises(ValueError):
             BinaryModel(
-                dim=2, projector=np.diag([1.0, 0.0]), lam=1.0, eta=-1.0, beta=-1.0,
+                dim=2, vectors=np.array([[1.0], [0.0]]), lam=1.0, eta=-1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 
     def test_lambda_consistency_enforced(self):
         with pytest.raises(ValueError):
             BinaryModel(
-                dim=2, projector=np.diag([1.0, 0.0]), lam=2.0, eta=1.0, beta=-1.0,
+                dim=2, vectors=np.array([[1.0], [0.0]]), lam=2.0, eta=1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 
     def test_non_idempotent_projector_rejected(self):
         with pytest.raises(ValueError):
             BinaryModel(
-                dim=2, projector=np.full((2, 2), 0.7), lam=1.0, eta=1.0, beta=-1.0,
+                dim=2, vectors=np.full((2, 1), 0.7), lam=1.0, eta=1.0, beta=-1.0,
+                threshold=0.5, prior_negative=0.5,
+            )
+
+    def test_non_orthogonal_columns_rejected(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            BinaryModel(
+                dim=2, vectors=np.array([[1.0, 0.6], [0.0, 0.8]]), lam=1.0, eta=1.0, beta=-1.0,
+                threshold=0.5, prior_negative=0.5,
+            )
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (2, 0)])
+    def test_vectors_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            BinaryModel(
+                dim=2, vectors=np.ones(shape) / np.sqrt(shape[0]), lam=1.0, eta=1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 

@@ -4,17 +4,21 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import qdetect.cli
 from qdetect.cli import main
-from qdetect.dataio import serialize_sparse
-from qdetect.states import FeatureVector
+from qdetect.dataio import load_model, serialize_sparse
+from qdetect.states import FeatureVector, LabeledDataset
 from qdetect.synth import synth_corpus
 
 # Corpora and the model, prediction and report files the version before the
-# columnar corpus wrote for them (see GOLDEN_RUNS).
+# columnar corpus wrote for them (see GOLDEN_RUNS), apart from the binary
+# model and predictions, rewritten with model format 3.
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
+# The format 2 model and prediction files of the same runs.
+FORMAT_TWO = Path(__file__).resolve().parent / "data" / "v2"
 # strategy -> (train file, extra train arguments, test file)
 GOLDEN_RUNS = {
     "pgm": ("train.txt", [], "test.txt"),
@@ -52,9 +56,10 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", "--data", data, "--strategy", "binary", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
+        assert len(doc["vectors"]) == 1 and len(doc["vectors"][0]) == 4
 
     def test_prior_rejected_for_pgm(self, tmp_path, capsys):
         data = write(tmp_path, "two.txt", TWO_CLASS)
@@ -195,14 +200,70 @@ class TestGoldenOutputs:
         for name, got in run_golden(tmp_path, strategy).items():
             assert got == (GOLDEN / name).read_bytes(), name
 
+    def test_binary_scores_move_in_the_last_bits_from_format_two(self, tmp_path):
+        # Format 2 recovered e from the stored projector by an eigensolve;
+        # format 3 keeps e as trained.  A unit row x scores s = (x . e)^2, so
+        # a change de in e moves s by at most 2 sqrt(s) |de| to first order,
+        # plus the rounding of the two evaluations.  Small scores therefore
+        # move by more ulps of s than large ones: 5 ulp at s = 0.093 here.
+        outs = run_golden(tmp_path, "binary")
+        got = [line.split("\t") for line in outs["binary.tsv"].decode().splitlines()]
+        want = [line.split("\t") for line in (FORMAT_TWO / "binary.tsv").read_text().splitlines()]
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        new = np.array([float(row[2]) for row in got])
+        old = np.array([float(row[2]) for row in want])
+        de = float(np.linalg.norm(load_model(tmp_path / "binary.json").vectors
+                                  - load_model(FORMAT_TWO / "binary.json").vectors))
+        assert de <= 4 * np.finfo(float).eps
+        assert np.all(np.abs(new - old) <= 2 * np.sqrt(old) * de + 2 * np.spacing(old))
+
     def test_no_feature_vector_on_the_command_path(self, tmp_path, monkeypatch):
         def refuse(self):
             raise AssertionError("a FeatureVector was built on the command path")
 
         monkeypatch.setattr(FeatureVector, "__post_init__", refuse)
-        for strategy in ("pgm", "ovr"):
+        for strategy in ("binary", "pgm", "ovr"):
             for name, got in run_golden(tmp_path, strategy).items():
                 assert got == (GOLDEN / name).read_bytes(), name
+
+
+class TestUndecodableData:
+    # 2000 good lines: the bad byte lies past the first block the file is decoded in
+    GOOD = b"a 0:1 1:2\nb 2:1\n" * 1000
+
+    def write_data(self, tmp_path, bad):
+        data = tmp_path / "data.txt"
+        data.write_bytes(self.GOOD + b"# a comment\n" + bad + b"a 0:1\n")
+        return str(data)
+
+    @pytest.mark.parametrize("bad", [b"c\xffd 0:1\n", b"b 0:1 1:\xff\n"], ids=["label", "pair"])
+    def test_train_names_the_line(self, tmp_path, capsys, bad):
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", self.write_data(tmp_path, bad), "--strategy", "pgm",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR parse: line 2002: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [b"c\xffd 0:1\n", b"b 0:1 1:\xff\n"], ids=["label", "pair"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_scoring_names_the_line(self, tmp_path, capsys, bad, command):
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--data", write(tmp_path, "two.txt", TWO_CLASS),
+                     "--strategy", "binary", "--out", model]) == 0
+        rc = main([command, "--model", model, "--data", self.write_data(tmp_path, bad),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR parse: line 2002: ")
+
+    def test_utf8_labels_are_kept(self, tmp_path):
+        out = tmp_path / "m.json"
+        data = write(tmp_path, "data.txt", "caf\u00e9 0:1\n\u65e5\u672c 1:1\n")
+        assert main(["train", "--data", data, "--strategy", "pgm", "--out", str(out)]) == 0
+        labels = json.loads(out.read_text(encoding="utf-8"))["labels"]
+        assert labels == ["caf\u00e9", "\u65e5\u672c"]
 
 
 class TestResourceErrors:
@@ -242,6 +303,13 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_synthetic_suite_trains_on_the_split_datasets(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("per-document objects were built from a dataset")
+
+        monkeypatch.setattr(LabeledDataset, "documents", property(refuse))
+        assert main(["bench", "--suite", "synthetic"]) == 0
 
 
 class TestOracle:

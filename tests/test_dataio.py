@@ -1,5 +1,6 @@
 """Parsing, splits, and model serialization tests."""
 
+import copy
 import io
 import json
 import math
@@ -9,7 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdetect import dataio
 from qdetect.binary import train_binary
 from qdetect.dataio import (
     Lcg,
@@ -36,10 +40,16 @@ from qdetect.metrics import predict_dataset
 from qdetect.multiclass import train_one_vs_rest, train_pgm
 from qdetect.states import FeatureVector, LabeledDataset, as_dataset
 
+DATA = Path(__file__).resolve().parent / "data"
 # Format 1 model files written by the version before format 2, with the
 # predictions that version made for test.txt (see FORMAT_ONE_FILES).
-V1_DATA = Path(__file__).resolve().parent / "data" / "v1"
+V1_DATA = DATA / "v1"
 FORMAT_ONE_FILES = {"binary": "binary", "pgm": "pgm", "one_vs_rest": "ovr"}
+# Format 2 model files written by the version before format 3, with the
+# predictions that version made for the test corpus in data/cli.
+V2_DATA = DATA / "v2"
+FORMAT_TWO_TEST = {"binary": DATA / "cli" / "binary-test.txt",
+                   "pgm": DATA / "cli" / "test.txt", "one_vs_rest": DATA / "cli" / "test.txt"}
 
 
 def fv(dim, entries):
@@ -137,6 +147,13 @@ class TestParseSparse:
         with pytest.raises(ParseError, match="line 1: malformed pair"):
             parse_sparse(["a 0:1 1:\ud800\n"])
 
+    def test_lone_surrogate_in_a_label_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 2: label 'b\\\\udcff' is not valid UTF-8"):
+            parse_sparse(["a 0:1\n", "b\udcff 0:1\n"])
+        # an earlier line's error still comes first
+        with pytest.raises(ParseError, match="line 1: malformed pair"):
+            parse_sparse(["a 0:x\n", "b\udcff 0:1\n"])
+
     def test_peak_memory_of_a_chunked_parse(self):
         # About 690 KB in 6000 lines, like the benchmark's many-docs train
         # file.  The parse peaks near 3 MB; converting the whole file at once
@@ -164,6 +181,64 @@ class TestParseSparse:
         for (l1, d1), (l2, d2) in zip(ds.documents, again.documents):
             assert l1 == l2
             assert d1.entries == d2.entries
+
+
+# Values serialize_sparse must write so that parse reads them back bit for bit.
+SUBNORMALS = st.floats(min_value=5e-324, max_value=2.225073858507201e-308)
+HUGE = st.sampled_from([1e308, 1.7976931348623157e308])
+SEVENTEEN_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"),
+                             st.integers(10**16, 10**17 - 1), st.integers(-40, 40))
+DECIMALS = st.builds(lambda k, j: k / 10**j, st.integers(1, 10**15 - 1), st.integers(0, 15))
+
+
+@st.composite
+def short_decimals(draw):
+    """Positive k / 10**j whose repr is a plain decimal of at most 15 digits.
+
+    With k below 10**14 and j at most 14, repr writes at most 15 digits: at
+    most 14 of k, with ``.0`` when j is 0, or ``0.`` and j digits when k is
+    below 10**j.  Below 1e-4 it would write an exponent, as in ``1e-05``, so
+    k is kept at or above 10**(j - 4).
+    """
+    j = draw(st.integers(0, 14))
+    return draw(st.integers(max(1, 10 ** (j - 4)), 10**14 - 1)) / 10**j
+
+
+@st.composite
+def datasets(draw, values):
+    """Up to six labeled documents of one to five entries, in increasing index order."""
+    docs = []
+    for _ in range(draw(st.integers(1, 6))):
+        indices = draw(st.sets(st.integers(0, 40), min_size=1, max_size=5))
+        label = draw(st.text(alphabet="abc-_", min_size=1, max_size=3))
+        docs.append((label, fv(41, {i: draw(values) for i in sorted(indices)})))
+    return LabeledDataset(dim=41, documents=docs)
+
+
+def assert_same_rows(got, want):
+    assert got.classes == want.classes
+    for name in ("label_ids", "indptr", "indices"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestSerializeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets(st.one_of(SUBNORMALS, HUGE, SEVENTEEN_DIGITS, DECIMALS)))
+    def test_parse_inverts_serialize(self, ds):
+        assert_same_rows(parse(serialize_sparse(ds)), ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets(short_decimals()))
+    def test_short_decimals_stay_off_the_per_token_path(self, ds):
+        # the per-token path would also read them exactly, token by token
+        with mock.patch.object(dataio, "_checked_pairs",
+                               side_effect=AssertionError("per-token path")):
+            assert_same_rows(parse(serialize_sparse(ds)), ds)
+
+    def test_values_are_written_as_their_repr(self):
+        ds = parse("a 0:0.1 1:2 2:0.30000000000000004 3:1e-05\n")
+        assert serialize_sparse(ds) == "a 0:0.1 1:2.0 2:0.30000000000000004 3:1e-05\n"
 
 
 class TestSplit:
@@ -247,7 +322,7 @@ def documents_serialize(ds):
     lines = []
     for label, doc in ds.documents:
         pairs = " ".join(
-            f"{idx}:{format(value, '.17g')}" for idx, value in sorted(doc.entries.items())
+            f"{idx}:{value!r}" for idx, value in sorted(doc.entries.items())
         )
         lines.append(f"{label} {pairs}")
     return "\n".join(lines) + "\n"
@@ -302,7 +377,15 @@ def v1_document(strategy):
 
 def v2_document(strategy):
     """The JSON object of a format 2 model file."""
+    return json.loads((V2_DATA / f"{FORMAT_ONE_FILES[strategy]}.json").read_text())
+
+
+def v3_document(strategy):
+    """The JSON object of a format 3 model file, for a model of dim 3."""
     return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
+
+
+DOCUMENTS = {1: v1_document, 2: v2_document, 3: v3_document}
 
 
 class TestModelSerialization:
@@ -313,6 +396,7 @@ class TestModelSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.labels == model.labels
+        assert loaded.vectors.tobytes() == model.vectors.tobytes()
         if strategy == "binary":
             assert loaded.projector.tobytes() == model.projector.tobytes()
             assert loaded.lam == model.lam
@@ -359,7 +443,7 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(model), indent=2, default=np.ndarray.tolist))
         loaded = load_model(path)
-        assert [a.tobytes() for a in loaded.operators] == [a.tobytes() for a in model.operators]
+        assert loaded.vectors.tobytes() == model.vectors.tobytes()
 
     @pytest.mark.parametrize(
         "text", ["", "{} extra", '{"elements": [[[{"a": 1}]]]}',
@@ -372,13 +456,13 @@ class TestModelSerialization:
 
     def test_missing_field(self):
         doc = model_to_dict(make_models()["binary"])
-        del doc["projector"]
-        with pytest.raises(FormatError, match="projector"):
+        del doc["vectors"]
+        with pytest.raises(FormatError, match="vectors"):
             model_from_dict(doc)
 
     def test_corrupt_matrix(self):
         doc = model_to_dict(make_models()["binary"])
-        doc["projector"] = [[0.7, 0.7], [0.7, 0.7], [0.7, 0.7]]
+        doc["vectors"] = [[0.7, 0.7], [0.7, 0.7], [0.7, 0.7]]
         with pytest.raises(FormatError):
             model_from_dict(doc)
 
@@ -408,16 +492,16 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="finite"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_nan_vector_entry(self, strategy):
-        doc = v2_document(strategy)
-        doc["vectors"][1][0] = float("nan")
+        doc = v3_document(strategy)
+        doc["vectors"][-1][0] = float("nan")
         with pytest.raises(FormatError, match="finite"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_wrong_vector_length(self, strategy):
-        doc = v2_document(strategy)
+        doc = v3_document(strategy)
         doc["vectors"] = [row[:-1] for row in doc["vectors"]]
         with pytest.raises(FormatError, match="dim 3"):
             model_from_dict(doc)
@@ -425,18 +509,18 @@ class TestModelValidation:
         with pytest.raises(FormatError):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_missing_vectors(self, strategy):
-        doc = v2_document(strategy)
+        doc = v3_document(strategy)
         del doc["vectors"]
         with pytest.raises(FormatError, match="vectors"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_orthonormal_vectors(self, strategy):
-        doc = v2_document(strategy)
+        doc = v3_document(strategy)
         doc["vectors"][0] = [1.01 * x for x in doc["vectors"][0]]
-        with pytest.raises(FormatError, match="projector|unit norm"):
+        with pytest.raises(FormatError, match="projector|unit norm|orthonormal"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
@@ -460,31 +544,31 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="dim 5"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_dim_disagrees_with_vectors(self, strategy):
-        doc = v2_document(strategy)
+        doc = v3_document(strategy)
         doc["dim"] = 5
         with pytest.raises(FormatError, match="dim 5"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_string_labels(self, version, strategy):
-        doc = (v1_document if version == 1 else v2_document)(strategy)
+        doc = DOCUMENTS[version](strategy)
         doc["labels"] = list(range(1, len(doc["labels"]) + 1))
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
     def test_non_numeric_priors(self, version, strategy):
-        doc = (v1_document if version == 1 else v2_document)(strategy)
+        doc = DOCUMENTS[version](strategy)
         doc["priors"] = [str(x) for x in doc["priors"]]
         with pytest.raises(FormatError, match="priors"):
             model_from_dict(doc)
 
     # the identity in two dims, a valid projective pgm model apart from its item types
-    IDENTITY_PGM = {"format_version": 2, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
+    IDENTITY_PGM = {"format_version": 3, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
                     "priors": [0.5, 0.5], "kind": "projective"}
 
     def test_string_vector_entries(self):
@@ -519,6 +603,76 @@ class TestModelValidation:
         assert model_from_dict(doc).dim == 1
 
 
+# Every model document the fuzzer starts from: format 3 documents and the
+# format 1 and 2 fixture files, for each strategy.
+FUZZ_BASES = [documents(strategy) for documents in (v1_document, v2_document, v3_document)
+              for strategy in ("binary", "pgm", "one_vs_rest")]
+MATRICES = ("vectors", "projector", "elements", "residual")
+JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                 st.lists(st.integers(0, 3), max_size=3))
+DELTAS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0), st.sampled_from([1e300, -1e300]))
+
+
+def number_paths(value, path=()):
+    """Index paths of the numbers inside nested lists."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from number_paths(item, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fuzz base with one mutation, in it or in one of its detectors."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    owner = draw(st.sampled_from([doc] + [d for d in doc.get("detectors", []) if d]))
+    matrices = [key for key in MATRICES if isinstance(owner.get(key), list) and owner[key]]
+    mutation = draw(st.sampled_from(["drop", "retype", "perturb", "truncate", "transpose",
+                                     "dim", "reorder"]))
+    if mutation in ("drop", "retype"):
+        key = draw(st.sampled_from(sorted(owner)))
+        if mutation == "drop":
+            del owner[key]
+        else:
+            owner[key] = draw(JUNK)
+    elif mutation == "dim":
+        doc["dim"] = draw(st.integers(-1, 2 * doc["dim"] + 1))
+    elif mutation == "reorder":
+        doc["labels"] = draw(st.permutations(doc["labels"]))
+    elif matrices:
+        key = draw(st.sampled_from(matrices))
+        rows = owner[key]
+        if mutation == "perturb":
+            *path, last = draw(st.sampled_from(list(number_paths(rows))))
+            entry = rows
+            for i in path:
+                entry = entry[i]
+            entry[last] += draw(DELTAS)
+        elif mutation == "truncate":
+            if draw(st.booleans()):
+                owner[key] = rows[:draw(st.integers(0, len(rows) - 1))]
+            else:
+                owner[key] = [row[:-1] if isinstance(row, list) else row for row in rows]
+        elif all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+            owner[key] = [list(column) for column in zip(*rows)]
+    return doc
+
+
+class TestModelDocumentFuzzing:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_mutation_is_rejected_or_round_trips(self, doc):
+        try:
+            model = model_from_dict(doc)
+        except (FormatError, UnsupportedVersionError):
+            return
+        text = dumps_canonical(model_to_dict(model))
+        again = model_from_dict(json.loads(text))
+        assert dumps_canonical(model_to_dict(again)) == text
+        assert again.vectors.tobytes() == model.vectors.tobytes()
+
+
 class TestFormatOneFiles:
     """Format 1 files still load and predict what the version that wrote them did."""
 
@@ -533,13 +687,43 @@ class TestFormatOneFiles:
         np.testing.assert_allclose([score for _, score, _ in got],
                                    [float(score) for _, _, score in want], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
-    def test_resaved_as_format_two(self, tmp_path, strategy):
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_resaved_in_the_current_format(self, tmp_path, strategy):
         model = load_model(V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
         save_model(model, tmp_path / "model.json")
         again = load_model(tmp_path / "model.json")
-        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 2
+        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 3
         assert again.vectors.tobytes() == model.vectors.tobytes()
+
+
+class TestFormatTwoFiles:
+    """Format 2 files still load and predict what the version that wrote them did."""
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_predictions_match_the_writing_version(self, strategy):
+        model = load_model(V2_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
+        ds = parse_sparse(FORMAT_TWO_TEST[strategy].read_text().splitlines())
+        got = predict_dataset(model, ds)
+        want = [line.split("\t") for line in
+                (V2_DATA / f"{FORMAT_ONE_FILES[strategy]}.tsv").read_text().splitlines()]
+        assert [label for label, _, _ in got] == [label for _, label, _ in want]
+        np.testing.assert_allclose([score for _, score, _ in got],
+                                   [float(score) for _, _, score in want], rtol=0.0, atol=1e-12)
+
+    def test_binary_resaved_as_one_vector(self, tmp_path):
+        model = load_model(V2_DATA / "binary.json")
+        save_model(model, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert (doc["format_version"], "projector" in doc) == (3, False)
+        assert np.array(doc["vectors"]).shape == (1, model.dim)
+        assert load_model(tmp_path / "model.json").vectors.tobytes() == model.vectors.tobytes()
+
+    def test_projector_of_rank_two_loads_as_two_vectors(self):
+        doc = v2_document("binary")
+        doc["projector"] = np.diag([1.0, 1.0] + [0.0] * (doc["dim"] - 2)).tolist()
+        model = model_from_dict(doc)
+        assert model.vectors.shape == (doc["dim"], 2)
+        np.testing.assert_array_equal(model.projector, doc["projector"])
 
 
 class TestCanonicalJson:

@@ -79,7 +79,7 @@ def test_pgm_gram_form_matches_dense_measurement(drawn):
     model = train_pgm(corpus, dim)
     reference = pgm(build_hypotheses(corpus, dim))
     assert model.kind == reference.kind
-    assert_same_decisions(born_scores(rows, model.operators),
+    assert_same_decisions(born_scores(rows, model.vectors),
                           dense_scores(rows, reference.elements))
     view = model.measurement
     for got, want in zip(view.elements, reference.elements):
@@ -111,7 +111,7 @@ def test_one_vs_rest_closed_form_matches_dense_detectors(drawn):
         cost = binary_bayes_cost(det, rho_pos, rho_neg, xi)
         assert abs(cost - helstrom_oracle(rho_pos, rho_neg, 1.0 - xi, xi)) <= 1e-9
         reference.append(dense.projector)
-    assert_same_decisions(born_scores(rows, model.operators), dense_scores(rows, reference))
+    assert_same_decisions(born_scores(rows, model.vectors), dense_scores(rows, reference))
     again = reloaded(model)
     assert again.vectors.tobytes() == model.vectors.tobytes()
     assert again.detector_scalars == model.detector_scalars
@@ -130,12 +130,13 @@ def write_wide_corpus(path, dim, n_classes, docs_per_class, seed):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("strategy", ["pgm", "ovr"])
+@pytest.mark.parametrize("strategy", ["binary", "pgm", "ovr"])
 def test_commands_build_no_dim_by_dim_array(tmp_path, strategy):
     # one dense 3000 x 3000 matrix of doubles would take 72 MB
     dim, limit = 3000, 10 * 2**20
+    n_classes = 2 if strategy == "binary" else 4
     data = tmp_path / "data.txt"
-    write_wide_corpus(data, dim, n_classes=4, docs_per_class=9, seed=11)
+    write_wide_corpus(data, dim, n_classes=n_classes, docs_per_class=9, seed=11)
     model, out = str(tmp_path / "model.json"), str(tmp_path / "out")
     tracemalloc.start()
     try:
@@ -145,5 +146,7 @@ def test_commands_build_no_dim_by_dim_array(tmp_path, strategy):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert load_model(model).vectors.shape == (dim, 4)
+    assert load_model(model).vectors.shape == (dim, 1 if strategy == "binary" else n_classes)
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
+    # a dense dim x dim model file would hold 9 million numbers
+    assert Path(model).stat().st_size < 100_000
