@@ -14,7 +14,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def _checked_pairs(tokens: list[str], lineno: int) -> tuple[list[int], list[floa
     return indices, values
 
 
-# Lines are converted in chunks of about this many characters of pairs.
-_CHUNK_CHARS = 1 << 15
+# Lines are read and converted in batches of about this many characters.
+_CHUNK_CHARS = 1 << 16
 # Numbers of at most this many digits are exact doubles, and so are the powers
 # of ten up to it: a decimal m / 10**k of such numbers, divided once, is the
 # correctly rounded double that float() gives.
@@ -137,37 +137,79 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return counts, indices, values
 
 
+def _batches(source: Iterable[str] | IO[str]):
+    """The source's lines in lists of about ``_CHUNK_CHARS`` characters."""
+    if hasattr(source, "readlines"):
+        yield from iter(lambda: source.readlines(_CHUNK_CHARS), [])
+        return
+    batch, chars = [], 0
+    for line in source:
+        batch.append(line)
+        chars += len(line)
+        if chars > _CHUNK_CHARS:
+            yield batch
+            batch, chars = [], 0
+    if batch:
+        yield batch
+
+
+def _regular(fields: list[list[str]]) -> bool:
+    """Whether every line of a batch holds a label and pairs, the label ASCII and no comment."""
+    if min(map(len, fields)) < 2:
+        return False
+    labels = "\n".join([label for label, _ in fields])
+    return labels.isascii() and not labels.startswith("#") and "\n#" not in labels
+
+
+def _document_lines(fields: list[list[str]], linenos: Sequence[int]
+                    ) -> tuple[list[list[str]], list[int], ParseError | None]:
+    """A batch's document lines before its first bad line, their numbers, and its error.
+
+    Blank and comment lines are dropped.  A label-only line, or a label that
+    is not valid UTF-8, ends the batch: its error is raised after the lines
+    before it are converted, so an error on an earlier line comes first.
+    """
+    kept, numbers = [], []
+    for lineno, line in zip(linenos, fields):
+        if not line or line[0].startswith("#"):
+            continue
+        if len(line) < 2:
+            return kept, numbers, ParseError(
+                f"line {lineno}: expected LABEL followed by idx:val pairs")
+        if not line[0].isascii() and _SURROGATE.search(line[0]):
+            return kept, numbers, ParseError(
+                f"line {lineno}: label {line[0]!r} is not valid UTF-8")
+        kept.append(line)
+        numbers.append(lineno)
+    return kept, numbers, None
+
+
 class _Columns:
-    """The growing CSR buffers of a parse; lines are queued and converted in chunks."""
+    """The growing CSR buffers of a parse, filled a batch of lines at a time."""
 
     def __init__(self):
         self.index: dict[str, int] = {}
         self.label_ids, self.indptr = array("q"), array("q", [0])
         self.indices, self.values = array("q"), array("d")
         self.max_index = -1
-        self._queued: list[tuple[int, list[str]]] = []  # line number, [label, pair text]
-        self._chars = 0
 
-    def add(self, lineno: int, fields: list[str]) -> None:
-        self._queued.append((lineno, fields))
-        self._chars += len(fields[1])
-        if self._chars >= _CHUNK_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Convert the queued lines; the first bad token among them raises."""
-        if self._queued:
+    def add_batch(self, lines: list[str], first: int) -> None:
+        """Append a batch of lines, numbered from ``first``; the first bad line raises."""
+        fields = [line.split(None, 1) for line in lines]
+        linenos, error = range(first, first + len(lines)), None
+        if not _regular(fields):
+            fields, linenos, error = _document_lines(fields, linenos)
+        if fields:
             index = self.index
-            self.label_ids.extend(
-                [index.setdefault(label, len(index)) for _, (label, _) in self._queued])
-            texts = [text for _, (_, text) in self._queued]
-            self._append(texts, 0, len(texts), _convert_chunk(texts))
-        self._queued.clear()
-        self._chars = 0
+            self.label_ids.extend([index.setdefault(label, len(index)) for label, _ in fields])
+            texts = [text for _, text in fields]
+            self._append(texts, linenos, 0, len(texts), _convert_chunk(texts))
+        if error is not None:
+            raise error
 
-    def _append(self, texts: list[str], lo: int, hi: int,
+    def _append(self, texts: list[str], linenos: Sequence[int], lo: int, hi: int,
                 converted: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> None:
-        """Append queued lines ``lo`` to ``hi - 1``, given their chunk conversion.
+        """Append lines ``lo`` to ``hi - 1`` of a batch, given their chunk conversion.
 
         A rejected range is split in halves.  While one half converts, the
         other is split again, so a lone line the array path cannot take goes
@@ -188,10 +230,10 @@ class _Columns:
         if mid > lo:
             left, right = _convert_chunk(texts[lo:mid]), _convert_chunk(texts[mid:hi])
             if left is not None or right is not None:
-                self._append(texts, lo, mid, left)
-                self._append(texts, mid, hi, right)
+                self._append(texts, linenos, lo, mid, left)
+                self._append(texts, linenos, mid, hi, right)
                 return
-        for text, (lineno, _) in zip(texts[lo:hi], self._queued[lo:hi]):
+        for text, lineno in zip(texts[lo:hi], linenos[lo:hi]):
             indices, values = _checked_pairs(text.split(), lineno)
             self.indices.extend(indices)
             self.values.extend(values)
@@ -202,23 +244,15 @@ class _Columns:
 def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> LabeledDataset:
     """Parse the line-oriented sparse format; ``dim`` may widen the feature space.
 
-    One pass over the lines fills the dataset's CSR buffers, so no
-    per-document object is built; errors name the first bad line.
+    The lines are read in batches of about ``_CHUNK_CHARS`` characters, and
+    each batch fills the dataset's CSR buffers, so no per-document object is
+    built; errors name the first bad line.
     """
     columns = _Columns()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(None, 1)
-        if len(fields) < 2:
-            columns.flush()  # an error on an earlier line comes first
-            raise ParseError(f"line {lineno}: expected LABEL followed by idx:val pairs")
-        if not fields[0].isascii() and _SURROGATE.search(fields[0]):
-            columns.flush()
-            raise ParseError(f"line {lineno}: label {fields[0]!r} is not valid UTF-8")
-        columns.add(lineno, fields)
-    columns.flush()
+    first = 1
+    for lines in _batches(source):
+        columns.add_batch(lines, first)
+        first += len(lines)
     if not columns.label_ids:
         raise ParseError("dataset contains no documents")
     inferred = columns.max_index + 1
@@ -238,14 +272,19 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
 def serialize_sparse(ds: LabeledDataset) -> str:
     """Render a dataset back to the sparse text format (parse round-trips it).
 
-    Each row's pairs are written in increasing index order, each value as the
-    shortest repr that round-trips it, so 0.1 stays a plain decimal that the
-    chunk conversion reads.
+    Each row's pairs are written in increasing index order.  A value that is
+    a whole number below 10**15 is written as its digits (``2``, not
+    ``2.0``), and any other value as the shortest repr that round-trips it,
+    so counts and values such as 0.1 stay plain decimals that the chunk
+    conversion reads.
     """
     rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
     order = np.lexsort((ds.indices, rows))
-    pairs = [f"{idx}:{value!r}"
-             for idx, value in zip(ds.indices[order].tolist(), ds.values[order].tolist())]
+    values = ds.values[order]
+    numbers = values.astype(object)
+    whole = (values < 1e15) & (values == np.floor(values))
+    numbers[whole] = values[whole].astype(np.int64).tolist()
+    pairs = [f"{idx}:{value!r}" for idx, value in zip(ds.indices[order].tolist(), numbers.tolist())]
     ptr = ds.indptr.tolist()
     lines = [f"{ds.classes[k]} {' '.join(pairs[a:b])}"
              for k, a, b in zip(ds.label_ids.tolist(), ptr, ptr[1:])]

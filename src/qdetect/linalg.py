@@ -86,27 +86,6 @@ def eigh(m) -> EigenSystem:
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def projector_from_eigenspace(es: EigenSystem, which: str) -> np.ndarray:
-    """Orthogonal projector onto the selected part of the spectrum.
-
-    ``which`` is one of ``"positive"``, ``"negative"`` or ``"zero"``.
-    Eigenvalues with ``|w| <= 1e-12 * max|w|`` count as zero and are excluded
-    from both signed selections.
-    """
-    w = es.eigenvalues
-    cutoff = ZERO_EIGENVALUE_RTOL * (np.max(np.abs(w)) if w.size else 0.0)
-    if which == "positive":
-        mask = w > cutoff
-    elif which == "negative":
-        mask = w < -cutoff
-    elif which == "zero":
-        mask = np.abs(w) <= cutoff
-    else:
-        raise ValueError(f"unknown eigenspace selector {which!r}")
-    sel = es.eigenvectors[:, mask]
-    return symmetrize(sel @ sel.T)
-
-
 def inv_sqrt_psd(m) -> np.ndarray:
     """Pseudo-inverse square root ``R`` of a PSD matrix: ``R m R`` projects onto support.
 

@@ -16,11 +16,6 @@ from qdetect.multiclass import check_cost_matrix, zero_one_cost
 from qdetect.states import LabeledDataset
 
 
-def default_label(model) -> str:
-    """Fallback class for unclassifiable documents: the largest prior wins."""
-    return model.labels[int(np.argmax(model.priors))]
-
-
 def _decisions(model, ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per document: the chosen label's index, its score, and the degenerate flag.
 

@@ -284,15 +284,3 @@ def normalize_document(doc: FeatureVector, dim: int | None = None) -> np.ndarray
     if doc.is_empty():
         raise DegenerateDocumentError("document has no nonzero features")
     return normalize_documents([doc], doc.dim if dim is None else dim)[0]
-
-
-def check_density(m, atol: float = 1e-10) -> np.ndarray:
-    """Validate trace 1 and positive semidefiniteness; returns the array."""
-    m = np.asarray(m, dtype=float)
-    trace = float(np.trace(m))
-    if abs(trace - 1.0) > 1e-12:
-        raise ValueError(f"density operator trace {trace!r} is not 1")
-    min_eig = float(np.min(np.linalg.eigvalsh((m + m.T) / 2.0)))
-    if min_eig < -atol:
-        raise ValueError(f"density operator has negative eigenvalue {min_eig:.3e}")
-    return m

@@ -193,15 +193,17 @@ DECIMALS = st.builds(lambda k, j: k / 10**j, st.integers(1, 10**15 - 1), st.inte
 
 @st.composite
 def short_decimals(draw):
-    """Positive k / 10**j whose repr is a plain decimal of at most 15 digits.
+    """Positive k / 10**j that serialize writes as a plain decimal of at most 15 digits.
 
-    With k below 10**14 and j at most 14, repr writes at most 15 digits: at
-    most 14 of k, with ``.0`` when j is 0, or ``0.`` and j digits when k is
-    below 10**j.  Below 1e-4 it would write an exponent, as in ``1e-05``, so
-    k is kept at or above 10**(j - 4).
+    With j = 0 the value is a whole number below 10**15, written as its
+    digits.  With k below 10**14 and j from 1 to 14, repr writes at most 15
+    digits: at most 14 of k, or ``0.`` and j digits when k is below 10**j.
+    Below 1e-4 it would write an exponent, as in ``1e-05``, so k is kept at
+    or above 10**(j - 4).
     """
     j = draw(st.integers(0, 14))
-    return draw(st.integers(max(1, 10 ** (j - 4)), 10**14 - 1)) / 10**j
+    top = 10**15 if j == 0 else 10**14
+    return draw(st.integers(max(1, 10 ** (j - 4)), top - 1)) / 10**j
 
 
 @st.composite
@@ -238,7 +240,7 @@ class TestSerializeProperties:
 
     def test_values_are_written_as_their_repr(self):
         ds = parse("a 0:0.1 1:2 2:0.30000000000000004 3:1e-05\n")
-        assert serialize_sparse(ds) == "a 0:0.1 1:2.0 2:0.30000000000000004 3:1e-05\n"
+        assert serialize_sparse(ds) == "a 0:0.1 1:2 2:0.30000000000000004 3:1e-05\n"
 
 
 class TestSplit:
@@ -322,7 +324,8 @@ def documents_serialize(ds):
     lines = []
     for label, doc in ds.documents:
         pairs = " ".join(
-            f"{idx}:{value!r}" for idx, value in sorted(doc.entries.items())
+            f"{idx}:{int(value) if value.is_integer() and value < 1e15 else repr(value)}"
+            for idx, value in sorted(doc.entries.items())
         )
         lines.append(f"{label} {pairs}")
     return "\n".join(lines) + "\n"

@@ -16,9 +16,6 @@ from qdetect.errors import NotPsdError
 # [[-0.5, 0.5], [0.5, 0.5]]: trace 0, det -0.5 -> eigenvalues +-sqrt(0.5)
 TILTED = np.array([[-0.5, 0.5], [0.5, 0.5]])
 TILTED_EIG = math.sqrt(0.5)  # 0.7071067811865476
-# null-space direction of (TILTED - sqrt(0.5) I): (0.5, 0.5 + sqrt(0.5)) normalized
-TILTED_VEC = np.array([0.5, 0.5 + math.sqrt(0.5)])
-TILTED_VEC = TILTED_VEC / np.linalg.norm(TILTED_VEC)
 
 
 def char_poly_roots_2x2(m):
@@ -78,51 +75,6 @@ class TestEigh:
             linalg.eigh(np.zeros((2, 3)))
 
 
-class TestProjector:
-    def test_diagonal_positive(self):
-        es = linalg.eigh(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(
-            linalg.projector_from_eigenspace(es, "positive"), np.diag([1.0, 0.0]), atol=1e-14
-        )
-
-    def test_tilted_positive(self):
-        es = linalg.eigh(TILTED)
-        p = linalg.projector_from_eigenspace(es, "positive")
-        np.testing.assert_allclose(p, np.outer(TILTED_VEC, TILTED_VEC), atol=1e-12)
-
-    def test_zero_matrix_has_no_positive_part(self):
-        es = linalg.eigh(np.zeros((2, 2)))
-        np.testing.assert_allclose(
-            linalg.projector_from_eigenspace(es, "positive"), np.zeros((2, 2)), atol=0
-        )
-
-    def test_invalid_selector(self):
-        es = linalg.eigh(np.eye(2))
-        with pytest.raises(ValueError):
-            linalg.projector_from_eigenspace(es, "sideways")
-
-    def test_idempotent_and_trace(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            m = linalg.symmetrize(rng.normal(size=(6, 6)))
-            es = linalg.eigh(m)
-            p = linalg.projector_from_eigenspace(es, "positive")
-            assert np.linalg.norm(p @ p - p) <= 1e-10
-            assert abs(np.trace(p) - np.sum(es.eigenvalues > 0)) <= 1e-9
-
-    def test_selectors_partition_identity(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            # rank-deficient so the zero selector has work to do
-            a = rng.normal(size=(5, 3))
-            es = linalg.eigh(a @ a.T - np.mean(a @ a.T))
-            total = sum(
-                linalg.projector_from_eigenspace(es, which)
-                for which in ("positive", "negative", "zero")
-            )
-            np.testing.assert_allclose(total, np.eye(5), atol=1e-10)
-
-
 class TestInvSqrtPsd:
     @pytest.mark.parametrize(
         "diag_in,diag_out",
@@ -144,7 +96,8 @@ class TestInvSqrtPsd:
             m = a @ a.T
             r = linalg.inv_sqrt_psd(m)
             es = linalg.eigh(m)
-            support = linalg.projector_from_eigenspace(es, "positive")
+            positive = es.eigenvectors[:, es.eigenvalues > 1e-12 * es.eigenvalues.max()]
+            support = positive @ positive.T
             assert np.linalg.norm(r @ m @ r - support) <= 1e-8
 
     def test_rejects_indefinite(self):

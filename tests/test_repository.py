@@ -1,4 +1,4 @@
-"""Repository-wide checks: the library holds no assert statements, and every demo runs."""
+"""Repository-wide checks on the library's source, and every demo runs."""
 
 import ast
 import os
@@ -20,6 +20,35 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a function or class that nothing else in the library reads, and that
+    # the package does not export, is dead code
+    import qdetect
+
+    definitions, readers = [], {}
+    for path in sorted((ROOT / "src" / "qdetect").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for statement in tree.body:
+            owner = (path.name, getattr(statement, "name", None))
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append(owner)
+            for name in _names(statement):
+                readers.setdefault(name, set()).add(owner)
+    # a definition that reads only itself, such as a recursive function, is unused
+    dead = [f"{module}:{name}" for module, name in definitions
+            if name not in qdetect.__all__ and not readers.get(name, set()) - {(module, name)}]
+    assert dead == []
+
+
+def _names(tree):
+    """Every identifier a tree reads, as a name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

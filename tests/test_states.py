@@ -6,7 +6,6 @@ import pytest
 from qdetect.errors import DegenerateClassError, DegenerateDocumentError
 from qdetect.states import (
     FeatureVector,
-    check_density,
     density_from_vector,
     feature_statistics,
     normalize_document,
@@ -101,7 +100,6 @@ class TestDensityFromVector:
             v = rng.uniform(0.0, 4.0, size=6)
             v[0] = 1.0  # never all-zero
             rho = density_from_vector(v)
-            check_density(rho)
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             w = np.linalg.eigvalsh(rho)
             assert abs(w[-1] - 1.0) <= 1e-10
