@@ -40,7 +40,6 @@ from qdetect.multiclass import (
 )
 from qdetect.oracles import GridPartition, grid_oracle_dim2, helstrom_oracle
 from qdetect.states import (
-    ClassStatVector,
     FeatureVector,
     density_from_vector,
     feature_statistics,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryModel",
-    "ClassStatVector",
     "EvalReport",
     "FeatureVector",
     "GridPartition",

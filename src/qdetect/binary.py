@@ -22,7 +22,7 @@ from qdetect.errors import (
     DimensionMismatchError,
     InvalidPriorError,
 )
-from qdetect.states import ClassStatVector, FeatureVector, feature_statistics
+from qdetect.states import FeatureVector, feature_statistics
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,12 @@ def detector_from_densities(
 
 
 def detector_from_statistics(
-    v_pos: ClassStatVector,
-    v_neg: ClassStatVector,
+    v_pos: np.ndarray,
+    v_neg: np.ndarray,
     prior_negative: float,
     threshold: float = 0.5,
 ) -> tuple[np.ndarray, DetectorScalars]:
-    """Unit acceptance vector ``e`` and scalars of the detector for two class statistics.
+    """Unit acceptance vector ``e`` and scalars of the detector for two class count rows.
 
     With unit class vectors ``u+``, ``u-``, ``c = u+ . u-`` and ``r = u- - c u+``
     of norm ``s``, the difference operator ``u+ u+^T - lam u- u-^T`` is zero off
@@ -161,8 +161,8 @@ def detector_from_statistics(
     ``eta > 0 > beta`` have product ``-lam s^2``, so the acceptance projector is
     ``e e^T`` for the eigenvector ``e`` of ``eta``.
     """
-    u_pos = v_pos.values / np.linalg.norm(v_pos.values)
-    u_neg = v_neg.values / np.linalg.norm(v_neg.values)
+    u_pos = v_pos / np.linalg.norm(v_pos)
+    u_neg = v_neg / np.linalg.norm(v_neg)
     c = float(u_pos @ u_neg)
     if abs(c) > 1.0 - 1e-12:
         raise DegenerateSeparationError(
@@ -215,15 +215,15 @@ def train_binary(
 
 
 def binary_from_statistics(
-    v_pos: ClassStatVector,
-    v_neg: ClassStatVector,
+    v_pos: np.ndarray,
+    v_neg: np.ndarray,
     prior_negative: float,
     threshold: float = 0.5,
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
-    """The trained detector for two class statistics vectors."""
+    """The trained detector for two class count rows."""
     e, scalars = detector_from_statistics(v_pos, v_neg, prior_negative, threshold)
-    return BinaryModel(dim=v_pos.dim, vectors=e[:, None], labels=labels, **vars(scalars))
+    return BinaryModel(dim=len(v_pos), vectors=e[:, None], labels=labels, **vars(scalars))
 
 
 def score(model: BinaryModel, x: np.ndarray) -> float:

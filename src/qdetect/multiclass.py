@@ -23,7 +23,6 @@ from qdetect.errors import (
     NotRankOneError,
 )
 from qdetect.states import (
-    ClassStatVector,
     FeatureVector,
     LabeledDataset,
     as_dataset,
@@ -157,22 +156,22 @@ Corpus = Union[LabeledDataset, Sequence[tuple[str, FeatureVector]]]
 
 def _class_statistics(
     corpus: Corpus, dim: int, training: str
-) -> tuple[list[str], list[float], list[ClassStatVector]]:
-    """Labels in first-appearance order, document-frequency priors, per-class statistics."""
+) -> tuple[list[str], list[float], np.ndarray]:
+    """Labels in first-appearance order, document-frequency priors, one count row per label."""
     ds = as_dataset(corpus, dim)
     if len(ds.classes) < 2:
         raise DegenerateCorpusError(
             f"{training} training needs at least 2 classes, found {len(ds.classes)}"
         )
-    priors, stats = class_statistics(ds, dim)
-    return list(ds.classes), priors, stats
+    priors, counts = class_statistics(ds, dim)
+    return list(ds.classes), priors, counts
 
 
 def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
     """One prior/density pair per class, priors from document frequencies."""
-    labels, priors, stats = _class_statistics(corpus, dim, "multi-class")
-    states = tuple(density_from_vector(s) for s in stats)
-    pure = tuple(s.values / np.linalg.norm(s.values) for s in stats)
+    labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
+    states = tuple(density_from_vector(row) for row in counts)
+    pure = tuple(row / np.linalg.norm(row) for row in counts)
     return HypothesisSet(
         priors=np.array(priors), states=states, labels=tuple(labels), pure_vectors=pure
     )
@@ -261,10 +260,26 @@ def square_root_vectors(unit_vectors, priors) -> tuple[np.ndarray, str]:
     ``M``, and the residual ``I - M M^T`` stays implicit.  Returns ``M``
     (dim x N) and the kind: ``"projective"`` when ``M^T M = I`` within 1e-10,
     which holds when ``G`` has full rank N.
+
+    Raises
+    ------
+    DegenerateCorpusError
+        If ``M^T M`` is not an orthogonal projector within 1e-10, the test
+        ``MulticlassModel`` applies.  Nearly parallel class vectors give a
+        ``G`` whose conditioning amplifies rounding past it.
     """
     psi = np.asarray(unit_vectors, dtype=float) * np.sqrt(np.asarray(priors, dtype=float))
     m = psi @ linalg.inv_sqrt_psd(psi.T @ psi)
     gram = m.T @ m
+    residual = float(np.linalg.norm(gram @ gram - gram))
+    if residual > RESOLUTION_ATOL:
+        low, high = (float(x) for x in np.linalg.eigvalsh(psi.T @ psi)[[0, -1]])
+        # Python floats overflow to inf without the warning numpy would give
+        cond = high / low if low > 0.0 else float("inf")
+        raise DegenerateCorpusError(
+            f"class vectors are too nearly parallel for the square-root measurement: the Gram "
+            f"matrix has condition number {cond:.3g}; M^T M misses a projector by {residual:.3g}"
+        )
     kind = "projective" if float(np.linalg.norm(gram - np.eye(len(gram)))) <= PSD_ATOL else "povm"
     return m, kind
 
@@ -355,8 +370,8 @@ class MulticlassModel:
 
 def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
     """Square-root measurement of the class states, in Gram form."""
-    labels, priors, stats = _class_statistics(corpus, dim, "multi-class")
-    units = np.column_stack([s.values / np.linalg.norm(s.values) for s in stats])
+    labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
+    units = np.column_stack([row / np.linalg.norm(row) for row in counts])
     vectors, kind = square_root_vectors(units, priors)
     return MulticlassModel(
         strategy="pgm",
@@ -371,22 +386,19 @@ def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
 def train_one_vs_rest(
     corpus: Corpus,
     dim: int,
-    neg_priors: Sequence[float] | None = None,
     threshold: float = 0.5,
 ) -> MulticlassModel:
     """One binary detector per class against the union of all other classes.
 
-    Each detector's negative-class prior defaults to one minus the class
-    proportion; prediction picks the class with the highest acceptance score.
+    Each detector's negative-class prior is one minus the class proportion;
+    prediction picks the class with the highest acceptance score.
     """
-    labels, priors, stats = _class_statistics(corpus, dim, "one-vs-rest")
-    # counts are integers held in floats, so each difference is exact
-    all_counts = sum(s.values for s in stats)
+    labels, priors, counts = _class_statistics(corpus, dim, "one-vs-rest")
+    # counts are integers held in floats, so the total and each difference are exact
+    total = counts.sum(axis=0)
     vectors, scalars = [], []
-    for k, label in enumerate(labels):
-        xi = 1.0 - priors[k] if neg_priors is None else float(neg_priors[k])
-        rest = ClassStatVector(values=all_counts - stats[k].values, label=f"not-{label}")
-        e, s = detector_from_statistics(stats[k], rest, xi, threshold=threshold)
+    for k, row in enumerate(counts):
+        e, s = detector_from_statistics(row, total - row, 1.0 - priors[k], threshold=threshold)
         vectors.append(e)
         scalars.append(s)
     return MulticlassModel(

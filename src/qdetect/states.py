@@ -46,38 +46,6 @@ class FeatureVector:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def to_dense(self, dim: int | None = None) -> np.ndarray:
-        """Dense copy, optionally zero-padded up to a larger ``dim``."""
-        dim = self.dim if dim is None else dim
-        if dim < self.dim:
-            raise ValueError(f"cannot shrink dim {self.dim} to {dim}")
-        dense = np.zeros(dim)
-        for idx, value in self.entries.items():
-            dense[idx] = value
-        return dense
-
-
-@dataclass(frozen=True)
-class ClassStatVector:
-    """Per-feature document counts for one class; never all-zero."""
-
-    values: np.ndarray
-    label: str | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("class statistics must be a vector")
-        if not np.any(values > 0.0):
-            raise DegenerateClassError(
-                f"class {self.label!r} has an all-zero statistics vector"
-            )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 # numpy refuses an array larger than the address space with a ValueError;
 # that is an out-of-memory condition like any other
@@ -210,11 +178,11 @@ def as_dataset(corpus, dim: int) -> LabeledDataset:
     return LabeledDataset.from_arrays(dim, *_label_ids(label for label, _ in pairs), *columns)
 
 
-def class_statistics(ds: LabeledDataset, dim: int) -> tuple[list[float], list[ClassStatVector]]:
-    """Document-frequency priors and per-class statistics, aligned with ``ds.classes``.
+def class_statistics(ds: LabeledDataset, dim: int) -> tuple[list[float], np.ndarray]:
+    """Document-frequency priors and the N x dim class counts, rows aligned with ``ds.classes``.
 
     All class count vectors come from one ``bincount`` of ``label_id * dim +
-    index`` over the entries.
+    index`` over the entries.  No row is all-zero.
     """
     if ds.dim > dim:
         raise ValueError(f"document dim {ds.dim} exceeds corpus dim {dim}")
@@ -224,12 +192,16 @@ def class_statistics(ds: LabeledDataset, dim: int) -> tuple[list[float], list[Cl
     counts = np.bincount(keys, minlength=n * dim).reshape(n, dim).astype(float)
     sizes = np.bincount(ds.label_ids, minlength=n).tolist()
     priors = [size / len(ds) for size in sizes]
-    return priors, [ClassStatVector(values=c, label=label) for c, label in zip(counts, ds.classes)]
+    empty = ~counts.any(axis=1)
+    if empty.any():
+        label = ds.classes[int(np.argmax(empty))]
+        raise DegenerateClassError(f"class {label!r} has an all-zero statistics vector")
+    return priors, counts
 
 
 def feature_statistics(
     docs: Sequence[FeatureVector], dim: int, label: str | None = None
-) -> ClassStatVector:
+) -> np.ndarray:
     """Count, per feature, the documents of a class with a nonzero value there.
 
     Counts depend only on which features are nonzero, so rescaling document
@@ -237,14 +209,12 @@ def feature_statistics(
     """
     if not docs:
         raise DegenerateClassError(f"class {label!r} has no documents")
-    _, stats = class_statistics(as_dataset([(label, doc) for doc in docs], dim), dim)
-    return stats[0]
+    _, counts = class_statistics(as_dataset([(label, doc) for doc in docs], dim), dim)
+    return counts[0]
 
 
 def density_from_vector(v) -> np.ndarray:
     """Rank-1 unit-trace density operator ``outer(v, v) / ||v||^2``."""
-    if isinstance(v, ClassStatVector):
-        v = v.values
     v = np.asarray(v, dtype=float)
     norm_sq = float(v @ v)
     if norm_sq <= 0.0:

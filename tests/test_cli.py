@@ -1,6 +1,7 @@
 """Command-line behavior: flows, error lines, exit codes, reproducibility."""
 
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -60,6 +61,21 @@ class TestTrain:
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
         assert len(doc["vectors"]) == 1 and len(doc["vectors"][0]) == 4
+
+    def test_nearly_parallel_classes_are_a_degenerate_corpus_for_pgm(self, tmp_path, capsys):
+        # cond(G) is about 1.6e9: G^(-1/2) keeps the small eigenvalue, and the
+        # rounding it amplifies leaves M^T M no projector within 1e-10
+        text = "a 0:1\n" * 20000 + "a 1:1\n" + "b 0:1\n" * 20000 + "b 1:1\n" * 2 + "c 2:1\n" * 5
+        data = write(tmp_path, "parallel.txt", text)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--data", data, "--strategy", "pgm", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR degenerate-corpus:")
+        assert "condition number" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert main(["train", "--data", data, "--strategy", "ovr", "--out", str(out)]) == 0
 
     def test_prior_rejected_for_pgm(self, tmp_path, capsys):
         data = write(tmp_path, "two.txt", TWO_CLASS)
@@ -176,6 +192,31 @@ class TestPredictEvaluate:
                          "--out", str(preds)]) == 0
             outs.append((model.read_bytes(), preds.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestModelScalars:
+    # json.load reads 1e999 as inf, which the NaN/Infinity literal check never sees
+    @pytest.mark.parametrize("strategy, field, value, check", [
+        ("binary", "threshold", "1.5", "threshold must lie in [0, 1]"),
+        ("binary", "prior_negative", "1.0", "prior_negative must lie strictly inside (0, 1)"),
+        ("binary", "eta", "1e999", "lam, eta and beta must be finite"),
+        ("binary", "lambda", "1e999", "lam, eta and beta must be finite"),
+        ("ovr", "threshold", "-0.1", "threshold must lie in [0, 1]"),
+    ])
+    def test_out_of_range_scalar_is_a_format_error(self, tmp_path, capsys, strategy, field,
+                                                   value, check):
+        _, _, test = GOLDEN_RUNS[strategy]
+        text, count = re.subn(f'"{field}":[^,}}]+', f'"{field}":{value}',
+                              (GOLDEN / f"{strategy}.json").read_text(encoding="utf-8"), count=1)
+        assert count == 1
+        model = write(tmp_path, "model.json", text)
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / test),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR format:")
+        assert err.endswith(f"{check}\n")
+        assert err.count("\n") == 1
 
 
 def run_golden(tmp_path, strategy):

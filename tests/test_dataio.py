@@ -156,8 +156,8 @@ class TestParseSparse:
 
     def test_peak_memory_of_a_chunked_parse(self):
         # About 690 KB in 6000 lines, like the benchmark's many-docs train
-        # file.  The parse peaks near 3 MB; converting the whole file at once
-        # instead of 32K characters at a time peaks above 17 MB.
+        # file.  The parse peaks near 3.6 MiB; converting the whole file at
+        # once instead of 64K characters at a time peaks near 17 MiB.
         rng = np.random.default_rng(0)
         lines = []
         for i in range(6000):

@@ -21,6 +21,7 @@ from qdetect.multiclass import (
     measurement_vectors,
     pgm,
     train_one_vs_rest,
+    train_pgm,
     zero_one_cost,
 )
 from qdetect.oracles import helstrom_oracle
@@ -123,6 +124,26 @@ class TestPgm:
             np.testing.assert_allclose(mu, (2.0 / 3.0) * np.outer(v, v), atol=1e-12)
         assert m.kind == "povm"
         assert average_cost(m, h, zero_one_cost(3)) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    def test_trine_given_as_states_only(self):
+        # without pure_vectors pgm takes its general branch, R (xi_k rho_k) R
+        h = trine()
+        mixed = HypothesisSet(priors=h.priors, states=h.states, labels=h.labels)
+        m = pgm(mixed)
+        for mu, v in zip(m.elements, h.pure_vectors):
+            np.testing.assert_allclose(mu, (2.0 / 3.0) * np.outer(v, v), atol=1e-12)
+        assert average_cost(m, mixed, zero_one_cost(3)) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    def test_rank_two_pair_is_no_better_than_helstrom(self):
+        # two rank-2 states in D=3 whose average has condition number 3.1
+        e0, e1 = np.eye(3)[:2]
+        f = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
+        g = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        rho0 = 0.7 * np.outer(e0, e0) + 0.3 * np.outer(e1, e1)
+        rho1 = 0.6 * np.outer(f, f) + 0.4 * np.outer(g, g)
+        h = HypothesisSet(priors=np.array([0.4, 0.6]), states=(rho0, rho1), labels=("a", "b"))
+        cost = average_cost(pgm(h), h, zero_one_cost(2))
+        assert cost >= helstrom_oracle(rho0, rho1, 0.4, 0.6) - 1e-9
 
     def test_rank_deficient_support_gets_residual(self):
         corpus = [
@@ -280,6 +301,11 @@ class TestOneVsRest:
         model = train_one_vs_rest(corpus, 2)
         x = normalize_document(fv(2, {0: 1, 1: 1}))
         assert classify(model, x) == "a"
+
+    def test_each_strategy_has_only_its_own_view(self):
+        corpus = [("a", fv(2, {0: 1})), ("b", fv(2, {0: 1, 1: 1}))]
+        assert train_pgm(corpus, 2).detectors is None
+        assert train_one_vs_rest(corpus, 2).measurement is None
 
     def test_needs_two_classes(self):
         with pytest.raises(DegenerateCorpusError):

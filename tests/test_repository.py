@@ -4,18 +4,20 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "qdetect").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so a check written as one vanishes
     found = []
-    for path in sorted((ROOT / "src" / "qdetect").glob("*.py")):
+    for path in LIBRARY:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
@@ -28,7 +30,7 @@ def test_every_top_level_definition_is_used_or_exported():
     import qdetect
 
     definitions, readers = [], {}
-    for path in sorted((ROOT / "src" / "qdetect").glob("*.py")):
+    for path in LIBRARY:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for statement in tree.body:
             owner = (path.name, getattr(statement, "name", None))
@@ -39,6 +41,25 @@ def test_every_top_level_definition_is_used_or_exported():
     # a definition that reads only itself, such as a recursive function, is unused
     dead = [f"{module}:{name}" for module, name in definitions
             if name not in qdetect.__all__ and not readers.get(name, set()) - {(module, name)}]
+    assert dead == []
+
+
+def test_every_method_is_read_outside_its_own_body():
+    # a method or property of a library class that only tests read is dead
+    # code; dunder methods are called by the language, not by name
+    reads, methods = Counter(), []
+    for path in LIBRARY + DEMOS + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reads.update(_names(tree))
+        if path not in LIBRARY:
+            continue
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            methods += [(f"{path.name}:{cls.name}.{item.name}", item.name, Counter(_names(item)))
+                        for item in cls.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")]
+    # like the check above, this matches bare names across classes
+    dead = [where for where, name, own in methods if reads[name] <= own[name]]
     assert dead == []
 
 

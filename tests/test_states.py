@@ -6,6 +6,8 @@ import pytest
 from qdetect.errors import DegenerateClassError, DegenerateDocumentError
 from qdetect.states import (
     FeatureVector,
+    LabeledDataset,
+    class_statistics,
     density_from_vector,
     feature_statistics,
     normalize_document,
@@ -29,24 +31,19 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             fv(3, {3: 1.0})
 
-    def test_to_dense_pads(self):
-        np.testing.assert_allclose(fv(2, {1: 3.0}).to_dense(4), [0.0, 3.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            fv(2, {1: 3.0}).to_dense(1)
-
 
 class TestFeatureStatistics:
     def test_document_frequency_counts(self):
         docs = [fv(5, {0: 2, 2: 1}), fv(5, {0: 1}), fv(5, {2: 4, 4: 1})]
         stats = feature_statistics(docs, 5)
-        np.testing.assert_allclose(stats.values, [2, 0, 2, 0, 1])
+        np.testing.assert_allclose(stats, [2, 0, 2, 0, 1])
 
     def test_single_document(self):
-        np.testing.assert_allclose(feature_statistics([fv(2, {0: 7})], 2).values, [1, 0])
+        np.testing.assert_allclose(feature_statistics([fv(2, {0: 7})], 2), [1, 0])
 
     def test_identical_documents_accumulate(self):
         docs = [fv(2, {1: 1}), fv(2, {1: 1})]
-        np.testing.assert_allclose(feature_statistics(docs, 2).values, [0, 2])
+        np.testing.assert_allclose(feature_statistics(docs, 2), [0, 2])
 
     def test_empty_class_rejected(self):
         with pytest.raises(DegenerateClassError):
@@ -56,21 +53,27 @@ class TestFeatureStatistics:
         with pytest.raises(DegenerateClassError):
             feature_statistics([fv(3, {})], 3)
 
+    def test_first_all_zero_class_is_named(self):
+        ds = LabeledDataset(3, [("a", fv(3, {0: 1})), ("b", fv(3, {})), ("c", fv(3, {}))])
+        with pytest.raises(DegenerateClassError,
+                           match=r"^class 'b' has an all-zero statistics vector$"):
+            class_statistics(ds, 3)
+
     def test_order_invariant(self):
         rng = np.random.default_rng(5)
         docs = [
             fv(8, {int(i): float(rng.uniform(0.1, 3.0)) for i in rng.choice(8, 3, replace=False)})
             for _ in range(10)
         ]
-        forward = feature_statistics(docs, 8).values
-        backward = feature_statistics(docs[::-1], 8).values
+        forward = feature_statistics(docs, 8)
+        backward = feature_statistics(docs[::-1], 8)
         np.testing.assert_array_equal(forward, backward)
 
     def test_scaling_invariant(self):
         docs = [fv(4, {0: 1.0, 2: 2.5}), fv(4, {2: 0.5})]
         scaled = [fv(4, {k: 10.0 * v for k, v in d.entries.items()}) for d in docs]
         np.testing.assert_array_equal(
-            feature_statistics(docs, 4).values, feature_statistics(scaled, 4).values
+            feature_statistics(docs, 4), feature_statistics(scaled, 4)
         )
 
 
