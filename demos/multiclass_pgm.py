@@ -60,14 +60,15 @@ cost = average_cost(m, trine, zero_one_cost(3))
 print("\ntrine zero-one cost:", round(cost, 12), " (best possible is 1/3)")
 
 # --- classification with the measurement -------------------------------------
-# A trained model keeps only the Gram-form vectors m_k of M = Psi G^(-1/2);
-# element k is m_k m_k^T, so the dense elements above are never stored.
-vectors, kind = square_root_vectors(np.column_stack(trine.pure_vectors), trine.priors)
+# A trained model keeps only the vectors m_k of M = Psi G^(-1/2), the polar
+# factor U V^T of Psi = U S V^T; element k is m_k m_k^T, so the dense elements
+# above are never stored, and the kind follows from the rank of M.
 model = MulticlassModel(
     strategy="pgm", dim=2, labels=trine.labels, priors=tuple(trine.priors),
-    vectors=vectors, kind=kind,
+    vectors=square_root_vectors(np.column_stack(trine.pure_vectors), trine.priors),
 )
-print("\nGram-form elements match the dense ones:",
+print("\ntrained model ->", model.kind, "measurement of rank", model.rank)
+print("its elements match the dense ones:",
       all(np.allclose(a, b, atol=1e-12) for a, b in zip(model.measurement.elements, m.elements)))
 print("\nclassifying probes around the circle:")
 for degrees in (10, 100, 250, 355):

@@ -507,12 +507,13 @@ def model_from_dict(doc: dict):
     if not all(isinstance(x, str) for x in labels):
         raise FormatError("model field 'labels' must hold strings")
     try:
+        kind, fields = None, {}
         if strategy == "binary":
             if len(labels) != 2:
                 raise FormatError("binary models need exactly two labels")
             fields = _scalars(doc)
         elif strategy == "pgm":
-            fields = {"kind": _require(doc, "kind", str)}
+            kind = _require(doc, "kind", str)
         elif strategy == "one_vs_rest":
             payloads = _require(doc, "detectors", list)
             if len(payloads) != len(labels):
@@ -528,10 +529,13 @@ def model_from_dict(doc: dict):
         priors = _require(doc, "priors", list)
         if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in priors):
             raise FormatError("model field 'priors' must hold numbers")
-        return MulticlassModel(
+        model = MulticlassModel(
             strategy=strategy, dim=dim, labels=labels, priors=tuple(float(x) for x in priors),
             vectors=vectors, **fields,
         )
+        if model.kind != kind:
+            raise FormatError(f"model kind {kind!r} does not match its rank-{model.rank} vectors")
+        return model
     except FormatError:
         raise
     except (ValueError, TypeError, QdetectError) as exc:

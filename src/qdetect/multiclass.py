@@ -18,9 +18,11 @@ import numpy as np
 from qdetect import linalg
 from qdetect.binary import BinaryModel, DetectorScalars, detector_from_statistics
 from qdetect.errors import (
+    ConvergenceError,
     DegenerateCorpusError,
     DimensionMismatchError,
     NotRankOneError,
+    QdetectError,
 )
 from qdetect.states import (
     FeatureVector,
@@ -195,14 +197,15 @@ def pgm(h: HypothesisSet) -> Measurement:
         else:
             mu = root @ (float(h.priors[k]) * h.states[k]) @ root
         elements.append(linalg.symmetrize(mu))
-    support_rank = int(np.sum(
-        np.linalg.eigvalsh(s) > linalg.SUPPORT_RTOL * np.max(np.abs(np.linalg.eigvalsh(s)))
-    ))
-    residual = None
-    if support_rank < h.dim:
-        residual = linalg.symmetrize(np.eye(h.dim) - sum(elements))
+    w = np.linalg.eigvalsh(s)
+    support = w[w > linalg.SUPPORT_RTOL * np.max(np.abs(w))]
+    residual = None if support.size == h.dim else linalg.symmetrize(np.eye(h.dim) - sum(elements))
     kind = "projective" if _is_projective(elements + ([residual] if residual is not None else [])) else "povm"
-    return Measurement(elements=tuple(elements), kind=kind, residual=residual)
+    try:
+        return Measurement(elements=tuple(elements), kind=kind, residual=residual)
+    except ValueError as exc:  # S^(-1/2) amplifies rounding by about cond(S)
+        raise QdetectError(f"{exc}: the average state has condition number "
+                           f"{support[-1] / support[0]:.3g}", code="ill-conditioned") from exc
 
 
 def measurement_vectors(m: Measurement) -> list[np.ndarray]:
@@ -252,36 +255,23 @@ def average_cost(m: Measurement, h: HypothesisSet, cost) -> float:
     return total
 
 
-def square_root_vectors(unit_vectors, priors) -> tuple[np.ndarray, str]:
-    """Gram form ``M = Psi G^(-1/2)`` of the square-root measurement of rank-1 states.
+def square_root_vectors(unit_vectors, priors) -> np.ndarray:
+    """Square-root measurement ``M = Psi G^(-1/2) = U V^T`` of rank-1 states, dim x N.
 
-    ``Psi`` holds the columns ``sqrt(xi_k) u_k`` for unit class vectors ``u_k``
-    and ``G = Psi^T Psi``; element k is ``m_k m_k^T`` for column ``m_k`` of
-    ``M``, and the residual ``I - M M^T`` stays implicit.  Returns ``M``
-    (dim x N) and the kind: ``"projective"`` when ``M^T M = I`` within 1e-10,
-    which holds when ``G`` has full rank N.
-
-    Raises
-    ------
-    DegenerateCorpusError
-        If ``M^T M`` is not an orthogonal projector within 1e-10, the test
-        ``MulticlassModel`` applies.  Nearly parallel class vectors give a
-        ``G`` whose conditioning amplifies rounding past it.
+    ``Psi = U S V^T`` holds the columns ``sqrt(xi_k) u_k`` for unit class
+    vectors ``u_k``, and ``G = Psi^T Psi``.  ``M`` is the polar factor of
+    ``Psi`` on its singular values above 1e-5 of the largest, the eigenvalues
+    of ``G`` above ``SUPPORT_RTOL``; element k is ``m_k m_k^T``, and the
+    residual ``I - M M^T`` stays implicit.  Raises ConvergenceError if the
+    singular value decomposition fails to converge.
     """
     psi = np.asarray(unit_vectors, dtype=float) * np.sqrt(np.asarray(priors, dtype=float))
-    m = psi @ linalg.inv_sqrt_psd(psi.T @ psi)
-    gram = m.T @ m
-    residual = float(np.linalg.norm(gram @ gram - gram))
-    if residual > RESOLUTION_ATOL:
-        low, high = (float(x) for x in np.linalg.eigvalsh(psi.T @ psi)[[0, -1]])
-        # Python floats overflow to inf without the warning numpy would give
-        cond = high / low if low > 0.0 else float("inf")
-        raise DegenerateCorpusError(
-            f"class vectors are too nearly parallel for the square-root measurement: the Gram "
-            f"matrix has condition number {cond:.3g}; M^T M misses a projector by {residual:.3g}"
-        )
-    kind = "projective" if float(np.linalg.norm(gram - np.eye(len(gram)))) <= PSD_ATOL else "povm"
-    return m, kind
+    try:
+        u, s, vt = np.linalg.svd(psi, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value decomposition failed to converge: {exc}") from exc
+    rank = int(np.sum(s > np.sqrt(linalg.SUPPORT_RTOL) * s[0]))
+    return u[:, :rank] @ vt[:rank]
 
 
 @dataclass(frozen=True)
@@ -301,7 +291,6 @@ class MulticlassModel:
     labels: tuple[str, ...]
     priors: tuple[float, ...]
     vectors: np.ndarray
-    kind: str = "povm"
     detector_scalars: tuple[DetectorScalars, ...] = ()
 
     def __post_init__(self):
@@ -319,10 +308,6 @@ class MulticlassModel:
             gram = vectors.T @ vectors
             if float(np.linalg.norm(gram @ gram - gram)) > RESOLUTION_ATOL:
                 raise ValueError("M^T M is not an orthogonal projector within 1e-10")
-            if self.kind == "projective" and float(np.linalg.norm(gram - np.eye(n))) > PSD_ATOL:
-                raise ValueError("projective measurement needs M^T M = I within 1e-10")
-            if self.kind not in ("projective", "povm"):
-                raise ValueError(f"unknown measurement kind {self.kind!r}")
         elif self.strategy == "one_vs_rest":
             if len(self.detector_scalars) != n:
                 raise ValueError("one_vs_rest strategy requires one detector per label")
@@ -346,13 +331,24 @@ class MulticlassModel:
         return picks, scores[np.arange(len(picks)), picks]
 
     @property
+    def rank(self) -> int:
+        """Rank of a pgm ``M``: the trace ``||M||_F^2`` of the projector ``M^T M``."""
+        return round(float(np.sum(np.square(self.vectors))))
+
+    @property
+    def kind(self) -> str | None:
+        """``"projective"`` for a pgm of rank N (``M^T M = I``), ``"povm"`` below; None for ovr."""
+        if self.strategy != "pgm":
+            return None
+        return "projective" if self.rank == len(self.labels) else "povm"
+
+    @property
     def measurement(self) -> Measurement | None:
-        """Dense pgm view: elements ``m_k m_k^T`` and, below full rank, the residual."""
+        """Dense pgm view: elements ``m_k m_k^T`` and, below rank ``dim``, the residual."""
         if self.strategy != "pgm":
             return None
         elements = tuple(np.outer(v, v) for v in self.vectors.T)
-        # M^T M projects onto the span of the columns, so its trace is their rank
-        full_rank = round(float(np.sum(np.square(self.vectors)))) == self.dim
+        full_rank = self.rank == self.dim
         residual = None if full_rank else linalg.symmetrize(np.eye(self.dim) - sum(elements))
         return Measurement(elements=elements, kind=self.kind, residual=residual)
 
@@ -369,17 +365,15 @@ class MulticlassModel:
 
 
 def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
-    """Square-root measurement of the class states, in Gram form."""
+    """Square-root measurement of the class states, from the SVD of ``Psi``."""
     labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
     units = np.column_stack([row / np.linalg.norm(row) for row in counts])
-    vectors, kind = square_root_vectors(units, priors)
     return MulticlassModel(
         strategy="pgm",
         dim=dim,
         labels=tuple(labels),
         priors=tuple(priors),
-        vectors=vectors,
-        kind=kind,
+        vectors=square_root_vectors(units, priors),
     )
 
 

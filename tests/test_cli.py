@@ -20,6 +20,9 @@ from qdetect.synth import synth_corpus
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 # The format 2 model and prediction files of the same runs.
 FORMAT_TWO = Path(__file__).resolve().parent / "data" / "v2"
+# The pgm model and predictions of the same run when M was Psi G^(-1/2) with
+# G^(-1/2) formed as a matrix, before M came from the SVD of Psi.
+INVERSE_ROOT = Path(__file__).resolve().parent / "data" / "inverse-root"
 # strategy -> (train file, extra train arguments, test file)
 GOLDEN_RUNS = {
     "pgm": ("train.txt", [], "test.txt"),
@@ -62,20 +65,18 @@ class TestTrain:
         assert doc["labels"] == ["ham", "spam"]
         assert len(doc["vectors"]) == 1 and len(doc["vectors"][0]) == 4
 
-    def test_nearly_parallel_classes_are_a_degenerate_corpus_for_pgm(self, tmp_path, capsys):
-        # cond(G) is about 1.6e9: G^(-1/2) keeps the small eigenvalue, and the
-        # rounding it amplifies leaves M^T M no projector within 1e-10
+    def test_nearly_parallel_classes_train_for_pgm(self, tmp_path):
+        # cond(G) is about 1.6e9; M = U V^T from the SVD of Psi is orthogonal
+        # to rounding, where forming G^(-1/2) left M^T M no projector within 1e-10
         text = "a 0:1\n" * 20000 + "a 1:1\n" + "b 0:1\n" * 20000 + "b 1:1\n" * 2 + "c 2:1\n" * 5
         data = write(tmp_path, "parallel.txt", text)
-        out = tmp_path / "m.json"
-        rc = main(["train", "--data", data, "--strategy", "pgm", "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR degenerate-corpus:")
-        assert "condition number" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
-        assert main(["train", "--data", data, "--strategy", "ovr", "--out", str(out)]) == 0
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--data", data, "--strategy", "pgm", "--out", model]) == 0
+        vectors = load_model(model).vectors
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(3)) <= 1e-13
+        assert json.loads(Path(model).read_text())["kind"] == "projective"
+        assert main(["evaluate", "--model", model, "--data", data,
+                     "--out", str(tmp_path / "report.json")]) == 0
 
     def test_prior_rejected_for_pgm(self, tmp_path, capsys):
         data = write(tmp_path, "two.txt", TWO_CLASS)
@@ -219,6 +220,18 @@ class TestModelScalars:
         assert err.count("\n") == 1
 
 
+def test_pgm_kind_that_disagrees_with_its_vectors_is_a_format_error(tmp_path, capsys):
+    # the golden pgm model has 4 orthonormal columns, so its kind is projective
+    text = (GOLDEN / "pgm.json").read_text(encoding="utf-8")
+    assert text.count('"kind":"projective"') == 1
+    model = write(tmp_path, "model.json", text.replace('"kind":"projective"', '"kind":"povm"'))
+    rc = main(["predict", "--model", model, "--data", str(GOLDEN / "test.txt"),
+               "--out", str(tmp_path / "p.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ERROR format: model kind 'povm' does not match its rank-4 vectors\n")
+
+
 def run_golden(tmp_path, strategy):
     """Train, predict and evaluate on the golden corpora; returns file name -> bytes."""
     train, extra, test = GOLDEN_RUNS[strategy]
@@ -235,6 +248,27 @@ def run_golden(tmp_path, strategy):
     return {name: path.read_bytes() for name, path in outs.items()}
 
 
+def assert_last_bits_move(tmp_path, strategy, old_files, bound):
+    """Golden outputs against the model and predictions in ``old_files``.
+
+    The labels must be equal and the vectors within ``bound`` (Frobenius).  A
+    unit row x scores s = (x . v)^2, so a change dv in v moves s by at most
+    2 sqrt(s) |dv| to first order, plus the rounding of the two evaluations.
+    Small scores therefore move by more ulps of s than large ones.
+    """
+    outs = run_golden(tmp_path, strategy)
+    got = [line.split("\t") for line in outs[f"{strategy}.tsv"].decode().splitlines()]
+    want = [line.split("\t") for line in (old_files / f"{strategy}.tsv").read_text().splitlines()]
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    new = np.array([float(row[2]) for row in got])
+    old = np.array([float(row[2]) for row in want])
+    dv = float(np.linalg.norm(load_model(tmp_path / f"{strategy}.json").vectors
+                              - load_model(old_files / f"{strategy}.json").vectors))
+    assert dv <= bound
+    assert np.all(np.abs(new - old) <= 2 * np.sqrt(old) * dv + 2 * np.spacing(old))
+    return outs
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
     def test_outputs_are_byte_identical(self, tmp_path, strategy):
@@ -243,20 +277,13 @@ class TestGoldenOutputs:
 
     def test_binary_scores_move_in_the_last_bits_from_format_two(self, tmp_path):
         # Format 2 recovered e from the stored projector by an eigensolve;
-        # format 3 keeps e as trained.  A unit row x scores s = (x . e)^2, so
-        # a change de in e moves s by at most 2 sqrt(s) |de| to first order,
-        # plus the rounding of the two evaluations.  Small scores therefore
-        # move by more ulps of s than large ones: 5 ulp at s = 0.093 here.
-        outs = run_golden(tmp_path, "binary")
-        got = [line.split("\t") for line in outs["binary.tsv"].decode().splitlines()]
-        want = [line.split("\t") for line in (FORMAT_TWO / "binary.tsv").read_text().splitlines()]
-        assert [row[:2] for row in got] == [row[:2] for row in want]
-        new = np.array([float(row[2]) for row in got])
-        old = np.array([float(row[2]) for row in want])
-        de = float(np.linalg.norm(load_model(tmp_path / "binary.json").vectors
-                                  - load_model(FORMAT_TWO / "binary.json").vectors))
-        assert de <= 4 * np.finfo(float).eps
-        assert np.all(np.abs(new - old) <= 2 * np.sqrt(old) * de + 2 * np.spacing(old))
+        # format 3 keeps e as trained.  Scores move by up to 5 ulp, at s = 0.093.
+        assert_last_bits_move(tmp_path, "binary", FORMAT_TWO, 4 * np.finfo(float).eps)
+
+    def test_pgm_scores_move_in_the_last_bits_from_the_inverse_root(self, tmp_path):
+        # M = U V^T from the SVD of Psi is the matrix Psi G^(-1/2) was, up to rounding
+        outs = assert_last_bits_move(tmp_path, "pgm", INVERSE_ROOT, 1e-13)
+        assert outs["pgm.report.json"] == (INVERSE_ROOT / "pgm.report.json").read_bytes()
 
     def test_no_feature_vector_on_the_command_path(self, tmp_path, monkeypatch):
         def refuse(self):

@@ -9,6 +9,7 @@ from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
     NotRankOneError,
+    QdetectError,
 )
 from qdetect.multiclass import (
     HypothesisSet,
@@ -144,6 +145,25 @@ class TestPgm:
         h = HypothesisSet(priors=np.array([0.4, 0.6]), states=(rho0, rho1), labels=("a", "b"))
         cost = average_cost(pgm(h), h, zero_one_cost(2))
         assert cost >= helstrom_oracle(rho0, rho1, 0.4, 0.6) - 1e-9
+
+    def test_ill_conditioned_mixed_states_give_a_coded_error(self):
+        # S^(-1/2) amplifies rounding by about cond(S): past 1e6 some of these
+        # pairs miss the 1e-10 PSD or resolution check of Measurement
+        rng = np.random.default_rng(0)
+        failed = []
+        for _ in range(2000):
+            factors = rng.normal(size=(2, 4, 2))
+            states = tuple(f @ f.T / np.trace(f @ f.T) for f in factors)
+            xi = rng.uniform(0.05, 0.95)
+            h = HypothesisSet(priors=np.array([xi, 1.0 - xi]), states=states, labels=("a", "b"))
+            w = np.linalg.eigvalsh(xi * states[0] + (1.0 - xi) * states[1])
+            try:
+                pgm(h)
+            except QdetectError as exc:
+                assert exc.code == "ill-conditioned"
+                assert f"condition number {w[-1] / w[0]:.3g}" in str(exc)
+                failed.append(w[-1] / w[0])
+        assert failed and min(failed) > 1e5
 
     def test_rank_deficient_support_gets_residual(self):
         corpus = [
