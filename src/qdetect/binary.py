@@ -124,8 +124,7 @@ def detector_from_densities(
             f"density shapes differ: {rho_pos.shape} vs {rho_neg.shape}"
         )
     lam = prior_negative / (1.0 - prior_negative)
-    es = linalg.eigh(rho_pos - lam * rho_neg)
-    w = es.eigenvalues
+    w, v = linalg.eigh(rho_pos - lam * rho_neg)
     cutoff = linalg.ZERO_EIGENVALUE_RTOL * float(np.max(np.abs(w)) if w.size else 0.0)
     eta = float(w[0])
     beta = float(w[-1])
@@ -136,7 +135,7 @@ def detector_from_densities(
         )
     return BinaryModel(
         dim=rho_pos.shape[0],
-        vectors=es.eigenvectors[:, w > cutoff],
+        vectors=v[:, w > cutoff],
         lam=lam,
         eta=eta,
         beta=beta,

@@ -50,8 +50,12 @@ def _read_dataset(path: str, dim: int | None = None):
 
 
 def _cmd_train(args) -> int:
-    ds = _read_dataset(args.data, dim=args.dim)
+    if args.strategy != "binary" and (args.prior is not None or args.threshold is not None):
+        raise UsageError("--prior and --threshold apply only to the binary strategy")
     threshold = 0.5 if args.threshold is None else args.threshold
+    if not 0.0 <= threshold <= 1.0:  # False for NaN
+        raise UsageError(f"--threshold must lie in [0, 1], got {threshold}")
+    ds = _read_dataset(args.data, dim=args.dim)
     if args.strategy == "binary":
         if len(ds.classes) != 2:
             raise DegenerateCorpusError(
@@ -61,16 +65,9 @@ def _cmd_train(args) -> int:
         prior = priors[1] if args.prior is None else args.prior
         model = binary_from_statistics(v_pos, v_neg, prior, threshold, labels=ds.classes)
     elif args.strategy == "pgm":
-        if args.prior is not None or args.threshold is not None:
-            raise UsageError("--prior and --threshold do not apply to the pgm strategy")
         model = train_pgm(ds, ds.dim)
     else:
-        if args.prior is not None:
-            raise UsageError(
-                "--prior does not apply to one-vs-rest; per-class priors come from "
-                "class proportions"
-            )
-        model = train_one_vs_rest(ds, ds.dim, threshold=threshold)
+        model = train_one_vs_rest(ds, ds.dim)
     save_model(model, args.out)
     return 0
 
@@ -215,37 +212,34 @@ def _cmd_bench(args) -> int:
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated list of numbers") from None
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} expects a comma-separated list of finite numbers")
+    return values
 
 
 def _cmd_oracle(args) -> int:
     angles_deg = _parse_floats(args.angles, "--angles")
     n = len(angles_deg)
-    if args.priors is None:
-        priors = [1.0 / n] * n
-    else:
-        priors = _parse_floats(args.priors, "--priors")
-        if len(priors) != n:
-            raise UsageError("--priors must match the number of angles")
-        if min(priors) <= 0.0 or abs(sum(priors) - 1.0) > 1e-9:
-            raise UsageError("--priors must be positive and sum to 1")
-    vectors = [_pure_state(math.radians(a)) for a in angles_deg]
-    states = [np.outer(v, v) for v in vectors]
-    if args.mode == "helstrom":
-        if n != 2:
-            raise UsageError("helstrom mode needs exactly 2 angles")
-        value = helstrom_oracle(states[0], states[1], priors[0], priors[1])
-        print(f"helstrom_cost = {value:.12g}")
-        return 0
-    h = HypothesisSet(
-        priors=np.array(priors),
-        states=tuple(states),
-        labels=tuple(f"h{k}" for k in range(n)),
-        pure_vectors=tuple(vectors),
-    )
-    cost, partition = grid_oracle_dim2(h, zero_one_cost(n), resolution=args.resolution)
+    priors = [1.0 / n] * n if args.priors is None else _parse_floats(args.priors, "--priors")
+    if len(priors) != n:
+        raise UsageError("--priors must match the number of angles")
+    if args.mode == "helstrom" and n != 2:
+        raise UsageError("helstrom mode needs exactly 2 angles")
+    vectors = tuple(_pure_state(math.radians(a)) for a in angles_deg)
+    states = tuple(np.outer(v, v) for v in vectors)
+    try:  # the oracles check the priors, the number of states and the resolution
+        if args.mode == "helstrom":
+            value = helstrom_oracle(states[0], states[1], priors[0], priors[1])
+            print(f"helstrom_cost = {value:.12g}")
+            return 0
+        h = HypothesisSet(priors=np.array(priors), states=states,
+                          labels=tuple(f"h{k}" for k in range(n)), pure_vectors=vectors)
+        cost, partition = grid_oracle_dim2(h, zero_one_cost(n), resolution=args.resolution)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     print(f"grid_cost = {cost:.12g}")
     print("angles_deg = " + ",".join(f"{math.degrees(a):.6f}" for a in partition.angles))
     print("weights = " + ",".join(f"{w:.6f}" for w in partition.weights))
@@ -266,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True, help="sparse dataset file")
     train.add_argument("--strategy", required=True, choices=["binary", "pgm", "ovr"])
     train.add_argument("--prior", type=float, help="negative-class prior (binary only)")
-    train.add_argument("--threshold", type=float, help="decision threshold (binary/ovr)")
+    train.add_argument("--threshold", type=float, help="decision threshold (binary only)")
     train.add_argument("--dim", type=int, help="widen the feature space to this size")
     train.add_argument("--out", required=True, help="model JSON output path")
 

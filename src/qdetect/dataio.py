@@ -461,8 +461,8 @@ def _projector_vectors(payload: dict, dim: int) -> np.ndarray:
         raise FormatError(f"projector of shape {p.shape} does not match dim {dim}")
     if not np.all(np.abs(p) <= 1.0 + 1e-10):
         raise FormatError("projector entries must be finite and within [-1, 1]")
-    es = linalg.eigh(p)
-    vectors = es.eigenvectors[:, es.eigenvalues > 0.5]
+    w, v = linalg.eigh(p)
+    vectors = v[:, w > 0.5]
     if float(np.linalg.norm(vectors @ vectors.T - p)) > 1e-10:
         raise FormatError("projector is not an orthogonal projector within 1e-10")
     return vectors
@@ -485,7 +485,6 @@ def _dense_vectors(doc: dict, strategy: str, dim: int) -> np.ndarray:
     residual = doc.get("residual")
     m = Measurement(
         elements=tuple(_float_array(e) for e in _require(doc, "elements", _ARRAY)),
-        kind=doc["kind"],
         residual=None if residual is None else _float_array(residual),
     )
     return np.column_stack(

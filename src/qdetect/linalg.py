@@ -9,8 +9,6 @@ symmetrized on entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from qdetect.errors import ConvergenceError, DimensionMismatchError, NotPsdError
@@ -27,18 +25,6 @@ def symmetrize(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return (m + m.T) / 2.0
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues sorted descending with aligned orthonormal column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -59,8 +45,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def eigh(m) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix, deterministic and descending.
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w``, descending, and aligned orthonormal column eigenvectors ``v``.
+
+    Deterministic: each eigenvector's first nonzero component is positive.
 
     Raises
     ------
@@ -83,7 +71,7 @@ def eigh(m) -> EigenSystem:
         raise ConvergenceError(
             f"eigendecomposition residual norm {residual:.3e} exceeds bound {bound:.3e}"
         )
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def inv_sqrt_psd(m) -> np.ndarray:
@@ -97,8 +85,7 @@ def inv_sqrt_psd(m) -> np.ndarray:
     NotPsdError
         If the smallest eigenvalue is below ``-1e-10 * max|w|``.
     """
-    es = eigh(m)
-    w = es.eigenvalues
+    w, v = eigh(m)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     if scale > 0.0 and float(np.min(w)) < -SUPPORT_RTOL * scale:
         raise NotPsdError(
@@ -107,7 +94,6 @@ def inv_sqrt_psd(m) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     cutoff = SUPPORT_RTOL * scale
     inv_roots = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
-    v = es.eigenvectors
     return symmetrize((v * inv_roots) @ v.T)
 
 

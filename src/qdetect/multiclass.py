@@ -60,11 +60,20 @@ class HypothesisSet:
             raise ValueError("labels and states must have matching lengths")
         _check_priors(priors)
         dim = self.states[0].shape[0]
-        for rho in self.states:
-            if rho.shape != (dim, dim):
-                raise DimensionMismatchError("hypothesis states have mixed dimensions")
+        states = tuple(np.asarray(s, float) for s in self.states)
+        if any(rho.shape != (dim, dim) for rho in states):
+            raise DimensionMismatchError("hypothesis states have mixed dimensions")
+        if self.pure_vectors is not None:
+            vectors = tuple(np.asarray(v, float) for v in self.pure_vectors)
+            if len(vectors) != len(states) or any(
+                v.shape != (dim,) or np.linalg.norm(np.outer(v, v) - rho) > PSD_ATOL
+                for v, rho in zip(vectors, states)
+            ):
+                raise ValueError("pure_vectors must hold one v_k per state with "
+                                 "outer(v_k, v_k) = states[k] within 1e-10")
+            object.__setattr__(self, "pure_vectors", vectors)
         object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "states", tuple(np.asarray(s, float) for s in self.states))
+        object.__setattr__(self, "states", states)
 
     @property
     def n(self) -> int:
@@ -95,15 +104,17 @@ class Measurement:
     """
 
     elements: tuple[np.ndarray, ...]
-    kind: str = "povm"
     residual: np.ndarray | None = None
 
     def __post_init__(self):
         elements = tuple(np.asarray(e, dtype=float) for e in self.elements)
+        object.__setattr__(self, "elements", elements)
+        if self.residual is not None:
+            object.__setattr__(self, "residual", np.asarray(self.residual, dtype=float))
         if not elements or elements[0].ndim != 2:
             raise ValueError("a measurement needs at least one element, each a matrix")
         dim = elements[0].shape[0]
-        for e in self.all_elements(elements):
+        for e in self.all_elements():
             if e.shape != (dim, dim):
                 raise DimensionMismatchError("measurement elements have mixed dimensions")
             # 0 <= e <= I bounds every entry by 1, and keeps the sums below finite
@@ -111,23 +122,18 @@ class Measurement:
                 raise ValueError("measurement element entries must be finite and within [-1, 1]")
             if float(np.min(np.linalg.eigvalsh((e + e.T) / 2.0))) < -PSD_ATOL:
                 raise ValueError("measurement element is not PSD within 1e-10")
-        total = sum(self.all_elements(elements), np.zeros((dim, dim)))
+        total = sum(self.all_elements(), np.zeros((dim, dim)))
         if float(np.linalg.norm(total - np.eye(dim))) > RESOLUTION_ATOL:
             raise ValueError("measurement elements do not resolve the identity")
-        if self.kind == "projective" and not _is_projective(list(self.all_elements(elements))):
-            raise ValueError("projective measurement fails idempotency/orthogonality")
-        if self.kind not in ("projective", "povm"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        object.__setattr__(self, "elements", elements)
-        if self.residual is not None:
-            object.__setattr__(self, "residual", np.asarray(self.residual, dtype=float))
 
-    def all_elements(self, elements=None):
+    def all_elements(self) -> list[np.ndarray]:
         """Per-hypothesis elements followed by the residual element, if any."""
-        elements = self.elements if elements is None else elements
-        if self.residual is not None:
-            return list(elements) + [np.asarray(self.residual, dtype=float)]
-        return list(elements)
+        return list(self.elements) + ([] if self.residual is None else [self.residual])
+
+    @property
+    def kind(self) -> str:
+        """``"projective"`` when the elements are orthogonal projectors, ``"povm"`` otherwise."""
+        return "projective" if _is_projective(self.all_elements()) else "povm"
 
     @property
     def n(self) -> int:
@@ -200,9 +206,8 @@ def pgm(h: HypothesisSet) -> Measurement:
     w = np.linalg.eigvalsh(s)
     support = w[w > linalg.SUPPORT_RTOL * np.max(np.abs(w))]
     residual = None if support.size == h.dim else linalg.symmetrize(np.eye(h.dim) - sum(elements))
-    kind = "projective" if _is_projective(elements + ([residual] if residual is not None else [])) else "povm"
     try:
-        return Measurement(elements=tuple(elements), kind=kind, residual=residual)
+        return Measurement(elements=tuple(elements), residual=residual)
     except ValueError as exc:  # S^(-1/2) amplifies rounding by about cond(S)
         raise QdetectError(f"{exc}: the average state has condition number "
                            f"{support[-1] / support[0]:.3g}", code="ill-conditioned") from exc
@@ -218,16 +223,16 @@ def measurement_vectors(m: Measurement) -> list[np.ndarray]:
     """
     vectors = []
     for k, element in enumerate(m.elements):
-        es = linalg.eigh(element)
-        top = float(es.eigenvalues[0])
+        w, v = linalg.eigh(element)
+        top = float(w[0])
         if top <= 0.0:
             raise NotRankOneError(f"measurement element {k} is numerically zero")
-        rest = float(np.max(np.abs(es.eigenvalues[1:]))) if es.dim > 1 else 0.0
+        rest = float(np.max(np.abs(w[1:]))) if len(w) > 1 else 0.0
         if rest > 1e-8 * top:
             raise NotRankOneError(
                 f"measurement element {k} has rank > 1 (second eigenvalue {rest:.3e})"
             )
-        vectors.append(es.eigenvectors[:, 0])
+        vectors.append(v[:, 0])
     return vectors
 
 
@@ -350,7 +355,7 @@ class MulticlassModel:
         elements = tuple(np.outer(v, v) for v in self.vectors.T)
         full_rank = self.rank == self.dim
         residual = None if full_rank else linalg.symmetrize(np.eye(self.dim) - sum(elements))
-        return Measurement(elements=elements, kind=self.kind, residual=residual)
+        return Measurement(elements=elements, residual=residual)
 
     @property
     def detectors(self) -> tuple[BinaryModel, ...] | None:
@@ -377,22 +382,19 @@ def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
     )
 
 
-def train_one_vs_rest(
-    corpus: Corpus,
-    dim: int,
-    threshold: float = 0.5,
-) -> MulticlassModel:
+def train_one_vs_rest(corpus: Corpus, dim: int) -> MulticlassModel:
     """One binary detector per class against the union of all other classes.
 
     Each detector's negative-class prior is one minus the class proportion;
-    prediction picks the class with the highest acceptance score.
+    prediction picks the class with the highest acceptance score, so no
+    detector's threshold is read and each stores the default 0.5.
     """
     labels, priors, counts = _class_statistics(corpus, dim, "one-vs-rest")
     # counts are integers held in floats, so the total and each difference are exact
     total = counts.sum(axis=0)
     vectors, scalars = [], []
     for k, row in enumerate(counts):
-        e, s = detector_from_statistics(row, total - row, 1.0 - priors[k], threshold=threshold)
+        e, s = detector_from_statistics(row, total - row, 1.0 - priors[k])
         vectors.append(e)
         scalars.append(s)
     return MulticlassModel(

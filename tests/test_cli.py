@@ -400,6 +400,29 @@ class TestOracle:
         assert capsys.readouterr().err.startswith("ERROR usage:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--strategy", "binary", "--threshold", "2"],
+    ["train", "--strategy", "binary", "--threshold", "nan"],
+    ["train", "--strategy", "ovr", "--threshold", "0.3"],
+    ["oracle", "--mode", "grid", "--angles", "0"],
+    ["oracle", "--mode", "grid", "--angles", "0,30,60,90"],
+    ["oracle", "--mode", "grid", "--angles", "0,45", "--resolution", "10"],
+    ["oracle", "--mode", "grid", "--angles", "0,45", "--priors", "0.5,0.5000000001"],
+    ["oracle", "--mode", "helstrom", "--angles", "0,45", "--priors", "0.5,0.5000000001"],
+    ["oracle", "--mode", "helstrom", "--angles", "0,nan"],
+    ["oracle", "--mode", "grid", "--angles", ","],
+])
+def test_input_errors_are_one_coded_line(tmp_path, capsys, argv):
+    if argv[0] == "train":
+        argv = argv + ["--data", write(tmp_path, "two.txt", TWO_CLASS),
+                       "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"ERROR usage: [^\n]+\n", captured.err)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestParser:
     def test_built_once_per_process(self, capsys):
         qdetect.cli._parser.cache_clear()

@@ -27,25 +27,25 @@ def char_poly_roots_2x2(m):
 
 class TestEigh:
     def test_already_diagonal(self):
-        es = linalg.eigh(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(es.eigenvalues, [1.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose(es.eigenvectors, np.eye(2), atol=1e-14)
+        w, v = linalg.eigh(np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
+        np.testing.assert_allclose(v, np.eye(2), atol=1e-14)
 
     def test_tilted_matches_characteristic_polynomial(self):
-        es = linalg.eigh(TILTED)
+        w, _ = linalg.eigh(TILTED)
         expected = char_poly_roots_2x2(TILTED)
-        np.testing.assert_allclose(es.eigenvalues, expected, atol=1e-12)
-        np.testing.assert_allclose(es.eigenvalues, [TILTED_EIG, -TILTED_EIG], atol=1e-12)
+        np.testing.assert_allclose(w, expected, atol=1e-12)
+        np.testing.assert_allclose(w, [TILTED_EIG, -TILTED_EIG], atol=1e-12)
 
     def test_identity_dim3(self):
-        es = linalg.eigh(np.eye(3))
-        np.testing.assert_allclose(es.eigenvalues, [1.0, 1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(es.eigenvectors.T @ es.eigenvectors, np.eye(3), atol=1e-12)
+        w, v = linalg.eigh(np.eye(3))
+        np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
 
     def test_sign_convention(self):
-        es = linalg.eigh(TILTED)
+        _, v = linalg.eigh(TILTED)
         for j in range(2):
-            col = es.eigenvectors[:, j]
+            col = v[:, j]
             first = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
             assert first > 0
 
@@ -54,21 +54,18 @@ class TestEigh:
         rng = np.random.default_rng(100 + dim)
         for _ in range(100):
             m = linalg.symmetrize(rng.normal(size=(dim, dim)))
-            es = linalg.eigh(m)
-            rebuilt = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.T
+            w, v = linalg.eigh(m)
+            rebuilt = (v * w) @ v.T
             assert np.linalg.norm(rebuilt - m) <= 1e-9 * np.linalg.norm(m)
-            np.testing.assert_allclose(
-                es.eigenvectors.T @ es.eigenvectors, np.eye(dim), atol=1e-10
-            )
-            assert np.all(np.diff(es.eigenvalues) <= 0)
+            np.testing.assert_allclose(v.T @ v, np.eye(dim), atol=1e-10)
+            assert np.all(np.diff(w) <= 0)
 
     def test_bit_identical_repeat(self):
         rng = np.random.default_rng(7)
         m = linalg.symmetrize(rng.normal(size=(9, 9)))
         first = linalg.eigh(m)
         second = linalg.eigh(m)
-        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
-        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -95,8 +92,8 @@ class TestInvSqrtPsd:
             a = rng.normal(size=(5, rank))
             m = a @ a.T
             r = linalg.inv_sqrt_psd(m)
-            es = linalg.eigh(m)
-            positive = es.eigenvectors[:, es.eigenvalues > 1e-12 * es.eigenvalues.max()]
+            w, v = linalg.eigh(m)
+            positive = v[:, w > 1e-12 * w.max()]
             support = positive @ positive.T
             assert np.linalg.norm(r @ m @ r - support) <= 1e-8
 

@@ -42,7 +42,7 @@ class TestReportFromConfusion:
         assert report.accuracy == 1.0
         assert report.empirical_cost == 0.0
         assert report.macro_f1 == 1.0
-        assert report.micro_f1 == 1.0
+        assert report.to_dict()["micro_f1"] == 1.0
 
     def test_all_wrong_two_class(self):
         report = report_from_confusion(("a", "b"), [[0, 2], [3, 0]])
@@ -56,7 +56,17 @@ class TestReportFromConfusion:
             confusion = rng.integers(0, 9, size=(n, n))
             confusion[0, 0] += 1  # never all-zero
             report = report_from_confusion([f"c{k}" for k in range(n)], confusion)
-            assert report.micro_f1 == pytest.approx(report.accuracy, abs=1e-12)
+            # pooled over classes: every false positive of one class is a false negative of another
+            tp = np.trace(confusion)
+            fp = np.sum(confusion.sum(axis=0) - np.diag(confusion))
+            fn = np.sum(confusion.sum(axis=1) - np.diag(confusion))
+            micro_p, micro_r = tp / (tp + fp), tp / (tp + fn)
+            micro_f1 = 2 * micro_p * micro_r / (micro_p + micro_r)
+            doc = report.to_dict()
+            assert doc["micro_precision"] == pytest.approx(micro_p, abs=1e-12)
+            assert doc["micro_recall"] == pytest.approx(micro_r, abs=1e-12)
+            assert doc["micro_f1"] == pytest.approx(micro_f1, abs=1e-12)
+            assert doc["micro_f1"] == report.accuracy
             assert report.empirical_cost == pytest.approx(1.0 - report.accuracy, abs=1e-12)
 
     def test_zero_denominator_flags(self):

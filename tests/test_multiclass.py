@@ -1,10 +1,12 @@
 """Multi-hypothesis measurement tests: square-root construction, costs, classify."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import qdetect.multiclass
 from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
@@ -73,6 +75,20 @@ class TestBuildHypotheses:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateCorpusError):
             build_hypotheses([("a", fv(2, {0: 1})), ("a", fv(2, {0: 2}))], 2)
+
+    @pytest.mark.parametrize("vectors", [
+        (np.array([0.0, 1.0]), np.array([1.0, 0.0])),  # swapped: pgm would cost 1, not 0
+        (np.array([2.0, 0.0]), np.array([0.0, 1.0])),  # not unit
+        (np.array([1.0, 0.0]),),                       # one short
+    ])
+    def test_pure_vectors_must_match_the_states(self, vectors):
+        with pytest.raises(ValueError, match="pure_vectors"):
+            HypothesisSet(
+                priors=np.array([0.5, 0.5]),
+                states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                labels=("a", "b"),
+                pure_vectors=vectors,
+            )
 
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -233,10 +249,18 @@ class TestMeasurementInvariants:
         with pytest.raises(ValueError):
             Measurement(elements=(np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
-    def test_projective_kind_is_checked(self):
-        h = trine()
-        with pytest.raises(ValueError):
-            Measurement(elements=pgm(h).elements, kind="projective")
+    def test_kind_follows_from_the_elements(self):
+        assert Measurement(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).kind == "projective"
+        assert Measurement(elements=pgm(trine()).elements).kind == "povm"
+
+    @pytest.mark.parametrize("h", [trine(), pure_hypotheses([0.0, math.pi / 2.0])])
+    def test_pgm_leaves_the_kind_to_the_measurement(self, h):
+        with mock.patch.object(qdetect.multiclass, "_is_projective",
+                               wraps=qdetect.multiclass._is_projective) as check:
+            m = pgm(h)
+            assert check.call_count == 0
+            assert m.kind in ("projective", "povm")
+            assert check.call_count == 1
 
 
 class TestAverageCost:

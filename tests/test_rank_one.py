@@ -98,6 +98,7 @@ def test_pgm_gram_form_matches_dense_measurement(drawn):
     for got, want in zip(view.elements, reference.elements):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
     assert (view.residual is None) == (reference.residual is None)
+    assert view.kind == model.kind
     again = reloaded(model)
     assert again.vectors.tobytes() == model.vectors.tobytes()
     assert (again.labels, again.priors, again.kind) == (model.labels, model.priors, model.kind)
