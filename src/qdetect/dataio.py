@@ -97,37 +97,42 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
         return None
     raw = np.frombuffer(text, dtype=np.uint8)
     # a number is a run of digits and dots: it starts and ends where this mask flips
+    not_colon = raw != _COLON
     inside = np.zeros(len(raw) + 2, dtype=bool)
-    np.logical_and(raw > 32, raw != _COLON, out=inside[1:-1])
+    np.logical_and(raw > 32, not_colon, out=inside[1:-1])
     bounds = np.flatnonzero(inside[1:] != inside[:-1])
     # Per pair: index start and end, value start and end.  Every index ends at
     # a colon and every value starts right after it, so with no other colon
     # every token is exactly ``number:number``.
-    if len(bounds) != 4 * text.count(b":") or (
+    if len(bounds) != 4 * (len(raw) - np.count_nonzero(not_colon)) or (
             np.any(raw[bounds[1::4]] != _COLON) or np.any(bounds[2::4] - bounds[1::4] != 1)):
         return None
     starts, ends = bounds[0::2], bounds[1::2]  # of each number: index 0, value 0, ...
     digits = ends - starts
     if digits.max() > _DIGITS + 1:
         return None  # longer than 15 digits and a dot, before any digit is read
-    dots = np.flatnonzero(raw == _DOT) if _DOT in text else np.zeros(0, dtype=np.intp)
-    dotted = np.searchsorted(starts, dots, side="right") - 1  # the number holding each dot
-    if np.any(dotted % 2 == 0) or np.any(np.diff(dotted) == 0):
-        return None  # a dot in an index, or two in one value
-    digits[dotted] -= 1
+    # Horner's rule below reads each number's digits at ``packed[firsts]``: the
+    # text itself, or, when it holds dots, the text without them
+    packed, firsts, dotted = raw, starts, None
+    if _DOT in text:
+        dots = np.flatnonzero(raw == _DOT)
+        dotted = np.searchsorted(starts, dots, side="right") - 1  # the number holding each dot
+        if np.any(dotted % 2 == 0) or np.any(np.diff(dotted) == 0):
+            return None  # a dot in an index, or two in one value
+        digits[dotted] -= 1
+        packed = np.frombuffer(text.replace(b".", b""), dtype=np.uint8)
+        firsts = starts - np.searchsorted(dots, starts)
     longest = int(digits.max())
     if digits.min() < 1 or longest > _DIGITS:
         return None  # a value without digits, or too many
-    # Horner's rule over the text without its dots, one digit column at a
-    # time over the numbers that reach it
-    packed = np.frombuffer(text.replace(b".", b""), dtype=np.uint8)
-    firsts = starts - np.searchsorted(dots, starts)
+    # one digit column at a time over the numbers that reach it
     numbers = packed[firsts].astype(np.int64) - _ZERO
     for j in range(1, longest):
         more = np.flatnonzero(digits > j)
         numbers[more] = numbers[more] * 10 + packed[firsts[more] + j] - _ZERO
     indices, values = numbers[0::2], numbers[1::2].astype(float)
-    values[dotted // 2] /= _POW10[ends[dotted] - dots - 1]  # the digits after each dot
+    if dotted is not None:
+        values[dotted // 2] /= _POW10[ends[dotted] - dots - 1]  # the digits after each dot
     line_ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
     counts = np.diff(np.searchsorted(bounds, line_ends) // 4, prepend=0)  # four bounds a pair
     increasing = np.diff(indices) > 0
@@ -269,14 +274,23 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
     )
 
 
+def _positional(value: float) -> str:
+    """The shortest round-trip digits of ``value``, with no exponent and no ``.0``."""
+    text = repr(value)
+    if "e" in text or text.endswith(".0"):
+        return np.format_float_positional(value, unique=True, trim="-")
+    return text
+
+
 def serialize_sparse(ds: LabeledDataset) -> str:
     """Render a dataset back to the sparse text format (parse round-trips it).
 
     Each row's pairs are written in increasing index order.  A value that is
     a whole number below 10**15 is written as its digits (``2``, not
-    ``2.0``), and any other value as the shortest repr that round-trips it,
-    so counts and values such as 0.1 stay plain decimals that the chunk
-    conversion reads.
+    ``2.0``), and any other value as the shortest digits that round-trip
+    it, positionally (``0.00001`` and ``1000000000000000``, not ``1e-05``
+    and ``1000000000000000.0``), so every value of at most 15 digits stays
+    a plain decimal that the chunk conversion reads.
     """
     rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
     order = np.lexsort((ds.indices, rows))
@@ -284,7 +298,8 @@ def serialize_sparse(ds: LabeledDataset) -> str:
     numbers = values.astype(object)
     whole = (values < 1e15) & (values == np.floor(values))
     numbers[whole] = values[whole].astype(np.int64).tolist()
-    pairs = [f"{idx}:{value!r}" for idx, value in zip(ds.indices[order].tolist(), numbers.tolist())]
+    numbers[~whole] = [_positional(value) for value in values[~whole].tolist()]
+    pairs = [f"{idx}:{value}" for idx, value in zip(ds.indices[order].tolist(), numbers.tolist())]
     ptr = ds.indptr.tolist()
     lines = [f"{ds.classes[k]} {' '.join(pairs[a:b])}"
              for k, a, b in zip(ds.label_ids.tolist(), ptr, ptr[1:])]

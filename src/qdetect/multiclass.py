@@ -63,6 +63,12 @@ class HypothesisSet:
         states = tuple(np.asarray(s, float) for s in self.states)
         if any(rho.shape != (dim, dim) for rho in states):
             raise DimensionMismatchError("hypothesis states have mixed dimensions")
+        for k, rho in enumerate(states):
+            if abs(np.trace(rho) - 1.0) > PSD_ATOL or np.abs(rho - rho.T).max() > PSD_ATOL:
+                raise ValueError(f"state {k} must be symmetric with trace 1 within 1e-10")
+            # a state given with its pure vector is checked against outer(v, v) below
+            if self.pure_vectors is None and np.linalg.eigvalsh(rho)[0] < -PSD_ATOL:
+                raise ValueError(f"state {k} must be PSD within 1e-10")
         if self.pure_vectors is not None:
             vectors = tuple(np.asarray(v, float) for v in self.pure_vectors)
             if len(vectors) != len(states) or any(

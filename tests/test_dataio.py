@@ -189,6 +189,7 @@ HUGE = st.sampled_from([1e308, 1.7976931348623157e308])
 SEVENTEEN_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"),
                              st.integers(10**16, 10**17 - 1), st.integers(-40, 40))
 DECIMALS = st.builds(lambda k, j: k / 10**j, st.integers(1, 10**15 - 1), st.integers(0, 15))
+BELOW_1E_4 = st.floats(min_value=2.2250738585072014e-308, max_value=1e-4, exclude_max=True)
 
 
 @st.composite
@@ -196,14 +197,13 @@ def short_decimals(draw):
     """Positive k / 10**j that serialize writes as a plain decimal of at most 15 digits.
 
     With j = 0 the value is a whole number below 10**15, written as its
-    digits.  With k below 10**14 and j from 1 to 14, repr writes at most 15
-    digits: at most 14 of k, or ``0.`` and j digits when k is below 10**j.
-    Below 1e-4 it would write an exponent, as in ``1e-05``, so k is kept at
-    or above 10**(j - 4).
+    digits.  With k below 10**14 and j from 1 to 14, the shortest digits,
+    written positionally, are at most 15: at most 14 of k, or ``0.`` and j
+    digits when k is below 10**j, as in ``0.00001`` for 1e-05.
     """
     j = draw(st.integers(0, 14))
     top = 10**15 if j == 0 else 10**14
-    return draw(st.integers(max(1, 10 ** (j - 4)), top - 1)) / 10**j
+    return draw(st.integers(1, top - 1)) / 10**j
 
 
 @st.composite
@@ -226,7 +226,7 @@ def assert_same_rows(got, want):
 
 class TestSerializeProperties:
     @settings(max_examples=150, deadline=None)
-    @given(datasets(st.one_of(SUBNORMALS, HUGE, SEVENTEEN_DIGITS, DECIMALS)))
+    @given(datasets(st.one_of(SUBNORMALS, HUGE, SEVENTEEN_DIGITS, DECIMALS, BELOW_1E_4)))
     def test_parse_inverts_serialize(self, ds):
         assert_same_rows(parse(serialize_sparse(ds)), ds)
 
@@ -239,8 +239,11 @@ class TestSerializeProperties:
             assert_same_rows(parse(serialize_sparse(ds)), ds)
 
     def test_values_are_written_as_their_repr(self):
-        ds = parse("a 0:0.1 1:2 2:0.30000000000000004 3:1e-05\n")
-        assert serialize_sparse(ds) == "a 0:0.1 1:2 2:0.30000000000000004 3:1e-05\n"
+        # the shortest round-trip digits, written positionally: no exponent, no ``.0``
+        ds = parse("a 0:0.1 1:2 2:0.30000000000000004 3:1e-05 4:1e15 5:3e20\n")
+        assert serialize_sparse(ds) == (
+            "a 0:0.1 1:2 2:0.30000000000000004 3:0.00001 4:1000000000000000"
+            " 5:300000000000000000000\n")
 
 
 class TestSplit:
@@ -324,7 +327,7 @@ def documents_serialize(ds):
     lines = []
     for label, doc in ds.documents:
         pairs = " ".join(
-            f"{idx}:{int(value) if value.is_integer() and value < 1e15 else repr(value)}"
+            f"{idx}:{np.format_float_positional(value, unique=True, trim='-')}"
             for idx, value in sorted(doc.entries.items())
         )
         lines.append(f"{label} {pairs}")

@@ -90,6 +90,28 @@ class TestBuildHypotheses:
                 pure_vectors=vectors,
             )
 
+    @pytest.mark.parametrize("state, message", [
+        (np.diag([2.0, 0.0]), "trace 1"),  # pgm and the grid oracle would report cost 0
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "symmetric"),
+        (np.diag([1.5, -0.5]), "PSD"),
+    ])
+    def test_states_must_be_density_operators(self, state, message):
+        with pytest.raises(ValueError, match=message):
+            HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
+                          labels=("a", "b"))
+
+    def test_rounding_off_a_density_operator_is_accepted(self):
+        state = np.array([[1.0 + 4e-11, 3e-11], [3e-11 + 5e-11, -4e-11]])
+        HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
+                      labels=("a", "b"))
+
+    def test_pure_states_skip_the_eigenvalue_check(self):
+        # outer(v, v) is PSD by construction: no eigvalsh per class
+        corpus = [("a", fv(3, {0: 1, 1: 2})), ("b", fv(3, {2: 1})), ("c", fv(3, {1: 1}))]
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
+            h = build_hypotheses(corpus, 3)
+        assert h.n == 3
+
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ValueError):
             HypothesisSet(

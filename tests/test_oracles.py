@@ -53,6 +53,21 @@ class TestHelstromOracle:
         with pytest.raises(DimensionMismatchError):
             helstrom_oracle(np.eye(2) / 2, np.eye(3) / 3, 0.5, 0.5)
 
+    @pytest.mark.parametrize("rho1", [
+        np.diag([2.0, 0.0]),  # trace 2: the bound would read -0.25
+        np.array([[0.5, 0.1], [0.0, 0.5]]),  # not symmetric
+        np.diag([1.5, -0.5]),  # trace 1, but an eigenvalue of -0.5
+    ])
+    def test_non_density_states_rejected(self, rho1):
+        with pytest.raises(ValueError, match="density operator"):
+            helstrom_oracle(rho1, np.diag([0.0, 1.0]), 0.5, 0.5)
+        with pytest.raises(ValueError, match="density operator"):
+            helstrom_oracle(np.diag([0.0, 1.0]), rho1, 0.5, 0.5)
+
+    def test_rounding_off_a_density_operator_is_accepted(self):
+        rho1 = np.array([[1.0 + 4e-11, 3e-11], [3e-11 + 5e-11, -4e-11]])
+        assert helstrom_oracle(rho1, np.diag([0.0, 1.0]), 0.5, 0.5) == pytest.approx(0.0, abs=1e-9)
+
 
 class TestGridTwoHypotheses:
     def test_orthogonal_aligned(self):

@@ -209,6 +209,60 @@ def test_near_misses_take_the_per_token_path(token):
     assert ds.values.tolist() == list(rows[0].values())
 
 
+@st.composite
+def whole_pair_texts(draw):
+    """Pair texts with whole values of at most 14 digits: still 15 once written as ``v.0``."""
+    indices = sorted(draw(st.sets(st.integers(0, 10**15 - 1), min_size=1, max_size=6)))
+    return [(i, draw(st.integers(1, 10**14 - 1))) for i in indices]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(whole_pair_texts(), min_size=1, max_size=12))
+def test_a_dot_free_batch_converts_as_its_dotted_twin(lines):
+    # the batch without a dot skips the dot mapping; its twin goes through it
+    got = dataio._convert_chunk([" ".join(f"{i}:{v}" for i, v in line) for line in lines])
+    twin = dataio._convert_chunk([" ".join(f"{i}:{v}.0" for i, v in line) for line in lines])
+    assert got is not None and twin is not None
+    for array, want in zip(got, twin):
+        assert array.dtype == want.dtype and array.tobytes() == want.tobytes()
+    assert got[2].tolist() == [float(v) for line in lines for _, v in line]
+
+
+def whole_corpus(n_lines):
+    """Dot-free lines the array conversion takes, about 20 characters each."""
+    return [f"c{i % 3} {i % 7}:1 {i % 7 + 3}:2 {i % 50 + 10}:{i % 9 + 1}" for i in range(n_lines)]
+
+
+@pytest.mark.parametrize("chunk_chars", [40, dataio._CHUNK_CHARS])
+@pytest.mark.parametrize("dotted", ["first", "last"])
+def test_one_dotted_line_at_either_end_matches_the_reference(dotted, chunk_chars):
+    lines = whole_corpus(400)
+    if dotted == "first":
+        lines[0] = "c0 0:0.5 3:2"  # the dot in the batch's first value
+    else:
+        lines[-1] += " 99:2.25"  # and in its last
+    text = "\n".join(lines)
+    labels, dim, rows = reference_parse(io.StringIO(text))
+    with mock.patch.object(dataio, "_checked_pairs", side_effect=AssertionError("per token")):
+        ds = parse(text, None, chunk_chars)
+    assert [ds.classes[k] for k in ds.label_ids] == labels
+    assert ds.dim == dim
+    assert np.diff(ds.indptr).tolist() == [len(row) for row in rows]
+    assert ds.indices.tolist() == [i for row in rows for i in row]
+    assert ds.values.tobytes() == np.array([v for row in rows for v in row.values()]).tobytes()
+
+
+@pytest.mark.parametrize("token", ["300.5:1", "300.:1", ".300:1", "300:1..2", "300:1.2.",
+                                   "300:.1.", "300:1.2.3"])
+@pytest.mark.parametrize("where", [0, -1])
+def test_a_dotted_index_or_a_second_dot_rejects_a_dot_free_batch(token, where):
+    # the index goes past every index of the line, so only the dots can reject it
+    texts = [line.split(None, 1)[1] for line in whole_corpus(50)]
+    assert dataio._convert_chunk(texts) is not None
+    texts[where] += f" {token} 999:1"
+    assert dataio._convert_chunk(texts) is None
+
+
 def plain_corpus(n_lines):
     """Lines the array conversion takes, about 30 characters each."""
     return [f"c{i % 3} {i % 7}:1 {i % 7 + 3}:2.5 {i % 50 + 10}:{i % 9 + 1}" for i in range(n_lines)]
