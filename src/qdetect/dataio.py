@@ -274,32 +274,19 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
     )
 
 
-def _positional(value: float) -> str:
-    """The shortest round-trip digits of ``value``, with no exponent and no ``.0``."""
-    text = repr(value)
-    if "e" in text or text.endswith(".0"):
-        return np.format_float_positional(value, unique=True, trim="-")
-    return text
-
-
 def serialize_sparse(ds: LabeledDataset) -> str:
     """Render a dataset back to the sparse text format (parse round-trips it).
 
-    Each row's pairs are written in increasing index order.  A value that is
-    a whole number below 10**15 is written as its digits (``2``, not
-    ``2.0``), and any other value as the shortest digits that round-trip
-    it, positionally (``0.00001`` and ``1000000000000000``, not ``1e-05``
-    and ``1000000000000000.0``), so every value of at most 15 digits stays
-    a plain decimal that the chunk conversion reads.
+    Each row's pairs are written in increasing index order, and each value
+    as the shortest digits that round-trip it, positionally (``2``,
+    ``0.00001`` and ``300000000000000000000``, not ``2.0``, ``1e-05`` and
+    ``3e+20``), so every value of at most 15 digits stays a plain decimal
+    that the chunk conversion reads.
     """
     rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
     order = np.lexsort((ds.indices, rows))
-    values = ds.values[order]
-    numbers = values.astype(object)
-    whole = (values < 1e15) & (values == np.floor(values))
-    numbers[whole] = values[whole].astype(np.int64).tolist()
-    numbers[~whole] = [_positional(value) for value in values[~whole].tolist()]
-    pairs = [f"{idx}:{value}" for idx, value in zip(ds.indices[order].tolist(), numbers.tolist())]
+    pairs = [f"{idx}:{np.format_float_positional(value, unique=True, trim='-')}"
+             for idx, value in zip(ds.indices[order].tolist(), ds.values[order].tolist())]
     ptr = ds.indptr.tolist()
     lines = [f"{ds.classes[k]} {' '.join(pairs[a:b])}"
              for k, a, b in zip(ds.label_ids.tolist(), ptr, ptr[1:])]

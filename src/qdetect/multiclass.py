@@ -64,6 +64,8 @@ class HypothesisSet:
         if any(rho.shape != (dim, dim) for rho in states):
             raise DimensionMismatchError("hypothesis states have mixed dimensions")
         for k, rho in enumerate(states):
+            if not np.all(np.isfinite(rho)):
+                raise ValueError(f"state {k} must be finite")
             if abs(np.trace(rho) - 1.0) > PSD_ATOL or np.abs(rho - rho.T).max() > PSD_ATOL:
                 raise ValueError(f"state {k} must be symmetric with trace 1 within 1e-10")
             # a state given with its pure vector is checked against outer(v, v) below
@@ -72,7 +74,8 @@ class HypothesisSet:
         if self.pure_vectors is not None:
             vectors = tuple(np.asarray(v, float) for v in self.pure_vectors)
             if len(vectors) != len(states) or any(
-                v.shape != (dim,) or np.linalg.norm(np.outer(v, v) - rho) > PSD_ATOL
+                v.shape != (dim,) or not np.all(np.isfinite(v))
+                or np.linalg.norm(np.outer(v, v) - rho) > PSD_ATOL
                 for v, rho in zip(vectors, states)
             ):
                 raise ValueError("pure_vectors must hold one v_k per state with "

@@ -21,8 +21,8 @@ from qdetect.multiclass import HypothesisSet, check_cost_matrix
 def helstrom_oracle(rho1, rho0, xi1: float, xi0: float) -> float:
     """Minimum two-hypothesis error ``(1 - ||xi1 rho1 - xi0 rho0||_1) / 2``.
 
-    Each state must be a density operator: symmetric and PSD with trace 1,
-    each within 1e-10; a matrix that is not raises ValueError.
+    Each state must be a density operator: finite, symmetric and PSD with
+    trace 1, each within 1e-10; a matrix that is not raises ValueError.
     """
     if xi1 <= 0.0 or xi0 <= 0.0 or abs(xi1 + xi0 - 1.0) > 1e-12:
         raise ValueError(f"priors must be positive and sum to 1, got {xi1}, {xi0}")
@@ -33,8 +33,8 @@ def helstrom_oracle(rho1, rho0, xi1: float, xi0: float) -> float:
             f"density shapes differ: {rho1.shape} vs {rho0.shape}"
         )
     for name, rho in (("rho1", rho1), ("rho0", rho0)):
-        if (abs(np.trace(rho) - 1.0) > 1e-10 or np.abs(rho - rho.T).max() > 1e-10
-                or np.linalg.eigvalsh(rho)[0] < -1e-10):
+        if (not np.all(np.isfinite(rho)) or abs(np.trace(rho) - 1.0) > 1e-10
+                or np.abs(rho - rho.T).max() > 1e-10 or np.linalg.eigvalsh(rho)[0] < -1e-10):
             raise ValueError(f"{name} is not a density operator within 1e-10")
     return 0.5 * (1.0 - trace_norm(xi1 * rho1 - xi0 * rho0))
 

@@ -94,11 +94,24 @@ class TestBuildHypotheses:
         (np.diag([2.0, 0.0]), "trace 1"),  # pgm and the grid oracle would report cost 0
         (np.array([[0.5, 0.1], [0.0, 0.5]]), "symmetric"),
         (np.diag([1.5, -0.5]), "PSD"),
+        (np.diag([np.nan, 1.0]), "finite"),  # a NaN would pass each check below
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "finite"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), "finite"),
     ])
     def test_states_must_be_density_operators(self, state, message):
         with pytest.raises(ValueError, match=message):
             HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
                           labels=("a", "b"))
+
+    @pytest.mark.parametrize("state, v", [
+        (np.full((2, 2), np.nan), np.array([np.nan, np.nan])),  # NaN outer(v, v) = state
+        (np.diag([1.0, 0.0]), np.array([1.0, np.nan])),
+        (np.diag([1.0, 0.0]), np.array([np.inf, 0.0])),
+    ])
+    def test_non_finite_pure_vectors_are_rejected(self, state, v):
+        with pytest.raises(ValueError):
+            HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
+                          labels=("a", "b"), pure_vectors=(v, np.array([0.0, 1.0])))
 
     def test_rounding_off_a_density_operator_is_accepted(self):
         state = np.array([[1.0 + 4e-11, 3e-11], [3e-11 + 5e-11, -4e-11]])

@@ -57,6 +57,9 @@ class TestHelstromOracle:
         np.diag([2.0, 0.0]),  # trace 2: the bound would read -0.25
         np.array([[0.5, 0.1], [0.0, 0.5]]),  # not symmetric
         np.diag([1.5, -0.5]),  # trace 1, but an eigenvalue of -0.5
+        np.diag([np.nan, 1.0]),  # not a NaN bound, nor a LinAlgError
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
     ])
     def test_non_density_states_rejected(self, rho1):
         with pytest.raises(ValueError, match="density operator"):
