@@ -25,15 +25,11 @@ def pure(angle):
 
 
 def hypotheses(angles, priors=None):
-    vectors = tuple(pure(a) for a in angles)
-    n = len(vectors)
+    # each pure state is given by its unit vector, a 2 x 1 factor
+    factors = tuple(pure(a)[:, None] for a in angles)
+    n = len(factors)
     priors = np.full(n, 1.0 / n) if priors is None else np.asarray(priors)
-    return HypothesisSet(
-        priors=priors,
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=tuple(f"h{k}" for k in range(n)),
-        pure_vectors=vectors,
-    )
+    return HypothesisSet(priors=priors, factors=factors, labels=tuple(f"h{k}" for k in range(n)))
 
 
 # --- two hypotheses: sweep vs closed form ------------------------------------

@@ -26,12 +26,12 @@ def pure(angle):
 
 
 def hypotheses(angles):
-    vectors = tuple(pure(a) for a in angles)
+    # each pure state is given by its unit vector, a 2 x 1 factor
+    factors = tuple(pure(a)[:, None] for a in angles)
     return HypothesisSet(
-        priors=np.full(len(vectors), 1.0 / len(vectors)),
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=tuple(f"h{k}" for k in range(len(vectors))),
-        pure_vectors=vectors,
+        priors=np.full(len(factors), 1.0 / len(factors)),
+        factors=factors,
+        labels=tuple(f"h{k}" for k in range(len(factors))),
     )
 
 
@@ -53,19 +53,20 @@ for k, element in enumerate(m.elements):
 
 # each element is (2/3) |psi_k><psi_k|, so its unit vector is the state itself
 print("\nmeasurement vectors (up to sign convention):")
-for k, (eta, psi) in enumerate(zip(measurement_vectors(m), trine.pure_vectors)):
-    print(f"  eta_{k} = {np.round(eta, 4)}   state = {np.round(psi, 4)}")
+for k, (eta, psi) in enumerate(zip(measurement_vectors(m), trine.factors)):
+    print(f"  eta_{k} = {np.round(eta, 4)}   state = {np.round(psi[:, 0], 4)}")
 
 cost = average_cost(m, trine, zero_one_cost(3))
 print("\ntrine zero-one cost:", round(cost, 12), " (best possible is 1/3)")
 
 # --- classification with the measurement -------------------------------------
-# A trained model keeps only the vectors m_k of M = Psi G^(-1/2), the polar
-# factor U V^T of Psi = U S V^T; element k is m_k m_k^T, so the dense elements
-# above are never stored, and the kind follows from the rank of M.
+# pgm() and a trained model share one construction: M = Psi G^(-1/2), the
+# polar factor U V^T of Psi = U S V^T.  A trained model keeps only the vectors
+# m_k; element k is m_k m_k^T, so the dense elements above are never stored,
+# and the kind follows from the rank of M.
 model = MulticlassModel(
     strategy="pgm", dim=2, labels=trine.labels, priors=tuple(trine.priors),
-    vectors=square_root_vectors(np.column_stack(trine.pure_vectors), trine.priors),
+    vectors=square_root_vectors(np.hstack(trine.factors) * np.sqrt(trine.priors)),
 )
 print("\ntrained model ->", model.kind, "measurement of rank", model.rank)
 print("its elements match the dense ones:",
@@ -78,9 +79,8 @@ for degrees in (10, 100, 250, 355):
 # --- a lopsided ensemble keeps the residual bookkeeping honest ---------------
 lean = HypothesisSet(
     priors=np.array([0.5, 0.5]),
-    states=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])),
+    factors=(np.eye(3)[:, :1], np.eye(3)[:, 1:2]),
     labels=("a", "b"),
-    pure_vectors=(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
 )
 m3 = pgm(lean)
 print("\ntwo states in dimension 3: residual element trace =", float(np.trace(m3.residual)))

@@ -23,6 +23,7 @@ from qdetect.dataio import (
     serialize_sparse,
     split,
 )
+from qdetect.linalg import inv_sqrt_psd
 from qdetect.metrics import EvalReport, evaluate, predict_dataset, report_from_confusion
 from qdetect.multiclass import (
     HypothesisSet,
@@ -71,6 +72,7 @@ __all__ = [
     "feature_statistics",
     "grid_oracle_dim2",
     "helstrom_oracle",
+    "inv_sqrt_psd",
     "load_model",
     "measurement_vectors",
     "normalize_document",

@@ -105,6 +105,11 @@ class BinaryModel(DetectorScalars):
         return np.where(accept >= self.threshold, 0, 1), accept
 
 
+def _check_prior_negative(prior_negative: float) -> None:
+    if not 0.0 < prior_negative < 1.0:  # False for NaN
+        raise InvalidPriorError(f"negative-class prior must lie in (0, 1), got {prior_negative}")
+
+
 def detector_from_densities(
     rho_pos: np.ndarray,
     rho_neg: np.ndarray,
@@ -113,10 +118,7 @@ def detector_from_densities(
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
     """Build the detector directly from two density operators."""
-    if not 0.0 < prior_negative < 1.0:
-        raise InvalidPriorError(
-            f"negative-class prior must lie in (0, 1), got {prior_negative}"
-        )
+    _check_prior_negative(prior_negative)
     rho_pos = np.asarray(rho_pos, dtype=float)
     rho_neg = np.asarray(rho_neg, dtype=float)
     if rho_pos.shape != rho_neg.shape:
@@ -167,10 +169,7 @@ def detector_from_statistics(
         raise DegenerateSeparationError(
             f"class statistics vectors are numerically parallel (cosine {abs(c)!r})"
         )
-    if not 0.0 < prior_negative < 1.0:
-        raise InvalidPriorError(
-            f"negative-class prior must lie in (0, 1), got {prior_negative}"
-        )
+    _check_prior_negative(prior_negative)
     lam = prior_negative / (1.0 - prior_negative)
     r = u_neg - c * u_pos
     s = float(np.linalg.norm(r))
@@ -244,6 +243,7 @@ def binary_bayes_cost(
     ``xi * Tr(rho_neg P) + (1 - xi) * Tr(rho_pos (I - P))`` where ``P = V V^T``
     accepts, so ``Tr(rho P) = Tr(V^T rho V)``.
     """
+    _check_prior_negative(prior_negative)
     rho_pos = np.asarray(rho_pos, dtype=float)
     rho_neg = np.asarray(rho_neg, dtype=float)
     if rho_pos.shape != (model.dim, model.dim) or rho_neg.shape != (model.dim, model.dim):

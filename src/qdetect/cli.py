@@ -97,28 +97,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _pure_state(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle)])
+    """The unit vector at ``angle`` in the plane, as a 2 x 1 factor."""
+    return np.array([[math.cos(angle)], [math.sin(angle)]])
 
 
 def _pair_hypotheses(angle0: float, angle1: float) -> HypothesisSet:
-    vectors = (_pure_state(angle0), _pure_state(angle1))
-    return HypothesisSet(
-        priors=np.array([0.5, 0.5]),
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=("h0", "h1"),
-        pure_vectors=vectors,
-    )
+    factors = (_pure_state(angle0), _pure_state(angle1))
+    return HypothesisSet(priors=np.array([0.5, 0.5]), factors=factors, labels=("h0", "h1"))
 
 
 def trine_hypotheses() -> HypothesisSet:
     angles = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
-    vectors = tuple(_pure_state(a) for a in angles)
-    return HypothesisSet(
-        priors=np.full(3, 1.0 / 3.0),
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=("t0", "t1", "t2"),
-        pure_vectors=vectors,
-    )
+    factors = tuple(_pure_state(a) for a in angles)
+    return HypothesisSet(priors=np.full(3, 1.0 / 3.0), factors=factors, labels=("t0", "t1", "t2"))
 
 
 def _random_rank1_pair(rng, dim: int):
@@ -163,8 +154,8 @@ def _suite_trine(seed: int):
     h = trine_hypotheses()
     measurement = pgm(h)
     element_dev = max(
-        float(np.linalg.norm(mu - (2.0 / 3.0) * np.outer(v, v)))
-        for mu, v in zip(measurement.elements, h.pure_vectors)
+        float(np.linalg.norm(mu - (2.0 / 3.0) * rho))
+        for mu, rho in zip(measurement.elements, h.states)
     )
     rows = [("trine-pgm-elements", element_dev <= 1e-9, f"max_dev={element_dev:.3e}")]
     cost = average_cost(measurement, h, zero_one_cost(3))
@@ -228,15 +219,15 @@ def _cmd_oracle(args) -> int:
         raise UsageError("--priors must match the number of angles")
     if args.mode == "helstrom" and n != 2:
         raise UsageError("helstrom mode needs exactly 2 angles")
-    vectors = tuple(_pure_state(math.radians(a)) for a in angles_deg)
-    states = tuple(np.outer(v, v) for v in vectors)
+    factors = tuple(_pure_state(math.radians(a)) for a in angles_deg)
     try:  # the oracles check the priors, the number of states and the resolution
         if args.mode == "helstrom":
-            value = helstrom_oracle(states[0], states[1], priors[0], priors[1])
+            value = helstrom_oracle(factors[0] @ factors[0].T, factors[1] @ factors[1].T,
+                                    priors[0], priors[1])
             print(f"helstrom_cost = {value:.12g}")
             return 0
-        h = HypothesisSet(priors=np.array(priors), states=states,
-                          labels=tuple(f"h{k}" for k in range(n)), pure_vectors=vectors)
+        h = HypothesisSet(priors=np.array(priors), factors=factors,
+                          labels=tuple(f"h{k}" for k in range(n)))
         cost, partition = grid_oracle_dim2(h, zero_one_cost(n), resolution=args.resolution)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -27,7 +27,7 @@ from qdetect.errors import (
     SplitError,
     UnsupportedVersionError,
 )
-from qdetect.multiclass import Measurement, MulticlassModel, measurement_vectors
+from qdetect.multiclass import Measurement, MulticlassModel, check_cost_matrix, measurement_vectors
 from qdetect.states import LabeledDataset
 
 
@@ -562,12 +562,11 @@ def load_model(path):
 
 
 def load_cost_matrix(path, n: int) -> np.ndarray:
-    """Read an N x N nonnegative cost matrix from a JSON file."""
+    """Read an N x N finite nonnegative cost matrix from a JSON file."""
     doc = _read_json(path, "cost")
     try:
-        matrix = _float_array(doc) if isinstance(doc, list) else None
-    except (ValueError, FormatError):  # ragged or non-numeric arrays
-        matrix = None
-    if matrix is None or matrix.shape != (n, n) or not np.all((0 <= matrix) & (matrix < np.inf)):
-        raise FormatError(f"cost file must hold a finite nonnegative {n}x{n} JSON array")
-    return matrix
+        if isinstance(doc, list):
+            return check_cost_matrix(_float_array(doc), n)
+    except (ValueError, QdetectError):  # ragged, non-numeric, misshapen or negative arrays
+        pass
+    raise FormatError(f"cost file must hold a finite nonnegative {n}x{n} JSON array")

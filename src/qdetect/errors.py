@@ -4,18 +4,11 @@ Every error carries a short machine-readable ``code`` (kebab-case) so the
 command-line layer can emit a single ``ERROR <code>: <message>`` line.
 """
 
-from __future__ import annotations
-
 
 class QdetectError(Exception):
     """Base class for all toolkit errors."""
 
     code = "error"
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
 
 
 class ConvergenceError(QdetectError):

@@ -77,6 +77,8 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
 def inv_sqrt_psd(m) -> np.ndarray:
     """Pseudo-inverse square root ``R`` of a PSD matrix: ``R m R`` projects onto support.
 
+    The dense reference for ``S^(-1/2)``: ``pgm`` takes the square-root
+    measurement from a polar factor instead, which needs no inverse root.
     Eigenvalues below ``1e-10 * max(w)`` map to zero (pseudo-inverse on the
     support); slightly negative eigenvalues are clamped to zero.
 

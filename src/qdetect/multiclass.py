@@ -22,15 +22,8 @@ from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
     NotRankOneError,
-    QdetectError,
 )
-from qdetect.states import (
-    FeatureVector,
-    LabeledDataset,
-    as_dataset,
-    class_statistics,
-    density_from_vector,
-)
+from qdetect.states import FeatureVector, LabeledDataset, as_dataset, class_statistics
 
 PSD_ATOL = 1e-10
 RESOLUTION_ATOL = 1e-10
@@ -45,52 +38,49 @@ def _check_priors(priors) -> None:
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """Priors paired with per-class density operators (and pure vectors if rank-1)."""
+    """Priors paired with per-class states, each given by a D x r_k factor: ``rho_k = F_k F_k^T``.
+
+    A factor is finite with ``||F_k||_F^2 = Tr(rho_k) = 1`` within 1e-10, so
+    every state is a density operator by construction; a rank-1 state has
+    one column, its unit vector.
+    """
 
     priors: np.ndarray
-    states: tuple[np.ndarray, ...]
+    factors: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
-    pure_vectors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float)
-        if priors.ndim != 1 or priors.size != len(self.states):
-            raise ValueError("priors and states must have matching lengths")
+        if priors.ndim != 1 or priors.size != len(self.factors):
+            raise ValueError("priors and factors must have matching lengths")
         if len(self.labels) != priors.size:
-            raise ValueError("labels and states must have matching lengths")
+            raise ValueError("labels and factors must have matching lengths")
         _check_priors(priors)
-        dim = self.states[0].shape[0]
-        states = tuple(np.asarray(s, float) for s in self.states)
-        if any(rho.shape != (dim, dim) for rho in states):
+        factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
+        if any(f.ndim != 2 for f in factors):
+            raise ValueError("each factor must be a matrix")
+        if any(len(f) != len(factors[0]) for f in factors):
             raise DimensionMismatchError("hypothesis states have mixed dimensions")
-        for k, rho in enumerate(states):
-            if not np.all(np.isfinite(rho)):
-                raise ValueError(f"state {k} must be finite")
-            if abs(np.trace(rho) - 1.0) > PSD_ATOL or np.abs(rho - rho.T).max() > PSD_ATOL:
-                raise ValueError(f"state {k} must be symmetric with trace 1 within 1e-10")
-            # a state given with its pure vector is checked against outer(v, v) below
-            if self.pure_vectors is None and np.linalg.eigvalsh(rho)[0] < -PSD_ATOL:
-                raise ValueError(f"state {k} must be PSD within 1e-10")
-        if self.pure_vectors is not None:
-            vectors = tuple(np.asarray(v, float) for v in self.pure_vectors)
-            if len(vectors) != len(states) or any(
-                v.shape != (dim,) or not np.all(np.isfinite(v))
-                or np.linalg.norm(np.outer(v, v) - rho) > PSD_ATOL
-                for v, rho in zip(vectors, states)
-            ):
-                raise ValueError("pure_vectors must hold one v_k per state with "
-                                 "outer(v_k, v_k) = states[k] within 1e-10")
-            object.__setattr__(self, "pure_vectors", vectors)
+        for k, f in enumerate(factors):
+            # entries beyond [-1, 1] (NaN compares False) could overflow the norm
+            if not (np.all(np.abs(f) <= 1.0 + PSD_ATOL) and abs(np.sum(f * f) - 1.0) <= PSD_ATOL):
+                raise ValueError(f"factor {k} must be finite with unit Frobenius norm, "
+                                 "its state of trace 1, within 1e-10")
         object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def states(self) -> tuple[np.ndarray, ...]:
+        """Dense density operators ``F_k F_k^T``, for small dims."""
+        return tuple(f @ f.T for f in self.factors)
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self.factors)
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return len(self.factors[0])
 
 
 def _is_projective(elements: Sequence[np.ndarray]) -> bool:
@@ -162,8 +152,8 @@ def check_cost_matrix(k, n: int) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.shape != (n, n):
         raise DimensionMismatchError(f"cost matrix shape {k.shape} does not match N={n}")
-    if np.any(k < 0.0):
-        raise ValueError("cost matrix entries must be nonnegative")
+    if not np.all((k >= 0.0) & (k < np.inf)):  # False for NaN
+        raise ValueError("cost matrix entries must be finite and nonnegative")
     return k
 
 
@@ -185,41 +175,41 @@ def _class_statistics(
 
 
 def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
-    """One prior/density pair per class, priors from document frequencies."""
+    """One prior/state pair per class, priors from document frequencies.
+
+    Each state is rank-1: its factor is the unit count row as one column.
+    """
     labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
-    states = tuple(density_from_vector(row) for row in counts)
-    pure = tuple(row / np.linalg.norm(row) for row in counts)
-    return HypothesisSet(
-        priors=np.array(priors), states=states, labels=tuple(labels), pure_vectors=pure
-    )
+    factors = tuple((row / np.linalg.norm(row))[:, None] for row in counts)
+    return HypothesisSet(priors=np.array(priors), factors=factors, labels=tuple(labels))
 
 
 def pgm(h: HypothesisSet) -> Measurement:
-    """Square-root measurement of the hypothesis set.
+    """Square-root measurement of the hypothesis set, from the polar factor of its factors.
 
-    ``mu_k = S^(-1/2) (xi_k rho_k) S^(-1/2)`` with ``S`` the prior-weighted
-    average state and the inverse square root taken on the support of ``S``.
-    When the support is a proper subspace, the complement is appended as a
-    residual element so the identity is resolved exactly.
+    ``Psi = [sqrt(xi_1) F_1, ..., sqrt(xi_N) F_N]`` and ``M =
+    square_root_vectors(Psi)``; element k is ``M_k M_k^T`` over class k's
+    block of columns, which is ``S^(-1/2) (xi_k rho_k) S^(-1/2)`` with ``S``
+    the prior-weighted average state and the inverse square root taken on
+    its support (Eldar & Forney 2001).  Pure and mixed states take the same
+    route.  When the support is a proper subspace, the complement ``I - M M^T``
+    is appended as a residual element so the identity is resolved exactly.
     """
-    s = sum(xi * rho for xi, rho in zip(h.priors, h.states))
-    root = linalg.inv_sqrt_psd(s)
-    elements = []
-    for k in range(h.n):
-        if h.pure_vectors is not None:
-            u = root @ h.pure_vectors[k]
-            mu = float(h.priors[k]) * np.outer(u, u)
-        else:
-            mu = root @ (float(h.priors[k]) * h.states[k]) @ root
-        elements.append(linalg.symmetrize(mu))
-    w = np.linalg.eigvalsh(s)
-    support = w[w > linalg.SUPPORT_RTOL * np.max(np.abs(w))]
-    residual = None if support.size == h.dim else linalg.symmetrize(np.eye(h.dim) - sum(elements))
-    try:
-        return Measurement(elements=tuple(elements), residual=residual)
-    except ValueError as exc:  # S^(-1/2) amplifies rounding by about cond(S)
-        raise QdetectError(f"{exc}: the average state has condition number "
-                           f"{support[-1] / support[0]:.3g}", code="ill-conditioned") from exc
+    psi = np.hstack([np.sqrt(xi) * f for xi, f in zip(h.priors, h.factors)])
+    return _block_measurement(square_root_vectors(psi), [f.shape[1] for f in h.factors])
+
+
+def _block_measurement(m: np.ndarray, widths: Sequence[int]) -> Measurement:
+    """Dense elements ``M_k M_k^T`` over consecutive column blocks of ``m``.
+
+    Below rank ``dim`` the residual ``I - M M^T``, of trace ``dim - ||M||_F^2``,
+    is appended.
+    """
+    blocks = np.split(m, np.cumsum(widths)[:-1], axis=1)
+    elements = tuple(linalg.symmetrize(b @ b.T) for b in blocks)
+    residual = linalg.symmetrize(np.eye(len(m)) - m @ m.T)
+    full_rank = np.trace(residual) < 0.5
+    return Measurement(elements=elements, residual=None if full_rank else residual)
 
 
 def measurement_vectors(m: Measurement) -> list[np.ndarray]:
@@ -261,25 +251,26 @@ def average_cost(m: Measurement, h: HypothesisSet, cost) -> float:
         )
     k = check_cost_matrix(cost, h.n)
     total = 0.0
-    for j, (xi, rho) in enumerate(zip(h.priors, h.states)):
+    for j, (xi, f) in enumerate(zip(h.priors, h.factors)):
+        # Tr(rho_j mu) = Tr(F_j^T mu F_j), with no D x D product rho_j mu
         for i, mu in enumerate(m.elements):
-            total += float(xi) * k[i, j] * float(np.trace(rho @ mu))
+            total += float(xi) * k[i, j] * float(np.sum(f * (mu @ f)))
         if m.residual is not None:
-            total += float(xi) * float(np.max(k[:, j])) * float(np.trace(rho @ m.residual))
+            total += float(xi) * float(np.max(k[:, j])) * float(np.sum(f * (m.residual @ f)))
     return total
 
 
-def square_root_vectors(unit_vectors, priors) -> np.ndarray:
-    """Square-root measurement ``M = Psi G^(-1/2) = U V^T`` of rank-1 states, dim x N.
+def square_root_vectors(psi) -> np.ndarray:
+    """Square-root measurement ``M = Psi G^(-1/2) = U V^T``, shaped like ``Psi``.
 
-    ``Psi = U S V^T`` holds the columns ``sqrt(xi_k) u_k`` for unit class
-    vectors ``u_k``, and ``G = Psi^T Psi``.  ``M`` is the polar factor of
-    ``Psi`` on its singular values above 1e-5 of the largest, the eigenvalues
-    of ``G`` above ``SUPPORT_RTOL``; element k is ``m_k m_k^T``, and the
-    residual ``I - M M^T`` stays implicit.  Raises ConvergenceError if the
-    singular value decomposition fails to converge.
+    ``Psi = U S V^T`` holds each class's factor scaled by the square root of
+    its prior, one column per rank-1 state, and ``G = Psi^T Psi``.  ``M`` is
+    the polar factor of ``Psi`` on its singular values above 1e-5 of the
+    largest, the eigenvalues of ``G`` above ``SUPPORT_RTOL``; element k is
+    ``M_k M_k^T`` over class k's columns, and the residual ``I - M M^T``.
+    Raises ConvergenceError if the singular value decomposition fails to
+    converge.
     """
-    psi = np.asarray(unit_vectors, dtype=float) * np.sqrt(np.asarray(priors, dtype=float))
     try:
         u, s, vt = np.linalg.svd(psi, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -361,10 +352,7 @@ class MulticlassModel:
         """Dense pgm view: elements ``m_k m_k^T`` and, below rank ``dim``, the residual."""
         if self.strategy != "pgm":
             return None
-        elements = tuple(np.outer(v, v) for v in self.vectors.T)
-        full_rank = self.rank == self.dim
-        residual = None if full_rank else linalg.symmetrize(np.eye(self.dim) - sum(elements))
-        return Measurement(elements=elements, residual=residual)
+        return _block_measurement(self.vectors, [1] * len(self.labels))
 
     @property
     def detectors(self) -> tuple[BinaryModel, ...] | None:
@@ -387,7 +375,7 @@ def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
         dim=dim,
         labels=tuple(labels),
         priors=tuple(priors),
-        vectors=square_root_vectors(units, priors),
+        vectors=square_root_vectors(units * np.sqrt(priors)),
     )
 
 

@@ -24,7 +24,7 @@ def helstrom_oracle(rho1, rho0, xi1: float, xi0: float) -> float:
     Each state must be a density operator: finite, symmetric and PSD with
     trace 1, each within 1e-10; a matrix that is not raises ValueError.
     """
-    if xi1 <= 0.0 or xi0 <= 0.0 or abs(xi1 + xi0 - 1.0) > 1e-12:
+    if not (xi1 > 0.0 and xi0 > 0.0 and abs(xi1 + xi0 - 1.0) <= 1e-12):  # False for NaN
         raise ValueError(f"priors must be positive and sum to 1, got {xi1}, {xi0}")
     rho1 = np.asarray(rho1, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)

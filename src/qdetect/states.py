@@ -8,6 +8,7 @@ is normalized into a rank-1 density operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -22,7 +23,8 @@ from qdetect.errors import DegenerateClassError, DegenerateDocumentError
 class FeatureVector:
     """Sparse document: feature index -> positive value, indices below ``dim``.
 
-    Zero values are dropped on construction; negative values are rejected.
+    Zero values are dropped on construction; negative and non-finite values
+    are rejected.
     """
 
     dim: int
@@ -37,8 +39,8 @@ class FeatureVector:
             value = float(value)
             if idx < 0 or idx >= self.dim:
                 raise ValueError(f"feature index {idx} out of range for dim {self.dim}")
-            if value < 0.0:
-                raise ValueError(f"feature {idx} has negative value {value}")
+            if not 0.0 <= value < math.inf:  # False for NaN
+                raise ValueError(f"feature {idx} has value {value}, not finite and nonnegative")
             if value > 0.0:
                 cleaned[idx] = value
         object.__setattr__(self, "entries", cleaned)
@@ -214,12 +216,19 @@ def feature_statistics(
 
 
 def density_from_vector(v) -> np.ndarray:
-    """Rank-1 unit-trace density operator ``outer(v, v) / ||v||^2``."""
+    """Rank-1 unit-trace density operator ``outer(v, v) / ||v||^2``.
+
+    ``v`` is divided by its largest magnitude first, so that values near the
+    overflow or subnormal limits give no infinite or zero norm.  A zero or
+    non-finite ``v`` raises DegenerateClassError.
+    """
     v = np.asarray(v, dtype=float)
-    norm_sq = float(v @ v)
-    if norm_sq <= 0.0:
-        raise DegenerateClassError("cannot build a density operator from a zero vector")
-    return np.outer(v, v) / norm_sq
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if not 0.0 < peak < math.inf:  # False for NaN
+        raise DegenerateClassError("cannot build a density operator from a zero or "
+                                   "non-finite vector")
+    u = v / peak
+    return np.outer(u, u) / float(u @ u)
 
 
 def _unit_rows(indptr, indices, values, dim: int) -> np.ndarray:

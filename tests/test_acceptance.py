@@ -48,15 +48,10 @@ def pure(angle):
 
 
 def pure_hypotheses(angles, priors=None):
-    vectors = tuple(pure(a) for a in angles)
-    n = len(vectors)
+    factors = tuple(pure(a)[:, None] for a in angles)
+    n = len(factors)
     priors = np.full(n, 1.0 / n) if priors is None else np.asarray(priors)
-    return HypothesisSet(
-        priors=priors,
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=tuple(f"h{k}" for k in range(n)),
-        pure_vectors=vectors,
-    )
+    return HypothesisSet(priors=priors, factors=factors, labels=tuple(f"h{k}" for k in range(n)))
 
 
 def test_criterion_1_binary_optimality_suite():
@@ -117,16 +112,12 @@ def test_criterion_4_resolution_of_identity_suite():
         dim = int(rng.integers(2, 13))
         priors = rng.uniform(0.05, 1.0, n)
         priors /= priors.sum()
-        vectors = []
+        factors = []
         for _ in range(n):
-            v = rng.normal(size=dim)
-            vectors.append(v / np.linalg.norm(v))
-        h = HypothesisSet(
-            priors=priors,
-            states=tuple(np.outer(v, v) for v in vectors),
-            labels=tuple(f"c{k}" for k in range(n)),
-            pure_vectors=tuple(vectors),
-        )
+            v = rng.normal(size=(dim, 1))
+            factors.append(v / np.linalg.norm(v))
+        h = HypothesisSet(priors=priors, factors=tuple(factors),
+                          labels=tuple(f"c{k}" for k in range(n)))
         m = pgm(h)
         total = sum(m.all_elements())
         worst_sum = max(worst_sum, float(np.linalg.norm(total - np.eye(dim))))

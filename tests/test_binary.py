@@ -182,6 +182,13 @@ class TestBayesCost:
         with pytest.raises(DimensionMismatchError):
             binary_bayes_cost(model, np.eye(3) / 3, np.eye(3) / 3, 0.5)
 
+    @pytest.mark.parametrize("xi", [math.nan, 0.0, 1.0, -0.2, 1.5])
+    def test_invalid_prior(self, xi):
+        rho1, rho0 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        model = detector_from_densities(rho1, rho0, 0.5)
+        with pytest.raises(InvalidPriorError):
+            binary_bayes_cost(model, rho1, rho0, xi)
+
 
 class TestModelInvariants:
     def test_invalid_eta_sign(self):

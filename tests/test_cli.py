@@ -137,6 +137,17 @@ class TestPredictEvaluate:
                      "--cost", cost, "--out", report]) == 0
         assert json.loads(open(report).read())["empirical_cost"] == 0.0
 
+    @pytest.mark.parametrize("text", ["[[0,1e999,2],[2,0,2],[2,2,0]]",
+                                      "[[0,-1,2],[2,0,2],[2,2,0]]", "[[0,1],[1,0]]"])
+    def test_bad_cost_file(self, tmp_path, capsys, text):
+        data, model, _, _ = self.run_pipeline(tmp_path)
+        cost = write(tmp_path, "cost.json", text)
+        rc = main(["evaluate", "--model", model, "--data", data, "--cost", cost,
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "ERROR format: cost file must hold a finite nonnegative 3x3 JSON array\n")
+
     def test_unseen_label(self, tmp_path, capsys):
         data, model, _, _ = self.run_pipeline(tmp_path)
         other = write(tmp_path, "other.txt", "mystery 0:1 1:1\n")

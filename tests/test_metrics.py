@@ -96,6 +96,13 @@ class TestEvaluate:
             assert report.empirical_cost == 0.0
             assert report.degenerate_count == 0
 
+    @pytest.mark.parametrize("cost", [[[0.0, np.nan], [1.0, 0.0]], [[0.0, 1.0], [np.inf, 0.0]]])
+    def test_non_finite_costs(self, cost):
+        corpus = orthogonal_corpus(dim=2)
+        ds = LabeledDataset(dim=2, documents=tuple(corpus))
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(train_pgm(corpus, 2), ds, cost=cost)
+
     def test_unseen_label_rejected(self):
         corpus = orthogonal_corpus()
         model = train_pgm(corpus, 3)

@@ -5,6 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qdetect.multiclass
 from qdetect.errors import (
@@ -27,6 +30,7 @@ from qdetect.multiclass import (
     train_pgm,
     zero_one_cost,
 )
+from qdetect.linalg import SUPPORT_RTOL, inv_sqrt_psd
 from qdetect.oracles import helstrom_oracle
 from qdetect.states import FeatureVector, normalize_document
 
@@ -40,15 +44,10 @@ def pure(angle):
 
 
 def pure_hypotheses(angles, priors=None):
-    vectors = tuple(pure(a) for a in angles)
-    n = len(vectors)
+    factors = tuple(pure(a)[:, None] for a in angles)
+    n = len(factors)
     priors = np.full(n, 1.0 / n) if priors is None else np.asarray(priors)
-    return HypothesisSet(
-        priors=priors,
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=tuple(f"h{k}" for k in range(n)),
-        pure_vectors=vectors,
-    )
+    return HypothesisSet(priors=priors, factors=factors, labels=tuple(f"h{k}" for k in range(n)))
 
 
 def trine():
@@ -76,50 +75,43 @@ class TestBuildHypotheses:
         with pytest.raises(DegenerateCorpusError):
             build_hypotheses([("a", fv(2, {0: 1})), ("a", fv(2, {0: 2}))], 2)
 
-    @pytest.mark.parametrize("vectors", [
-        (np.array([0.0, 1.0]), np.array([1.0, 0.0])),  # swapped: pgm would cost 1, not 0
-        (np.array([2.0, 0.0]), np.array([0.0, 1.0])),  # not unit
-        (np.array([1.0, 0.0]),),                       # one short
-    ])
-    def test_pure_vectors_must_match_the_states(self, vectors):
-        with pytest.raises(ValueError, match="pure_vectors"):
-            HypothesisSet(
-                priors=np.array([0.5, 0.5]),
-                states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                labels=("a", "b"),
-                pure_vectors=vectors,
-            )
-
+    # each state is given by its factor F, rho = F F^T
     @pytest.mark.parametrize("state, message", [
-        (np.diag([2.0, 0.0]), "trace 1"),  # pgm and the grid oracle would report cost 0
-        (np.array([[0.5, 0.1], [0.0, 0.5]]), "symmetric"),
-        (np.diag([1.5, -0.5]), "PSD"),
-        (np.diag([np.nan, 1.0]), "finite"),  # a NaN would pass each check below
+        # trace 2: pgm and the grid oracle would report cost 0
+        (np.array([[math.sqrt(2.0)], [0.0]]), "trace 1"),
+        (np.eye(2), "trace 1"),  # rank 2, trace 2
+        (np.array([[0.5], [0.5]]), "trace 1"),
+        (np.array([[np.nan], [1.0]]), "finite"),  # a NaN would pass the norm check
         (np.array([[0.5, np.nan], [np.nan, 0.5]]), "finite"),
         (np.array([[0.5, np.inf], [np.inf, 0.5]]), "finite"),
+        (np.array([[1e200], [1e200]]), "finite"),  # its norm would overflow
+        (np.zeros((2, 0)), "trace 1"),  # no column
     ])
     def test_states_must_be_density_operators(self, state, message):
         with pytest.raises(ValueError, match=message):
-            HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
+            HypothesisSet(priors=np.array([0.5, 0.5]), factors=(state, np.array([[0.0], [1.0]])),
                           labels=("a", "b"))
 
-    @pytest.mark.parametrize("state, v", [
-        (np.full((2, 2), np.nan), np.array([np.nan, np.nan])),  # NaN outer(v, v) = state
-        (np.diag([1.0, 0.0]), np.array([1.0, np.nan])),
-        (np.diag([1.0, 0.0]), np.array([np.inf, 0.0])),
-    ])
-    def test_non_finite_pure_vectors_are_rejected(self, state, v):
-        with pytest.raises(ValueError):
-            HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
-                          labels=("a", "b"), pure_vectors=(v, np.array([0.0, 1.0])))
+    def test_factors_must_be_matrices(self):
+        with pytest.raises(ValueError, match="matrix"):
+            HypothesisSet(priors=np.array([0.5, 0.5]),
+                          factors=(np.array([1.0, 0.0]), np.array([[0.0], [1.0]])),
+                          labels=("a", "b"))
+
+    def test_factors_must_share_one_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            HypothesisSet(priors=np.array([0.5, 0.5]),
+                          factors=(np.array([[1.0], [0.0]]), np.array([[0.0], [0.0], [1.0]])),
+                          labels=("a", "b"))
 
     def test_rounding_off_a_density_operator_is_accepted(self):
-        state = np.array([[1.0 + 4e-11, 3e-11], [3e-11 + 5e-11, -4e-11]])
-        HypothesisSet(priors=np.array([0.5, 0.5]), states=(state, np.diag([0.0, 1.0])),
-                      labels=("a", "b"))
+        factor = np.array([[1.0 + 4e-11, 3e-11], [5e-11, -4e-11]])
+        h = HypothesisSet(priors=np.array([0.5, 0.5]), factors=(factor, np.array([[0.0], [1.0]])),
+                          labels=("a", "b"))
+        np.testing.assert_array_equal(h.states[0], factor @ factor.T)
 
     def test_pure_states_skip_the_eigenvalue_check(self):
-        # outer(v, v) is PSD by construction: no eigvalsh per class
+        # F F^T is PSD by construction: no eigvalsh per class
         corpus = [("a", fv(3, {0: 1, 1: 2})), ("b", fv(3, {2: 1})), ("c", fv(3, {1: 1}))]
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
             h = build_hypotheses(corpus, 3)
@@ -127,11 +119,8 @@ class TestBuildHypotheses:
 
     def test_priors_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            HypothesisSet(
-                priors=np.array([0.5, 0.4]),
-                states=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                labels=("a", "b"),
-            )
+            HypothesisSet(priors=np.array([0.5, 0.4]),
+                          factors=(np.eye(2)[:, :1], np.eye(2)[:, 1:]), labels=("a", "b"))
 
 
 class TestPgm:
@@ -156,15 +145,10 @@ class TestPgm:
             dim = int(rng.integers(2, 9))
             a = rng.normal(size=dim)
             b = rng.normal(size=dim)
-            vectors = (a / np.linalg.norm(a), b / np.linalg.norm(b))
-            if abs(vectors[0] @ vectors[1]) > 1.0 - 1e-9:
+            factors = ((a / np.linalg.norm(a))[:, None], (b / np.linalg.norm(b))[:, None])
+            if abs((factors[0].T @ factors[1]).item()) > 1.0 - 1e-9:
                 continue
-            h = HypothesisSet(
-                priors=np.array([0.5, 0.5]),
-                states=tuple(np.outer(v, v) for v in vectors),
-                labels=("a", "b"),
-                pure_vectors=vectors,
-            )
+            h = HypothesisSet(priors=np.array([0.5, 0.5]), factors=factors, labels=("a", "b"))
             cost = average_cost(pgm(h), h, zero_one_cost(2))
             bound = helstrom_oracle(h.states[0], h.states[1], 0.5, 0.5)
             assert abs(cost - bound) <= 1e-9
@@ -172,49 +156,46 @@ class TestPgm:
     def test_trine_elements_and_cost(self):
         h = trine()
         m = pgm(h)
-        for mu, v in zip(m.elements, h.pure_vectors):
-            np.testing.assert_allclose(mu, (2.0 / 3.0) * np.outer(v, v), atol=1e-12)
+        for mu, rho in zip(m.elements, h.states):
+            np.testing.assert_allclose(mu, (2.0 / 3.0) * rho, atol=1e-12)
         assert m.kind == "povm"
         assert average_cost(m, h, zero_one_cost(3)) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_trine_given_as_states_only(self):
-        # without pure_vectors pgm takes its general branch, R (xi_k rho_k) R
+        # each pure state as a two-column factor [v, v] / sqrt(2): element k is
+        # M_k M_k^T over a block of two columns
         h = trine()
-        mixed = HypothesisSet(priors=h.priors, states=h.states, labels=h.labels)
-        m = pgm(mixed)
-        for mu, v in zip(m.elements, h.pure_vectors):
-            np.testing.assert_allclose(mu, (2.0 / 3.0) * np.outer(v, v), atol=1e-12)
-        assert average_cost(m, mixed, zero_one_cost(3)) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        wide = HypothesisSet(priors=h.priors, labels=h.labels,
+                             factors=tuple(np.hstack([f, f]) / math.sqrt(2.0) for f in h.factors))
+        m = pgm(wide)
+        for mu, rho in zip(m.elements, h.states):
+            np.testing.assert_allclose(mu, (2.0 / 3.0) * rho, atol=1e-12)
+        assert average_cost(m, wide, zero_one_cost(3)) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_rank_two_pair_is_no_better_than_helstrom(self):
         # two rank-2 states in D=3 whose average has condition number 3.1
         e0, e1 = np.eye(3)[:2]
         f = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
         g = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
-        rho0 = 0.7 * np.outer(e0, e0) + 0.3 * np.outer(e1, e1)
-        rho1 = 0.6 * np.outer(f, f) + 0.4 * np.outer(g, g)
-        h = HypothesisSet(priors=np.array([0.4, 0.6]), states=(rho0, rho1), labels=("a", "b"))
+        factors = (np.column_stack([math.sqrt(0.7) * e0, math.sqrt(0.3) * e1]),
+                   np.column_stack([math.sqrt(0.6) * f, math.sqrt(0.4) * g]))
+        h = HypothesisSet(priors=np.array([0.4, 0.6]), factors=factors, labels=("a", "b"))
         cost = average_cost(pgm(h), h, zero_one_cost(2))
-        assert cost >= helstrom_oracle(rho0, rho1, 0.4, 0.6) - 1e-9
+        assert cost >= helstrom_oracle(*h.states, 0.4, 0.6) - 1e-9
 
-    def test_ill_conditioned_mixed_states_give_a_coded_error(self):
-        # S^(-1/2) amplifies rounding by about cond(S): past 1e6 some of these
-        # pairs miss the 1e-10 PSD or resolution check of Measurement
+    def test_ill_conditioned_mixed_states_build(self):
+        # a dense S^(-1/2) amplifies rounding by about cond(S), which reaches
+        # 3.7e8 here, past the 1e-10 checks of Measurement; the polar factor
+        # of the factors forms no inverse root
         rng = np.random.default_rng(0)
-        failed = []
+        worst = 0.0
         for _ in range(2000):
-            factors = rng.normal(size=(2, 4, 2))
-            states = tuple(f @ f.T / np.trace(f @ f.T) for f in factors)
+            factors = tuple(f / np.linalg.norm(f) for f in rng.normal(size=(2, 4, 2)))
             xi = rng.uniform(0.05, 0.95)
-            h = HypothesisSet(priors=np.array([xi, 1.0 - xi]), states=states, labels=("a", "b"))
-            w = np.linalg.eigvalsh(xi * states[0] + (1.0 - xi) * states[1])
-            try:
-                pgm(h)
-            except QdetectError as exc:
-                assert exc.code == "ill-conditioned"
-                assert f"condition number {w[-1] / w[0]:.3g}" in str(exc)
-                failed.append(w[-1] / w[0])
-        assert failed and min(failed) > 1e5
+            h = HypothesisSet(priors=np.array([xi, 1.0 - xi]), factors=factors, labels=("a", "b"))
+            m = pgm(h)
+            worst = max(worst, float(np.linalg.norm(sum(m.all_elements()) - np.eye(4))))
+        assert worst <= 1e-10
 
     def test_rank_deficient_support_gets_residual(self):
         corpus = [
@@ -235,16 +216,12 @@ class TestPgm:
             dim = int(rng.integers(2, 13))
             priors = rng.uniform(0.05, 1.0, n)
             priors /= priors.sum()
-            vectors = []
+            factors = []
             for _ in range(n):
-                v = rng.normal(size=dim)
-                vectors.append(v / np.linalg.norm(v))
-            h = HypothesisSet(
-                priors=priors,
-                states=tuple(np.outer(v, v) for v in vectors),
-                labels=tuple(f"c{k}" for k in range(n)),
-                pure_vectors=tuple(vectors),
-            )
+                v = rng.normal(size=(dim, 1))
+                factors.append(v / np.linalg.norm(v))
+            h = HypothesisSet(priors=priors, factors=tuple(factors),
+                              labels=tuple(f"c{k}" for k in range(n)))
             m = pgm(h)
             total = sum(m.all_elements())
             assert np.linalg.norm(total - np.eye(dim)) <= 1e-10
@@ -252,6 +229,53 @@ class TestPgm:
                 assert np.min(np.linalg.eigvalsh(element)) >= -1e-10
             for element in m.elements:
                 assert np.trace(element) <= 1.0 + 1e-10
+
+
+# As in test_rank_one: S^(-1/2) from an eigensolve of S with backward error
+# GAMMA eps ||S|| moves each element by about 2 GAMMA eps kappa(S).
+GAMMA = 8
+
+
+@st.composite
+def factor_sets(draw):
+    """Priors and 1-4 unit-norm factors of rank 1-3 in dims 1-6."""
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    factors = []
+    for _ in range(n):
+        f = draw(hnp.arrays(float, (dim, draw(st.integers(1, 3))), elements=entries))
+        assume(np.any(f))
+        f /= np.max(np.abs(f))  # so that tiny entries do not underflow the norm
+        factors.append(f / np.linalg.norm(f))
+    priors = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return priors / priors.sum(), tuple(factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_sets())
+def test_pgm_of_drawn_factors_matches_the_inverse_root(drawn):
+    priors, factors = drawn
+    h = HypothesisSet(priors=priors, factors=factors,
+                      labels=tuple(f"c{k}" for k in range(len(factors))))
+    m = pgm(h)
+    assert np.linalg.norm(sum(m.all_elements()) - np.eye(h.dim)) <= 1e-10
+    for element in m.all_elements():
+        assert np.linalg.eigvalsh(element)[0] >= -1e-10
+    s = sum(xi * rho for xi, rho in zip(h.priors, h.states))
+    w = np.linalg.eigvalsh(s)
+    cut = SUPPORT_RTOL * w[-1]
+    # an eigenvalue near the support cut may fall on either side of it
+    assume(not np.any((w > cut / 10.0) & (w < cut * 10.0)))
+    try:
+        root = inv_sqrt_psd(s)
+    except QdetectError:
+        assume(False)
+    support = w[w > cut]
+    atol = max(1e-12, 2 * GAMMA * np.finfo(float).eps * support[-1] / support[0])
+    for mu, xi, rho in zip(m.elements, h.priors, h.states):
+        np.testing.assert_allclose(mu, root @ (xi * rho) @ root, rtol=0.0, atol=atol)
+    assert (m.residual is None) == (support.size == h.dim)
 
 
 class TestMeasurementVectors:
@@ -264,7 +288,7 @@ class TestMeasurementVectors:
     def test_weighted_trine_element(self):
         h = trine()
         vectors = measurement_vectors(pgm(h))
-        for got, want in zip(vectors, h.pure_vectors):
+        for got, want in zip(vectors, (f[:, 0] for f in h.factors)):
             # sign convention: first (significant) nonzero component positive
             aligned = want if want[np.abs(want) > 1e-12][0] > 0 else -want
             np.testing.assert_allclose(got, aligned, atol=1e-12)
@@ -300,9 +324,7 @@ class TestMeasurementInvariants:
 
 class TestAverageCost:
     def test_single_hypothesis_identity(self):
-        h = HypothesisSet(
-            priors=np.array([1.0]), states=(np.diag([1.0, 0.0]),), labels=("only",)
-        )
+        h = HypothesisSet(priors=np.array([1.0]), factors=(np.eye(2)[:, :1],), labels=("only",))
         m = Measurement(elements=(np.eye(2),))
         assert average_cost(m, h, np.zeros((1, 1))) == 0.0
 
@@ -318,12 +340,9 @@ class TestAverageCost:
             ("b", fv(3, {1: 1})), ("b", fv(3, {1: 1})),
         ]
         m = pgm(build_hypotheses(base, 3))
-        leaning = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-        h_eval = HypothesisSet(
-            priors=np.array([0.5, 0.5]),
-            states=(np.outer(leaning, leaning), np.diag([0.0, 1.0, 0.0])),
-            labels=("a", "b"),
-        )
+        leaning = np.array([[1.0], [0.0], [1.0]]) / math.sqrt(2.0)
+        h_eval = HypothesisSet(priors=np.array([0.5, 0.5]), factors=(leaning, np.eye(3)[:, 1:2]),
+                               labels=("a", "b"))
         # half of state "a" lands on the residual; zero-one charges it fully
         assert average_cost(m, h_eval, zero_one_cost(2)) == pytest.approx(0.25, abs=1e-10)
 
@@ -332,6 +351,13 @@ class TestAverageCost:
         m = pgm(h)
         base = average_cost(m, h, zero_one_cost(3))
         assert average_cost(m, h, 3.5 * zero_one_cost(3)) == pytest.approx(3.5 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("cost", [[[0.0, math.inf], [math.inf, 0.0]],
+                                      [[0.0, math.nan], [1.0, 0.0]]])
+    def test_non_finite_costs(self, cost):
+        h = pure_hypotheses([0.0, math.pi / 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            average_cost(pgm(h), h, cost)
 
     def test_size_mismatch(self):
         h = pure_hypotheses([0.0, math.pi / 2.0])

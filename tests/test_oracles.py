@@ -15,15 +15,10 @@ def pure(angle):
 
 
 def pure_hypotheses(angles, priors=None):
-    vectors = tuple(pure(a) for a in angles)
-    n = len(vectors)
+    factors = tuple(pure(a)[:, None] for a in angles)
+    n = len(factors)
     priors = np.full(n, 1.0 / n) if priors is None else np.asarray(priors)
-    return HypothesisSet(
-        priors=priors,
-        states=tuple(np.outer(v, v) for v in vectors),
-        labels=tuple(f"h{k}" for k in range(n)),
-        pure_vectors=vectors,
-    )
+    return HypothesisSet(priors=priors, factors=factors, labels=tuple(f"h{k}" for k in range(n)))
 
 
 class TestHelstromOracle:
@@ -48,6 +43,12 @@ class TestHelstromOracle:
             helstrom_oracle(rho, rho, 0.6, 0.6)
         with pytest.raises(ValueError):
             helstrom_oracle(rho, rho, 1.0, 0.0)
+
+    @pytest.mark.parametrize("xi1, xi0", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_priors(self, xi1, xi0):
+        # a NaN compares False, so a check written as "xi <= 0 fails" would pass it
+        with pytest.raises(ValueError):
+            helstrom_oracle(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), xi1, xi0)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -115,8 +116,8 @@ class TestGridThreeHypotheses:
 
 class TestGridPreconditions:
     def test_needs_dim_two(self):
-        states = (np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0]))
-        h = HypothesisSet(priors=np.array([0.5, 0.5]), states=states, labels=("a", "b"))
+        factors = (np.eye(3) / np.sqrt(3.0), np.eye(3)[:, :1])
+        h = HypothesisSet(priors=np.array([0.5, 0.5]), factors=factors, labels=("a", "b"))
         with pytest.raises(DimensionMismatchError):
             grid_oracle_dim2(h, zero_one_cost(2), resolution=2000)
 
@@ -124,6 +125,13 @@ class TestGridPreconditions:
         h = pure_hypotheses([0.0, math.pi / 2.0])
         with pytest.raises(ValueError):
             grid_oracle_dim2(h, zero_one_cost(2), resolution=500)
+
+    @pytest.mark.parametrize("cost", [[[0.0, math.nan], [1.0, 0.0]],
+                                      [[0.0, math.inf], [1.0, 0.0]]])
+    def test_non_finite_costs(self, cost):
+        h = pure_hypotheses([0.0, math.pi / 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            grid_oracle_dim2(h, cost, resolution=2000)
 
     def test_unsupported_hypothesis_count(self):
         h = pure_hypotheses([0.0, 0.5, 1.0, 1.5])

@@ -1,8 +1,9 @@
 """The rank-1 training path against the dense reference, on random ensembles.
 
 Trained pgm and one-vs-rest models keep dim x N vectors; the dense
-``pgm()``, ``detector_from_densities`` and ``helstrom_oracle`` work on dim x dim
-matrices and serve as the reference here.
+``S^(-1/2) (xi_k rho_k) S^(-1/2)`` from ``inv_sqrt_psd``,
+``detector_from_densities`` and ``helstrom_oracle`` work on dim x dim matrices
+and serve as the reference here.
 """
 
 import tempfile
@@ -18,8 +19,8 @@ from qdetect.binary import binary_bayes_cost, detector_from_densities
 from qdetect.cli import main
 from qdetect.dataio import load_model, save_model
 from qdetect.errors import DegenerateSeparationError
-from qdetect.linalg import SUPPORT_RTOL, born_scores
-from qdetect.multiclass import build_hypotheses, pgm, train_one_vs_rest, train_pgm
+from qdetect.linalg import SUPPORT_RTOL, born_scores, inv_sqrt_psd
+from qdetect.multiclass import build_hypotheses, train_one_vs_rest, train_pgm
 from qdetect.oracles import helstrom_oracle
 from qdetect.states import (
     FeatureVector,
@@ -31,7 +32,7 @@ from qdetect.states import (
 SCORE_ATOL = 1e-12
 # argmax agreement is required where the top two reference scores differ by more
 TIE_MARGIN = 1e-10
-# The dense pgm() forms S = sum_k xi_k rho_k and its eigensolve with a backward
+# The reference forms S = sum_k xi_k rho_k and its eigensolve with a backward
 # error E of at most GAMMA eps ||S||_2.  To first order that moves each element
 # (R psi_k)(R psi_k)^T, R = S^(-1/2), by at most 2 ||E||_F / lambda_min(S), so
 # by 2 GAMMA eps kappa(S) with kappa(S) taken on the support of S.  GAMMA is a
@@ -87,17 +88,19 @@ def test_pgm_gram_form_matches_dense_measurement(drawn):
     gram = model.vectors.T @ model.vectors
     assert np.linalg.norm(gram @ gram - gram) <= 1e-13
     hypotheses = build_hypotheses(corpus, dim)
-    reference = pgm(hypotheses)
-    assert model.kind == reference.kind
-    w = np.linalg.eigvalsh(sum(xi * rho for xi, rho in zip(hypotheses.priors, hypotheses.states)))
+    s = sum(xi * rho for xi, rho in zip(hypotheses.priors, hypotheses.states))
+    root = inv_sqrt_psd(s)
+    reference = [xi * (root @ f) @ (root @ f).T
+                 for xi, f in zip(hypotheses.priors, hypotheses.factors)]
+    w = np.linalg.eigvalsh(s)
     support = w[w > SUPPORT_RTOL * w[-1]]
+    assert model.rank == support.size
     atol = max(SCORE_ATOL, 2 * GAMMA * np.finfo(float).eps * support[-1] / support[0])
-    assert_same_decisions(born_scores(rows, model.vectors),
-                          dense_scores(rows, reference.elements), atol)
+    assert_same_decisions(born_scores(rows, model.vectors), dense_scores(rows, reference), atol)
     view = model.measurement
-    for got, want in zip(view.elements, reference.elements):
+    for got, want in zip(view.elements, reference):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
-    assert (view.residual is None) == (reference.residual is None)
+    assert (view.residual is None) == (support.size == dim)
     assert view.kind == model.kind
     again = reloaded(model)
     assert again.vectors.tobytes() == model.vectors.tobytes()

@@ -27,6 +27,12 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             fv(3, {0: -1.0})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        # a NaN must not be dropped like a zero, nor an inf give a NaN unit row
+        with pytest.raises(ValueError, match="finite"):
+            fv(3, {0: value, 1: 2.0})
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             fv(3, {3: 1.0})
@@ -96,6 +102,17 @@ class TestDensityFromVector:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateClassError):
             density_from_vector(np.zeros(3))
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf]])
+    def test_non_finite_vector_rejected(self, v):
+        with pytest.raises(DegenerateClassError):
+            density_from_vector(np.array(v))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+    def test_extreme_scales_give_the_moderate_state(self, scale):
+        # ||v||^2 would overflow or underflow without the division by the peak
+        np.testing.assert_array_equal(density_from_vector(scale * np.array([1.0, 1.0])),
+                                      density_from_vector(np.array([1.0, 1.0])))
 
     def test_pure_spectrum(self):
         rng = np.random.default_rng(9)

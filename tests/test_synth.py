@@ -40,20 +40,20 @@ class TestGeometry:
         ds = synth_corpus("overlap", 8, 0.0, seed=5, n_classes=2, block_size=6,
                           angle=math.pi / 3)
         h = build_hypotheses(ds.documents, ds.dim)
-        cosine = float(h.pure_vectors[0] @ h.pure_vectors[1])
+        cosine = (h.factors[0].T @ h.factors[1]).item()
         assert cosine == pytest.approx(math.cos(math.pi / 3), abs=0.1)
 
     def test_right_angle_overlap_is_orthogonal(self):
         ds = synth_corpus("overlap", 4, 0.0, seed=6, n_classes=2, angle=math.pi / 2)
         h = build_hypotheses(ds.documents, ds.dim)
-        assert float(h.pure_vectors[0] @ h.pure_vectors[1]) == pytest.approx(0.0, abs=1e-12)
+        assert (h.factors[0].T @ h.factors[1]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_trine_like_has_three_symmetric_classes(self):
         ds = synth_corpus("trine-like", 5, 0.0, seed=7, block_size=3)
         h = build_hypotheses(ds.documents, ds.dim)
         assert h.n == 3
         cosines = [
-            float(h.pure_vectors[i] @ h.pure_vectors[j])
+            (h.factors[i].T @ h.factors[j]).item()
             for i in range(3)
             for j in range(i + 1, 3)
         ]
