@@ -110,6 +110,19 @@ def _check_prior_negative(prior_negative: float) -> None:
         raise InvalidPriorError(f"negative-class prior must lie in (0, 1), got {prior_negative}")
 
 
+def _check_densities(**states: np.ndarray) -> None:
+    """Raise ValueError unless every state is finite, symmetric and PSD with trace 1.
+
+    Each condition holds within 1e-10.  ``oracles.helstrom_oracle`` checks its
+    states on its own, so that the oracle shares no code with the detector.
+    """
+    for name, rho in states.items():
+        if (rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not np.all(np.isfinite(rho))
+                or abs(np.trace(rho) - 1.0) > 1e-10 or np.abs(rho - rho.T).max() > 1e-10
+                or np.linalg.eigvalsh(rho)[0] < -1e-10):
+            raise ValueError(f"{name} is not a density operator within 1e-10")
+
+
 def detector_from_densities(
     rho_pos: np.ndarray,
     rho_neg: np.ndarray,
@@ -117,7 +130,10 @@ def detector_from_densities(
     threshold: float = 0.5,
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
-    """Build the detector directly from two density operators."""
+    """Build the detector directly from two density operators.
+
+    A state that is not a density operator within 1e-10 raises ValueError.
+    """
     _check_prior_negative(prior_negative)
     rho_pos = np.asarray(rho_pos, dtype=float)
     rho_neg = np.asarray(rho_neg, dtype=float)
@@ -125,6 +141,7 @@ def detector_from_densities(
         raise DimensionMismatchError(
             f"density shapes differ: {rho_pos.shape} vs {rho_neg.shape}"
         )
+    _check_densities(rho_pos=rho_pos, rho_neg=rho_neg)
     lam = prior_negative / (1.0 - prior_negative)
     w, v = linalg.eigh(rho_pos - lam * rho_neg)
     cutoff = linalg.ZERO_EIGENVALUE_RTOL * float(np.max(np.abs(w)) if w.size else 0.0)
@@ -241,13 +258,15 @@ def binary_bayes_cost(
     """Average zero-one decision cost of the detector against the given pair.
 
     ``xi * Tr(rho_neg P) + (1 - xi) * Tr(rho_pos (I - P))`` where ``P = V V^T``
-    accepts, so ``Tr(rho P) = Tr(V^T rho V)``.
+    accepts, so ``Tr(rho P) = Tr(V^T rho V)``.  A state that is not a density
+    operator within 1e-10 raises ValueError.
     """
     _check_prior_negative(prior_negative)
     rho_pos = np.asarray(rho_pos, dtype=float)
     rho_neg = np.asarray(rho_neg, dtype=float)
     if rho_pos.shape != (model.dim, model.dim) or rho_neg.shape != (model.dim, model.dim):
         raise DimensionMismatchError("density shape does not match model dim")
+    _check_densities(rho_pos=rho_pos, rho_neg=rho_neg)
     v = model.vectors
     false_accept = float(np.trace(v.T @ rho_neg @ v))
     false_reject = float(np.trace(rho_pos)) - float(np.trace(v.T @ rho_pos @ v))

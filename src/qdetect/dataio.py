@@ -3,12 +3,14 @@
 The dataset format is line-oriented text: ``LABEL idx:val [idx:val ...]`` with
 0-based, strictly increasing integer indices that fit int64 and positive
 finite decimal values; ``#``-prefixed lines are comments.  Models are stored
-as compact JSON whose floats are written as the shortest repr that round-trips
-each double, so reloads are bit-identical.
+as compact JSON: the scalars as numbers written as the shortest repr that
+round-trips each double, and the vectors as one base64 string of their
+little-endian doubles, so reloads are bit-identical.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import re
@@ -371,10 +373,9 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
 
 
 # ---------------------------------------------------------------------------
-# Compact JSON; floats are written as the shortest repr that round-trips them,
-# and an array becomes nested lists only when the encoder reaches it
+# Compact JSON; floats are written as the shortest repr that round-trips them
 
-_JSON_SETTINGS = {"separators": (",", ":"), "allow_nan": False, "default": np.ndarray.tolist}
+_JSON_SETTINGS = {"separators": (",", ":"), "allow_nan": False}
 
 
 def dumps_canonical(obj) -> str:
@@ -382,11 +383,14 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, **_JSON_SETTINGS) + "\n"
 
 
-# Format 3 stores every model's dim x r vectors as r rows of length dim next
-# to the scalars of its decision rule.  Format 2 stored a binary model's
+# Format 4 stores every model's dim x r vectors as r rows of length dim next
+# to the scalars of its decision rule: one base64 string (standard alphabet,
+# padded) of the rows' little-endian IEEE-754 doubles.  Format 3 stored the
+# same rows as JSON lists of numbers.  Format 2 stored a binary model's
 # projector as a dense matrix; format 1 stored every measurement element and
 # projector that way.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+_VECTOR_DTYPE = np.dtype("<f8")
 # each ``DetectorScalars`` field and its key in a model file, in file order
 _SCALAR_KEYS = {"prior_negative": "prior_negative", "lam": "lambda", "eta": "eta",
                 "beta": "beta", "threshold": "threshold"}
@@ -397,7 +401,7 @@ def _scalar_payload(det) -> dict:
 
 
 def model_to_dict(model) -> dict:
-    """The model file's JSON object; its arrays are the model's own arrays."""
+    """The model file's JSON object."""
     if model.strategy == "binary":
         fields = _scalar_payload(model)
     else:
@@ -412,7 +416,9 @@ def model_to_dict(model) -> dict:
         "dim": int(model.dim),
         "labels": list(model.labels),
         **fields,
-        "vectors": model.vectors.T,
+        "vectors": binascii.b2a_base64(
+            np.ascontiguousarray(model.vectors.T, dtype=_VECTOR_DTYPE), newline=False
+        ).decode("ascii"),
     }
 
 
@@ -422,7 +428,6 @@ def save_model(model, path) -> None:
 
 
 _NUMBER = (int, float)
-_ARRAY = (list, np.ndarray)
 
 
 def _require(doc: dict, key: str, kinds) -> object:
@@ -441,7 +446,7 @@ def _scalars(payload: dict) -> dict:
 
 
 def _float_array(value) -> np.ndarray:
-    """A float array from nested lists of numbers, or from a numeric array.
+    """A float array from nested lists of numbers.
 
     ``np.array(value, dtype=float)`` alone would also turn numeric strings and
     booleans into numbers, so the type of every item is checked first.
@@ -453,12 +458,33 @@ def _float_array(value) -> np.ndarray:
     return items.astype(float)
 
 
+def _vector_rows(text: str, dim: int) -> np.ndarray:
+    """The r x dim array of a format 4 ``vectors`` string, for any r >= 1.
+
+    The string must be what the writer makes of its bytes: standard base64
+    with padding, on one line.  A character outside the alphabet, bad padding
+    or nonzero bits past the last byte raise FormatError.
+    """
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise FormatError(f"model field 'vectors' is not base64: {exc}") from exc
+    # the decoder skips characters outside the alphabet; the encoder writes none
+    if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise FormatError("model field 'vectors' is not padded standard base64")
+    width = _VECTOR_DTYPE.itemsize * dim
+    if dim < 1 or not raw or len(raw) % width:
+        raise FormatError(f"model field 'vectors' holds {len(raw)} bytes, "
+                          f"not whole rows of dim {dim} doubles")
+    return np.frombuffer(raw, dtype=_VECTOR_DTYPE).reshape(-1, dim)
+
+
 def _projector_vectors(payload: dict, dim: int) -> np.ndarray:
     """Orthonormal basis of the dense ``projector`` a format 1 or 2 detector stored.
 
     The eigenvectors of eigenvalues above 1/2 must rebuild it within 1e-10.
     """
-    p = _float_array(_require(payload, "projector", _ARRAY))
+    p = _float_array(_require(payload, "projector", list))
     if p.shape != (dim, dim):
         raise FormatError(f"projector of shape {p.shape} does not match dim {dim}")
     if not np.all(np.abs(p) <= 1.0 + 1e-10):
@@ -486,7 +512,7 @@ def _dense_vectors(doc: dict, strategy: str, dim: int) -> np.ndarray:
         return np.hstack(bases)
     residual = doc.get("residual")
     m = Measurement(
-        elements=tuple(_float_array(e) for e in _require(doc, "elements", _ARRAY)),
+        elements=tuple(_float_array(e) for e in _require(doc, "elements", list)),
         residual=None if residual is None else _float_array(residual),
     )
     return np.column_stack(
@@ -494,11 +520,11 @@ def _dense_vectors(doc: dict, strategy: str, dim: int) -> np.ndarray:
 
 
 def model_from_dict(doc: dict):
-    """A model from a format 1, 2 or 3 JSON object; raises FormatError."""
+    """A model from a format 1 to 4 JSON object; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
-    if version not in (1, 2, FORMAT_VERSION):
+    if version not in range(1, FORMAT_VERSION + 1):
         raise UnsupportedVersionError(
             f"unsupported model format_version {version} (expected 1 to {FORMAT_VERSION})"
         )
@@ -522,9 +548,12 @@ def model_from_dict(doc: dict):
             fields = {"detector_scalars": tuple(DetectorScalars(**_scalars(p)) for p in payloads)}
         else:
             raise FormatError(f"unknown strategy {strategy!r}")
-        dense = version == 1 or (version == 2 and strategy == "binary")
-        vectors = (_dense_vectors(doc, strategy, dim) if dense
-                   else _float_array(_require(doc, "vectors", _ARRAY)).T)
+        if version == 1 or (version == 2 and strategy == "binary"):
+            vectors = _dense_vectors(doc, strategy, dim)
+        elif version < FORMAT_VERSION:
+            vectors = _float_array(_require(doc, "vectors", list)).T
+        else:  # the model checks that a multi-class model has a row per label
+            vectors = _vector_rows(_require(doc, "vectors", str), dim).T
         if strategy == "binary":
             return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
         priors = _require(doc, "priors", list)

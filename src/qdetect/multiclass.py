@@ -405,8 +405,17 @@ def train_one_vs_rest(corpus: Corpus, dim: int) -> MulticlassModel:
 
 
 def class_scores(model: MulticlassModel, x: np.ndarray) -> np.ndarray:
-    """Per-class decision scores of a unit vector, aligned with ``model.labels``."""
-    return linalg.born_scores(np.asarray(x, dtype=float)[None], model.vectors)[0]
+    """Per-class decision scores of a unit vector, aligned with ``model.labels``.
+
+    A vector with a non-finite entry, or a norm off 1 by more than 1e-10,
+    raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    # a unit vector's entries lie in [-1, 1], so its norm cannot overflow;
+    # a NaN fails both comparisons
+    if not (np.all(np.abs(x) <= 1.0 + 1e-10) and abs(np.linalg.norm(x) - 1.0) <= 1e-10):
+        raise ValueError("expected a finite unit vector, with norm 1 within 1e-10")
+    return linalg.born_scores(x[None], model.vectors)[0]
 
 
 def classify(model: MulticlassModel, x: np.ndarray) -> str:

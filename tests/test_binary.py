@@ -190,6 +190,45 @@ class TestBayesCost:
             binary_bayes_cost(model, rho1, rho0, xi)
 
 
+# Each fails one condition of a density operator by more than 1e-10: trace 2
+# (the matrix that built eta 2.0 and cost 0.0 when states were unchecked),
+# trace 0.5, a negative eigenvalue, asymmetry, and a NaN or inf entry.
+NOT_DENSITIES = [
+    np.diag([2.0, 0.0]),
+    np.diag([0.5, 0.0]),
+    np.diag([1.5, -0.5]),
+    np.array([[0.5, 0.1], [0.0, 0.5]]),
+    np.array([[math.nan, 0.0], [0.0, 0.0]]),
+    np.array([[math.inf, 0.0], [0.0, 1.0]]),
+]
+
+
+NOT_DENSITY_IDS = ["trace-2", "trace-half", "negative", "asymmetric", "nan", "inf"]
+
+
+class TestStatesMustBeDensities:
+    @pytest.mark.parametrize("rho", NOT_DENSITIES, ids=NOT_DENSITY_IDS)
+    def test_detector_from_densities(self, rho):
+        with pytest.raises(ValueError, match="rho_pos is not a density operator"):
+            detector_from_densities(rho, np.diag([0.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="rho_neg is not a density operator"):
+            detector_from_densities(np.diag([1.0, 0.0]), rho, 0.5)
+
+    @pytest.mark.parametrize("rho", NOT_DENSITIES, ids=NOT_DENSITY_IDS)
+    def test_binary_bayes_cost(self, rho):
+        model = detector_from_densities(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="rho_pos is not a density operator"):
+            binary_bayes_cost(model, rho, np.diag([0.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="rho_neg is not a density operator"):
+            binary_bayes_cost(model, np.diag([1.0, 0.0]), rho, 0.5)
+
+    def test_rounding_off_a_density_operator_is_accepted(self):
+        rho1 = np.diag([1.0 + 5e-11, 0.0])
+        rho0 = np.array([[0.0, 5e-11], [0.0, 1.0 - 5e-11]])
+        model = detector_from_densities(rho1, rho0, 0.5)
+        assert binary_bayes_cost(model, rho1, rho0, 0.5) == pytest.approx(0.0, abs=1e-10)
+
+
 class TestModelInvariants:
     def test_invalid_eta_sign(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Command-line behavior: flows, error lines, exit codes, reproducibility."""
 
+import base64
 import json
 import re
 from pathlib import Path
@@ -16,10 +17,13 @@ from qdetect.synth import synth_corpus
 
 # Corpora and the model, prediction and report files the version before the
 # columnar corpus wrote for them (see GOLDEN_RUNS), apart from the binary
-# model and predictions, rewritten with model format 3.
+# predictions, rewritten with model format 3, and the models, rewritten with
+# model format 4.
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 # The format 2 model and prediction files of the same runs.
 FORMAT_TWO = Path(__file__).resolve().parent / "data" / "v2"
+# The format 3 model files of the same runs.
+FORMAT_THREE = Path(__file__).resolve().parent / "data" / "v3"
 # The pgm model and predictions of the same run when M was Psi G^(-1/2) with
 # G^(-1/2) formed as a matrix, before M came from the SVD of Psi.
 INVERSE_ROOT = Path(__file__).resolve().parent / "data" / "inverse-root"
@@ -60,10 +64,10 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", "--data", data, "--strategy", "binary", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
-        assert len(doc["vectors"]) == 1 and len(doc["vectors"][0]) == 4
+        assert len(base64.b64decode(doc["vectors"], validate=True)) == 1 * 4 * 8
 
     def test_nearly_parallel_classes_train_for_pgm(self, tmp_path):
         # cond(G) is about 1.6e9; M = U V^T from the SVD of Psi is orthogonal
@@ -285,6 +289,19 @@ class TestGoldenOutputs:
     def test_outputs_are_byte_identical(self, tmp_path, strategy):
         for name, got in run_golden(tmp_path, strategy).items():
             assert got == (GOLDEN / name).read_bytes(), name
+
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
+    def test_format_three_model_predicts_the_same_bytes(self, tmp_path, strategy):
+        # format 3 wrote the vectors as JSON numbers, format 4 as base64 doubles
+        old = FORMAT_THREE / f"{strategy}.json"
+        assert json.loads(old.read_text())["format_version"] == 3
+        new = load_model(GOLDEN / f"{strategy}.json")
+        assert load_model(old).vectors.tobytes() == new.vectors.tobytes()
+        _, _, test = GOLDEN_RUNS[strategy]
+        preds = tmp_path / "p.tsv"
+        assert main(["predict", "--model", str(old), "--data", str(GOLDEN / test),
+                     "--out", str(preds)]) == 0
+        assert preds.read_bytes() == (GOLDEN / f"{strategy}.tsv").read_bytes()
 
     def test_binary_scores_move_in_the_last_bits_from_format_two(self, tmp_path):
         # Format 2 recovered e from the stored projector by an eigensolve;

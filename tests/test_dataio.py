@@ -1,5 +1,6 @@
 """Parsing, splits, and model serialization tests."""
 
+import base64
 import copy
 import io
 import json
@@ -388,10 +389,31 @@ def v2_document(strategy):
 
 def v3_document(strategy):
     """The JSON object of a format 3 model file, for a model of dim 3."""
+    model = make_models()[strategy]
+    doc = dict(model_to_dict(model), format_version=3, vectors=model.vectors.T.tolist())
+    return json.loads(dumps_canonical(doc))
+
+
+def v4_document(strategy):
+    """The JSON object of a format 4 model file, for a model of dim 3."""
     return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
 
 
-DOCUMENTS = {1: v1_document, 2: v2_document, 3: v3_document}
+DOCUMENTS = {1: v1_document, 2: v2_document, 3: v3_document, 4: v4_document}
+
+
+BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def encode_rows(rows) -> str:
+    """A format 4 ``vectors`` string: the rows as base64 little-endian doubles."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_rows(doc) -> np.ndarray:
+    """The rows of a format 4 document's ``vectors``, as a writable array."""
+    raw = base64.b64decode(doc["vectors"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, doc["dim"]).copy()
 
 
 class TestModelSerialization:
@@ -447,7 +469,7 @@ class TestModelSerialization:
     def test_any_json_layout_loads_bit_identically(self, tmp_path, strategy):
         model = make_models()[strategy]
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(model), indent=2, default=np.ndarray.tolist))
+        path.write_text(json.dumps(model_to_dict(model), indent=2))
         loaded = load_model(path)
         assert loaded.vectors.tobytes() == model.vectors.tobytes()
 
@@ -467,7 +489,7 @@ class TestModelSerialization:
             model_from_dict(doc)
 
     def test_corrupt_matrix(self):
-        doc = model_to_dict(make_models()["binary"])
+        doc = v3_document("binary")
         doc["vectors"] = [[0.7, 0.7], [0.7, 0.7], [0.7, 0.7]]
         with pytest.raises(FormatError):
             model_from_dict(doc)
@@ -557,7 +579,7 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="dim 5"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_string_labels(self, version, strategy):
         doc = DOCUMENTS[version](strategy)
@@ -565,7 +587,7 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
     def test_non_numeric_priors(self, version, strategy):
         doc = DOCUMENTS[version](strategy)
@@ -609,14 +631,90 @@ class TestModelValidation:
         assert model_from_dict(doc).dim == 1
 
 
-# Every model document the fuzzer starts from: format 3 documents and the
-# format 1 and 2 fixture files, for each strategy.
-FUZZ_BASES = [documents(strategy) for documents in (v1_document, v2_document, v3_document)
+class TestFormatFourVectors:
+    """The base64 ``vectors`` string of a format 4 file."""
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_rows_are_little_endian_doubles(self, strategy):
+        model = make_models()[strategy]
+        assert decode_rows(v4_document(strategy)).tobytes() == model.vectors.T.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.01])
+    def test_entry_outside_the_unit_range(self, strategy, value):
+        doc = v4_document(strategy)
+        rows = decode_rows(doc)
+        rows[-1, 0] = value
+        doc["vectors"] = encode_rows(rows)
+        with pytest.raises(FormatError, match="finite"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:5] + "-" + text[5:],  # the URL-safe alphabet, not the standard one
+        lambda text: text[:5] + "\n" + text[5:],
+        lambda text: text[:5] + " " + text[5:],
+        lambda text: text[:5] + "\u00e9" + text[5:],
+        lambda text: text[:5] + "=" + text[5:],
+        lambda text: text[:-1],
+        lambda text: text + "=",
+        # the two bits past the last byte, which the writer leaves 0
+        lambda text: text[:-2] + BASE64_ALPHABET[BASE64_ALPHABET.index(text[-2]) ^ 1] + "=",
+        lambda text: text[1:],
+    ], ids=["dash", "newline", "space", "non-ascii", "inner-padding", "no-padding",
+            "extra-padding", "trailing-bits", "dropped-character"])
+    def test_text_that_the_writer_does_not_make(self, edit):
+        # one row of 16 doubles: 128 bytes, 171 characters and one "="
+        doc = json.loads((DATA / "cli" / "binary.json").read_text())
+        assert (doc["format_version"], len(doc["vectors"])) == (4, 172)
+        assert doc["vectors"][-2:] != "==" and doc["vectors"][-1] == "="
+        model_from_dict(dict(doc))
+        doc["vectors"] = edit(doc["vectors"])
+        with pytest.raises(FormatError, match="'vectors'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1), slice(0, 0)],
+                             ids=["first-row", "last-row", "every-row"])
+    def test_missing_rows(self, strategy, cut):
+        doc = v4_document(strategy)
+        doc["vectors"] = encode_rows(decode_rows(doc)[cut])
+        with pytest.raises(FormatError, match="dim 3"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_bytes_that_are_not_whole_rows(self, strategy):
+        doc = v4_document(strategy)
+        raw = base64.b64decode(doc["vectors"]) + bytes(8)
+        doc["vectors"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(FormatError, match="rows of dim 3"):
+            model_from_dict(doc)
+
+    def test_binary_model_of_two_vectors(self):
+        doc = v4_document("binary")
+        doc["vectors"] = encode_rows(np.eye(3)[:2])
+        assert model_from_dict(doc).vectors.shape == (3, 2)
+
+    def test_vectors_of_the_other_format(self):
+        doc = v4_document("pgm")
+        doc["vectors"] = decode_rows(doc).tolist()
+        with pytest.raises(FormatError, match="wrong type"):
+            model_from_dict(doc)
+        doc = v3_document("pgm")
+        doc["vectors"] = v4_document("pgm")["vectors"]
+        with pytest.raises(FormatError, match="wrong type"):
+            model_from_dict(doc)
+
+
+# Every model document the fuzzer starts from: format 3 and 4 documents and
+# the format 1 and 2 fixture files, for each strategy.
+FUZZ_BASES = [documents(strategy) for documents in DOCUMENTS.values()
               for strategy in ("binary", "pgm", "one_vs_rest")]
 MATRICES = ("vectors", "projector", "elements", "residual")
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                  st.lists(st.integers(0, 3), max_size=3))
 DELTAS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0), st.sampled_from([1e300, -1e300]))
+# characters that a base64 string of the standard alphabet holds only as padding, or never
+NOT_BASE64 = st.sampled_from(["=", "-", "_", " ", "\n", ".", "\u00e9", "\x00"])
 
 
 def number_paths(value, path=()):
@@ -626,6 +724,28 @@ def number_paths(value, path=()):
             yield from number_paths(item, path + (i,))
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         yield path
+
+
+@st.composite
+def mutated_base64(draw, doc):
+    """A format 4 document's ``vectors`` string with one change to its text or its doubles."""
+    text = doc["vectors"]
+    at = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(["flip", "drop", "insert", "drop-row", "entry"]))
+    if edit == "flip":
+        char = draw(st.sampled_from(BASE64_ALPHABET.replace(text[at], "")))
+        return text[:at] + char + text[at + 1:]
+    if edit == "drop":
+        return text[:at] + text[at + 1:]
+    if edit == "insert":
+        return text[:at] + draw(NOT_BASE64) + text[at:]
+    rows = decode_rows(doc)
+    if edit == "drop-row":
+        rows = np.delete(rows, draw(st.integers(0, len(rows) - 1)), axis=0)
+    else:
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1.01, -1.01]))
+        rows[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, doc["dim"] - 1))] = value
+    return encode_rows(rows)
 
 
 @st.composite
@@ -665,18 +785,29 @@ def mutated_documents(draw):
     return doc
 
 
+def assert_rejected_or_round_trips(doc):
+    try:
+        model = model_from_dict(doc)
+    except (FormatError, UnsupportedVersionError):
+        return
+    text = dumps_canonical(model_to_dict(model))
+    again = model_from_dict(json.loads(text))
+    assert dumps_canonical(model_to_dict(again)) == text
+    assert again.vectors.tobytes() == model.vectors.tobytes()
+
+
 class TestModelDocumentFuzzing:
     @settings(max_examples=400, deadline=None)
     @given(mutated_documents())
     def test_mutation_is_rejected_or_round_trips(self, doc):
-        try:
-            model = model_from_dict(doc)
-        except (FormatError, UnsupportedVersionError):
-            return
-        text = dumps_canonical(model_to_dict(model))
-        again = model_from_dict(json.loads(text))
-        assert dumps_canonical(model_to_dict(again)) == text
-        assert again.vectors.tobytes() == model.vectors.tobytes()
+        assert_rejected_or_round_trips(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["binary", "pgm", "one_vs_rest"]), st.data())
+    def test_vectors_mutation_is_rejected_or_round_trips(self, strategy, data):
+        doc = v4_document(strategy)
+        doc["vectors"] = data.draw(mutated_base64(doc))
+        assert_rejected_or_round_trips(doc)
 
 
 class TestFormatOneFiles:
@@ -698,7 +829,7 @@ class TestFormatOneFiles:
         model = load_model(V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
         save_model(model, tmp_path / "model.json")
         again = load_model(tmp_path / "model.json")
-        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 3
+        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 4
         assert again.vectors.tobytes() == model.vectors.tobytes()
 
 
@@ -720,8 +851,8 @@ class TestFormatTwoFiles:
         model = load_model(V2_DATA / "binary.json")
         save_model(model, tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert (doc["format_version"], "projector" in doc) == (3, False)
-        assert np.array(doc["vectors"]).shape == (1, model.dim)
+        assert (doc["format_version"], "projector" in doc) == (4, False)
+        assert decode_rows(doc).shape == (1, model.dim)
         assert load_model(tmp_path / "model.json").vectors.tobytes() == model.vectors.tobytes()
 
     def test_projector_of_rank_two_loads_as_two_vectors(self):

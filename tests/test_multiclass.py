@@ -33,6 +33,7 @@ from qdetect.multiclass import (
 from qdetect.linalg import SUPPORT_RTOL, inv_sqrt_psd
 from qdetect.oracles import helstrom_oracle
 from qdetect.states import FeatureVector, normalize_document
+from qdetect.synth import synth_corpus
 
 
 def fv(dim, entries):
@@ -439,6 +440,23 @@ class TestClassify:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             classify(self.model, np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("x", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
+                                   [1e300, 1e300], [0.6, 0.8 + 2e-10], [0.0, 0.0]],
+                             ids=["nan", "one-nan", "inf", "1e300", "norm-off-1", "zero"])
+    def test_vector_that_is_not_unit_raises(self, x):
+        # a NaN vector used to classify as "c0", and 1e300 overflowed in the scores
+        for call in (classify, class_scores):
+            with pytest.raises(ValueError, match="unit vector"):
+                call(self.model, np.array(x))
+
+    def test_trained_model_rejects_a_nan_document(self):
+        ds = synth_corpus("orthogonal", 10, 0.1, seed=1)
+        with pytest.raises(ValueError, match="unit vector"):
+            classify(train_pgm(ds, ds.dim), np.full(ds.dim, math.nan))
+
+    def test_rounding_off_a_unit_vector_is_accepted(self):
+        assert classify(self.model, np.array([0.6, 0.8 + 5e-11])) == "c1"
 
     def test_scale_invariance_through_normalization(self):
         doc = fv(2, {0: 2, 1: 3})

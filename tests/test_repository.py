@@ -1,6 +1,7 @@
-"""Repository-wide checks on the library's source, and every demo runs."""
+"""Repository-wide checks on the library's source and test data, and every demo runs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -80,3 +81,24 @@ def test_demo_exits_cleanly(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+# every model file under tests/data: each JSON file but the evaluation reports
+MODEL_FIXTURES = sorted(path for path in (ROOT / "tests" / "data").rglob("*.json")
+                        if not path.name.endswith(".report.json"))
+
+
+@pytest.mark.parametrize("path", MODEL_FIXTURES,
+                         ids=lambda path: path.relative_to(ROOT / "tests" / "data").as_posix())
+def test_every_model_fixture_loads(path):
+    from qdetect.dataio import load_model
+
+    load_model(path)
+
+
+def test_model_fixtures_cover_every_format():
+    from qdetect.dataio import FORMAT_VERSION
+
+    versions = {json.loads(path.read_text(encoding="utf-8"))["format_version"]
+                for path in MODEL_FIXTURES}
+    assert versions == set(range(1, FORMAT_VERSION + 1))
