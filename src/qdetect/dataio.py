@@ -4,8 +4,9 @@ The dataset format is line-oriented text: ``LABEL idx:val [idx:val ...]`` with
 0-based, strictly increasing integer indices that fit int64 and positive
 finite decimal values; ``#``-prefixed lines are comments.  Models are stored
 as compact JSON: the scalars as numbers written as the shortest repr that
-round-trips each double, and the vectors as one base64 string of their
-little-endian doubles, so reloads are bit-identical.
+round-trips each double, and the vectors as one base64 string of a mask of
+the features they use and those features' little-endian doubles, so reloads
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -384,11 +385,15 @@ def dumps_canonical(obj) -> str:
 
 
 # Format 4 stores every model's dim x r vectors as r rows of length dim next
-# to the scalars of its decision rule: one base64 string (standard alphabet,
-# padded) of the rows' little-endian IEEE-754 doubles.  Format 3 stored the
-# same rows as JSON lists of numbers.  Format 2 stored a binary model's
-# projector as a dense matrix; format 1 stored every measurement element and
-# projector that way.
+# to the scalars of its decision rule, in one base64 string (standard
+# alphabet, padded): a bitmask of the features whose column holds a nonzero
+# double, ceil(dim / 8) bytes with the first feature in the high bit of the
+# first byte, then the rows restricted to those features as little-endian
+# IEEE-754 doubles.  A feature that no training document holds has a zero
+# column, so a wide vocabulary costs a bit a feature and not r doubles.
+# Format 3 stored the full rows as JSON lists of numbers.  Format 2 stored a
+# binary model's projector as a dense matrix; format 1 stored every
+# measurement element and projector that way.
 FORMAT_VERSION = 4
 _VECTOR_DTYPE = np.dtype("<f8")
 # each ``DetectorScalars`` field and its key in a model file, in file order
@@ -416,10 +421,18 @@ def model_to_dict(model) -> dict:
         "dim": int(model.dim),
         "labels": list(model.labels),
         **fields,
-        "vectors": binascii.b2a_base64(
-            np.ascontiguousarray(model.vectors.T, dtype=_VECTOR_DTYPE), newline=False
-        ).decode("ascii"),
+        "vectors": _vector_text(model.vectors),
     }
+
+
+def _vector_text(vectors: np.ndarray) -> str:
+    """The format 4 ``vectors`` string of a dim x r array."""
+    rows = np.ascontiguousarray(vectors.T, dtype=_VECTOR_DTYPE)
+    # a -0.0 has a set bit, so its feature is kept and written as it is
+    used = (rows.view(np.uint64) != 0).any(axis=0)
+    kept = rows if used.all() else rows[:, used]
+    return binascii.b2a_base64(np.packbits(used).tobytes() + kept.tobytes(),
+                               newline=False).decode("ascii")
 
 
 def save_model(model, path) -> None:
@@ -462,8 +475,9 @@ def _vector_rows(text: str, dim: int) -> np.ndarray:
     """The r x dim array of a format 4 ``vectors`` string, for any r >= 1.
 
     The string must be what the writer makes of its bytes: standard base64
-    with padding, on one line.  A character outside the alphabet, bad padding
-    or nonzero bits past the last byte raise FormatError.
+    with padding, on one line, of a feature mask with no bits past ``dim``
+    and then whole rows of a double per marked feature, each marked feature
+    holding a nonzero double.  Anything else raises FormatError.
     """
     try:
         raw = binascii.a2b_base64(text)
@@ -472,11 +486,25 @@ def _vector_rows(text: str, dim: int) -> np.ndarray:
     # the decoder skips characters outside the alphabet; the encoder writes none
     if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
         raise FormatError("model field 'vectors' is not padded standard base64")
-    width = _VECTOR_DTYPE.itemsize * dim
-    if dim < 1 or not raw or len(raw) % width:
-        raise FormatError(f"model field 'vectors' holds {len(raw)} bytes, "
-                          f"not whole rows of dim {dim} doubles")
-    return np.frombuffer(raw, dtype=_VECTOR_DTYPE).reshape(-1, dim)
+    if dim < 1:
+        raise FormatError(f"model field 'vectors' cannot hold rows of dim {dim}")
+    mask = raw[:-(-dim // 8)]
+    used = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=dim).astype(bool)
+    if np.packbits(used).tobytes() != mask:
+        raise FormatError(f"model field 'vectors' has no mask of dim {dim} features")
+    n_used = int(used.sum())
+    body = len(raw) - len(mask)
+    if not n_used or not body or body % (_VECTOR_DTYPE.itemsize * n_used):
+        raise FormatError(f"model field 'vectors' holds {body} bytes after its mask, "
+                          f"not whole rows of {n_used} doubles (dim {dim})")
+    kept = np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=len(mask)).reshape(-1, n_used)
+    if not (kept.view(np.uint64) != 0).any(axis=0).all():
+        raise FormatError("model field 'vectors' marks a feature whose doubles are all 0")
+    if n_used == dim:
+        return kept
+    rows = np.zeros((len(kept), dim))
+    rows[:, used] = kept
+    return rows
 
 
 def _projector_vectors(payload: dict, dim: int) -> np.ndarray:

@@ -67,7 +67,9 @@ class TestTrain:
         assert doc["format_version"] == 4
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
-        assert len(base64.b64decode(doc["vectors"], validate=True)) == 1 * 4 * 8
+        # a mask of the 4 features, of which e uses the ham ones, 0 and 1, then their doubles
+        raw = base64.b64decode(doc["vectors"], validate=True)
+        assert (raw[:1], len(raw)) == (bytes([0b1100_0000]), 1 + 1 * 2 * 8)
 
     def test_nearly_parallel_classes_train_for_pgm(self, tmp_path):
         # cond(G) is about 1.6e9; M = U V^T from the SVD of Psi is orthogonal

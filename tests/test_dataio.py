@@ -405,15 +405,33 @@ DOCUMENTS = {1: v1_document, 2: v2_document, 3: v3_document, 4: v4_document}
 BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
+def encode_mask(used) -> bytes:
+    """The feature mask of a format 4 ``vectors`` string: a bit a feature, high bit first."""
+    size = -(-len(used) // 8)
+    bits = "".join("1" if u else "0" for u in used).ljust(8 * size, "0")
+    return int(bits, 2).to_bytes(size, "big")
+
+
 def encode_rows(rows) -> str:
-    """A format 4 ``vectors`` string: the rows as base64 little-endian doubles."""
-    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+    """A format 4 ``vectors`` string: the mask of the features whose column
+    holds a double with a set bit, then those columns' little-endian doubles,
+    row after row, in base64."""
+    rows = np.asarray(rows, dtype="<f8").reshape(-1, np.shape(rows)[-1])
+    used = [any(value.tobytes() != bytes(8) for value in column) for column in rows.T]
+    raw = encode_mask(used) + rows[:, np.array(used, dtype=bool)].tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
 def decode_rows(doc) -> np.ndarray:
     """The rows of a format 4 document's ``vectors``, as a writable array."""
     raw = base64.b64decode(doc["vectors"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(-1, doc["dim"]).copy()
+    dim, size = doc["dim"], -(-doc["dim"] // 8)
+    bits = bin(int.from_bytes(raw[:size], "big"))[2:].zfill(8 * size)
+    used = np.array([c == "1" for c in bits[:dim]])
+    kept = np.frombuffer(raw[size:], dtype="<f8").reshape(-1, used.sum())
+    rows = np.zeros((len(kept), dim))
+    rows[:, used] = kept
+    return rows
 
 
 class TestModelSerialization:
@@ -649,6 +667,45 @@ class TestFormatFourVectors:
         with pytest.raises(FormatError, match="finite"):
             model_from_dict(doc)
 
+    @staticmethod
+    def two_feature_document():
+        """A binary model of dim 3 whose documents hold features 0 and 1 only."""
+        model = train_binary([fv(3, {0: 2, 1: 1})], [fv(3, {1: 1})], 3,
+                             prior_negative=0.5, labels=("a", "b"))
+        return json.loads(dumps_canonical(model_to_dict(model)))
+
+    def test_features_without_a_nonzero_double_are_left_out(self):
+        doc = self.two_feature_document()
+        raw = base64.b64decode(doc["vectors"], validate=True)
+        assert (raw[:1], len(raw)) == (bytes([0b1100_0000]), 1 + 2 * 8)
+        assert model_from_dict(doc).vectors[:, 0].tobytes() == decode_rows(doc)[0].tobytes()
+        assert model_from_dict(doc).vectors[2, 0] == 0.0
+
+    def test_negative_zero_is_kept(self):
+        doc = self.two_feature_document()
+        rows = decode_rows(doc)
+        rows[0, 2] = -0.0
+        doc["vectors"] = encode_rows(rows)
+        assert base64.b64decode(doc["vectors"])[:1] == bytes([0b1110_0000])
+        model = model_from_dict(doc)
+        assert model.vectors.T.tobytes() == rows.tobytes()
+        assert model_to_dict(model)["vectors"] == doc["vectors"]
+
+    @pytest.mark.parametrize("mask, error", [
+        (0b1110_0000, "doubles are all 0"),  # feature 2 marked, with a +0.0 in its place
+        (0b1101_0000, "no mask of dim 3"),
+        (0b1100_0001, "no mask of dim 3"),
+        (0, "not whole rows"),
+    ], ids=["zero-feature", "bit-past-dim", "last-bit", "no-feature"])
+    def test_mask_that_the_writer_does_not_make(self, mask, error):
+        doc = self.two_feature_document()
+        kept = base64.b64decode(doc["vectors"], validate=True)[1:] if mask else b""
+        if mask == 0b1110_0000:
+            kept += bytes(8)
+        doc["vectors"] = base64.b64encode(bytes([mask]) + kept).decode("ascii")
+        with pytest.raises(FormatError, match=error):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("edit", [
         lambda text: text[:5] + "-" + text[5:],  # the URL-safe alphabet, not the standard one
         lambda text: text[:5] + "\n" + text[5:],
@@ -657,16 +714,16 @@ class TestFormatFourVectors:
         lambda text: text[:5] + "=" + text[5:],
         lambda text: text[:-1],
         lambda text: text + "=",
-        # the two bits past the last byte, which the writer leaves 0
-        lambda text: text[:-2] + BASE64_ALPHABET[BASE64_ALPHABET.index(text[-2]) ^ 1] + "=",
+        # the four bits past the last byte, which the writer leaves 0
+        lambda text: text[:-3] + BASE64_ALPHABET[BASE64_ALPHABET.index(text[-3]) ^ 1] + "==",
         lambda text: text[1:],
     ], ids=["dash", "newline", "space", "non-ascii", "inner-padding", "no-padding",
             "extra-padding", "trailing-bits", "dropped-character"])
     def test_text_that_the_writer_does_not_make(self, edit):
-        # one row of 16 doubles: 128 bytes, 171 characters and one "="
+        # a mask of 16 features and one row of 16 doubles: 130 bytes, 174 characters and "=="
         doc = json.loads((DATA / "cli" / "binary.json").read_text())
-        assert (doc["format_version"], len(doc["vectors"])) == (4, 172)
-        assert doc["vectors"][-2:] != "==" and doc["vectors"][-1] == "="
+        assert (doc["format_version"], len(doc["vectors"])) == (4, 176)
+        assert doc["vectors"][-3:] != "===" and doc["vectors"][-2:] == "=="
         model_from_dict(dict(doc))
         doc["vectors"] = edit(doc["vectors"])
         with pytest.raises(FormatError, match="'vectors'"):
@@ -686,7 +743,7 @@ class TestFormatFourVectors:
         doc = v4_document(strategy)
         raw = base64.b64decode(doc["vectors"]) + bytes(8)
         doc["vectors"] = base64.b64encode(raw).decode("ascii")
-        with pytest.raises(FormatError, match="rows of dim 3"):
+        with pytest.raises(FormatError, match="not whole rows"):
             model_from_dict(doc)
 
     def test_binary_model_of_two_vectors(self):
@@ -731,7 +788,12 @@ def mutated_base64(draw, doc):
     """A format 4 document's ``vectors`` string with one change to its text or its doubles."""
     text = doc["vectors"]
     at = draw(st.integers(0, len(text) - 1))
-    edit = draw(st.sampled_from(["flip", "drop", "insert", "drop-row", "entry"]))
+    edit = draw(st.sampled_from(["flip", "drop", "insert", "mask-bit", "drop-row", "entry"]))
+    if edit == "mask-bit":  # a feature marked or unmarked, or a bit past dim set
+        raw = bytearray(base64.b64decode(text))
+        bit = draw(st.integers(0, 8 * -(-doc["dim"] // 8) - 1))
+        raw[bit // 8] ^= 0x80 >> bit % 8
+        return base64.b64encode(bytes(raw)).decode("ascii")
     if edit == "flip":
         char = draw(st.sampled_from(BASE64_ALPHABET.replace(text[at], "")))
         return text[:at] + char + text[at + 1:]

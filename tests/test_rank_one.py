@@ -6,7 +6,6 @@ Trained pgm and one-vs-rest models keep dim x N vectors; the dense
 and serve as the reference here.
 """
 
-import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -164,9 +163,7 @@ def test_commands_build_no_dim_by_dim_array(tmp_path, strategy):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = 1 if strategy == "binary" else n_classes
-    assert load_model(model).vectors.shape == (dim, rows)
+    assert load_model(model).vectors.shape == (dim, 1 if strategy == "binary" else n_classes)
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
-    # the rows of doubles in base64 and the JSON fields around them; a dense
-    # dim x dim model file would hold 9 million numbers
-    assert Path(model).stat().st_size < 4 * math.ceil(8 * dim * rows / 3) + 1000
+    # a dense dim x dim model file would hold 9 million numbers
+    assert Path(model).stat().st_size < 100_000
