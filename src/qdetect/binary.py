@@ -243,13 +243,12 @@ def binary_from_statistics(
 
 def score(model: BinaryModel, x: np.ndarray) -> float:
     """Born-rule acceptance score ``<x|P|x>`` of a unit vector, in [0, 1]."""
-    scores = linalg.born_scores(np.asarray(x, dtype=float)[None], model.vectors)
-    return float(model.decisions(scores)[1][0])
+    return float(model.decisions(linalg.born_scores(linalg.unit_row(x), model.vectors))[1][0])
 
 
 def decide(model: BinaryModel, x: np.ndarray) -> bool:
-    """Accept when the score reaches the threshold (boundary inclusive)."""
-    return score(model, x) >= model.threshold
+    """Accept (``decisions`` index 0) when the score reaches the threshold, boundary inclusive."""
+    return bool(model.decisions(np.array([[score(model, x)]]))[0][0] == 0)
 
 
 def binary_bayes_cost(

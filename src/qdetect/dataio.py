@@ -30,7 +30,7 @@ from qdetect.errors import (
     SplitError,
     UnsupportedVersionError,
 )
-from qdetect.multiclass import Measurement, MulticlassModel, check_cost_matrix, measurement_vectors
+from qdetect.multiclass import MulticlassModel, check_cost_matrix
 from qdetect.states import LabeledDataset
 
 
@@ -538,13 +538,22 @@ def _dense_vectors(doc: dict, strategy: str, dim: int) -> np.ndarray:
         if any(basis.shape[1] != 1 for basis in bases):
             raise FormatError("a one-vs-rest detector does not accept on a single vector")
         return np.hstack(bases)
+    elements = [_float_array(e) for e in _require(doc, "elements", list)]
     residual = doc.get("residual")
-    m = Measurement(
-        elements=tuple(_float_array(e) for e in _require(doc, "elements", list)),
-        residual=None if residual is None else _float_array(residual),
-    )
-    return np.column_stack(
-        [math.sqrt(np.trace(e)) * v for e, v in zip(m.elements, measurement_vectors(m))])
+    stored = elements + ([] if residual is None else [_float_array(residual)])
+    # before the sum, which a huge entry overflows; a stored matrix also bounds eye(dim)
+    if not elements or any(e.shape != (dim, dim) or not np.all(np.abs(e) <= 1.0 + 1e-10)
+                           for e in stored):
+        raise FormatError(f"pgm elements must be finite dim {dim} x {dim} matrices within [-1, 1]")
+    if float(np.linalg.norm(sum(stored) - np.eye(dim))) > 1e-10:
+        raise FormatError("pgm elements do not resolve the identity within 1e-10")
+    vectors = []
+    for k, e in enumerate(elements):
+        w, v = linalg.eigh(e)
+        if not w[0] > 0.0 or np.max(np.abs(w[1:]), initial=0.0) > 1e-8 * w[0]:
+            raise FormatError(f"pgm element {k} is not of rank 1")
+        vectors.append(math.sqrt(np.trace(e)) * v[:, 0])
+    return np.column_stack(vectors)
 
 
 def model_from_dict(doc: dict):

@@ -27,7 +27,7 @@ def symmetrize(m) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first nonzero component is positive.
 
     A component counts as nonzero when its magnitude exceeds
@@ -64,7 +64,7 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigendecomposition failed to converge: {exc}") from exc
     # numpy returns ascending order; the toolkit contract is descending.
     w = w[::-1].copy()
-    v = _fix_signs(v[:, ::-1])
+    v = fix_signs(v[:, ::-1])
     residual = float(np.linalg.norm((v * w) @ v.T - m))
     bound = 1e-10 * m.shape[0] * max(1.0, float(np.linalg.norm(m)))
     if residual > bound:
@@ -104,6 +104,15 @@ def trace_norm(m) -> float:
     m = symmetrize(m)
     w = np.linalg.eigvalsh(m)
     return float(np.sum(np.abs(w)))
+
+
+def unit_row(x) -> np.ndarray:
+    """``x`` as a 1 x dim matrix; ValueError unless it is finite with norm 1 within 1e-10."""
+    x = np.asarray(x, dtype=float)
+    # entries within [-1, 1] keep the norm from overflowing; a NaN fails both comparisons
+    if not (np.all(np.abs(x) <= 1.0 + 1e-10) and abs(np.linalg.norm(x) - 1.0) <= 1e-10):
+        raise ValueError("expected a finite unit vector, with norm 1 within 1e-10")
+    return x[None]
 
 
 def born_scores(rows, vectors) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 A measurement is a family of PSD operators resolving the identity, one element
 per hypothesis plus an optional residual element covering the complement of
-the training support.  The square-root ("pretty good") measurement is the
-constructive default; a one-vs-rest bank of binary detectors is the pragmatic
-alternative.  Trained models keep both in rank-1 form, one vector per class;
-the dense ``Measurement`` and ``pgm`` are the small-dim reference.
+the training support; ``Measurement`` holds each element as a factor.  The
+square-root ("pretty good") measurement is the constructive default; a
+one-vs-rest bank of binary detectors is the pragmatic alternative.  Trained
+models keep both in rank-1 form, one vector per class.
 """
 
 from __future__ import annotations
@@ -83,47 +83,46 @@ class HypothesisSet:
         return len(self.factors[0])
 
 
-def _is_projective(elements: Sequence[np.ndarray]) -> bool:
-    for i, p in enumerate(elements):
-        if float(np.linalg.norm(p @ p - p)) > PSD_ATOL:
-            return False
-        for q in elements[i + 1 :]:
-            if float(np.linalg.norm(p @ q)) > PSD_ATOL:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class Measurement:
-    """PSD elements summing to the identity; ``elements[k]`` answers hypothesis k.
+    """Elements ``mu_k = M_k M_k^T`` of D x r_k factors; ``elements[k]`` answers hypothesis k.
 
-    ``residual`` (when present) absorbs the complement of the support of the
-    averaged state so the resolution of the identity holds exactly in
-    rank-deficient feature spaces.
+    ``M = [M_1, ..., M_N]`` is finite with ``lambda_max(M^T M) <= 1`` within
+    1e-10, so the elements are PSD and sum to at most I by construction (Eldar
+    & Forney 2001); the residual ``I - M M^T`` resolves the rest of the
+    identity.  ``elements`` and ``residual`` are read-only dense views.
     """
 
-    elements: tuple[np.ndarray, ...]
-    residual: np.ndarray | None = None
+    factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        elements = tuple(np.asarray(e, dtype=float) for e in self.elements)
-        object.__setattr__(self, "elements", elements)
-        if self.residual is not None:
-            object.__setattr__(self, "residual", np.asarray(self.residual, dtype=float))
-        if not elements or elements[0].ndim != 2:
-            raise ValueError("a measurement needs at least one element, each a matrix")
-        dim = elements[0].shape[0]
-        for e in self.all_elements():
-            if e.shape != (dim, dim):
-                raise DimensionMismatchError("measurement elements have mixed dimensions")
-            # 0 <= e <= I bounds every entry by 1, and keeps the sums below finite
-            if not np.all(np.abs(e) <= 1.0 + PSD_ATOL):
-                raise ValueError("measurement element entries must be finite and within [-1, 1]")
-            if float(np.min(np.linalg.eigvalsh((e + e.T) / 2.0))) < -PSD_ATOL:
-                raise ValueError("measurement element is not PSD within 1e-10")
-        total = sum(self.all_elements(), np.zeros((dim, dim)))
-        if float(np.linalg.norm(total - np.eye(dim))) > RESOLUTION_ATOL:
-            raise ValueError("measurement elements do not resolve the identity")
+        factors = tuple(np.asarray(f, dtype=float) for f in self.factors)
+        if not factors or any(f.ndim != 2 or not f.shape[1] for f in factors):
+            raise ValueError("a measurement needs at least one factor, each a matrix with columns")
+        if any(len(f) != len(factors[0]) for f in factors):
+            raise DimensionMismatchError("measurement factors have mixed dimensions")
+        m = np.hstack(factors)
+        # M M^T <= I bounds every entry by 1; a larger one could overflow G, a NaN break eigvalsh
+        if not np.all(np.abs(m) <= 1.0 + PSD_ATOL):
+            raise ValueError("measurement factor entries must be finite and within [-1, 1]")
+        if float(np.linalg.eigvalsh(m.T @ m)[-1]) > 1.0 + RESOLUTION_ATOL:
+            raise ValueError("measurement elements sum beyond the identity")
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        """Dense elements ``M_k M_k^T``, for small dims."""
+        return tuple(linalg.symmetrize(f @ f.T) for f in self.factors)
+
+    @property
+    def has_residual(self) -> bool:
+        """Whether the residual's trace ``dim - ||M||_F^2`` exceeds 1e-10."""
+        return self.dim - sum(float(np.sum(f * f)) for f in self.factors) > RESOLUTION_ATOL
+
+    @property
+    def residual(self) -> np.ndarray | None:
+        """Dense residual element ``I - M M^T``, or None when the elements resolve I."""
+        return np.eye(self.dim) - sum(self.elements) if self.has_residual else None
 
     def all_elements(self) -> list[np.ndarray]:
         """Per-hypothesis elements followed by the residual element, if any."""
@@ -131,16 +130,22 @@ class Measurement:
 
     @property
     def kind(self) -> str:
-        """``"projective"`` when the elements are orthogonal projectors, ``"povm"`` otherwise."""
-        return "projective" if _is_projective(self.all_elements()) else "povm"
+        """``"projective"`` when every element is a projector, ``"povm"`` otherwise.
+
+        ``||G_k^2 - G_k||_F`` of ``G_k = M_k^T M_k`` is ``||mu_k^2 - mu_k||_F``;
+        projectors summing to at most I are orthogonal, and so is their residual.
+        """
+        grams = (f.T @ f for f in self.factors)
+        projective = all(np.linalg.norm(g @ g - g) <= PSD_ATOL for g in grams)
+        return "projective" if projective else "povm"
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.factors)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return len(self.factors[0])
 
 
 def zero_one_cost(n: int) -> np.ndarray:
@@ -192,71 +197,54 @@ def pgm(h: HypothesisSet) -> Measurement:
     block of columns, which is ``S^(-1/2) (xi_k rho_k) S^(-1/2)`` with ``S``
     the prior-weighted average state and the inverse square root taken on
     its support (Eldar & Forney 2001).  Pure and mixed states take the same
-    route.  When the support is a proper subspace, the complement ``I - M M^T``
-    is appended as a residual element so the identity is resolved exactly.
+    route.  When the support is a proper subspace, the residual ``I - M M^T``
+    resolves the rest of the identity.
     """
     psi = np.hstack([np.sqrt(xi) * f for xi, f in zip(h.priors, h.factors)])
-    return _block_measurement(square_root_vectors(psi), [f.shape[1] for f in h.factors])
-
-
-def _block_measurement(m: np.ndarray, widths: Sequence[int]) -> Measurement:
-    """Dense elements ``M_k M_k^T`` over consecutive column blocks of ``m``.
-
-    Below rank ``dim`` the residual ``I - M M^T``, of trace ``dim - ||M||_F^2``,
-    is appended.
-    """
-    blocks = np.split(m, np.cumsum(widths)[:-1], axis=1)
-    elements = tuple(linalg.symmetrize(b @ b.T) for b in blocks)
-    residual = linalg.symmetrize(np.eye(len(m)) - m @ m.T)
-    full_rank = np.trace(residual) < 0.5
-    return Measurement(elements=elements, residual=None if full_rank else residual)
+    edges = np.cumsum([f.shape[1] for f in h.factors])[:-1]
+    return Measurement(np.split(square_root_vectors(psi), edges, axis=1))
 
 
 def measurement_vectors(m: Measurement) -> list[np.ndarray]:
     """Unit vectors generating each rank-1 element (element = trace * outer(v, v)).
 
-    Raises
-    ------
-    NotRankOneError
-        If any non-residual element has numerical rank above one.
+    Element k shares its nonzero eigenvalues w with ``G_k = M_k^T M_k``, and
+    ``M_k u / sqrt(w)`` is its eigenvector, signed as ``linalg.eigh`` signs it.
+    Raises NotRankOneError if any element has numerical rank other than one.
     """
     vectors = []
-    for k, element in enumerate(m.elements):
-        w, v = linalg.eigh(element)
+    for k, f in enumerate(m.factors):
+        # scaled to a largest entry of 1, so that the Gram block does not underflow
+        f = f / max(float(np.max(np.abs(f))), np.finfo(float).tiny)
+        w, u = linalg.eigh(f.T @ f)
         top = float(w[0])
         if top <= 0.0:
             raise NotRankOneError(f"measurement element {k} is numerically zero")
-        rest = float(np.max(np.abs(w[1:]))) if len(w) > 1 else 0.0
+        rest = float(np.max(np.abs(w[1:]), initial=0.0))
         if rest > 1e-8 * top:
-            raise NotRankOneError(
-                f"measurement element {k} has rank > 1 (second eigenvalue {rest:.3e})"
-            )
-        vectors.append(v[:, 0])
+            raise NotRankOneError(f"measurement element {k} has rank > 1 (eigenvalue {rest:.3e})")
+        vectors.append(linalg.fix_signs(f @ u[:, :1] / np.sqrt(top))[:, 0])
     return vectors
 
 
 def average_cost(m: Measurement, h: HypothesisSet, cost) -> float:
     """Prior-weighted expected decision cost of the measurement.
 
-    ``sum_ij xi_j K[i][j] Tr(rho_j mu_i)``; a residual outcome is charged the
-    maximum cost of its true class's column.
+    ``sum_ij xi_j K[i][j] Tr(rho_j mu_i)`` with ``Tr(rho_j mu_i) = ||M_i^T
+    F_j||_F^2``; a residual outcome, of probability one minus the others, is
+    charged the maximum cost of its true class's column.
     """
     if m.n != h.n:
-        raise DimensionMismatchError(
-            f"measurement has {m.n} elements for {h.n} hypotheses"
-        )
+        raise DimensionMismatchError(f"measurement has {m.n} elements for {h.n} hypotheses")
     if m.dim != h.dim:
-        raise DimensionMismatchError(
-            f"measurement dim {m.dim} does not match hypothesis dim {h.dim}"
-        )
+        raise DimensionMismatchError(f"measurement dim {m.dim} is not hypothesis dim {h.dim}")
     k = check_cost_matrix(cost, h.n)
     total = 0.0
     for j, (xi, f) in enumerate(zip(h.priors, h.factors)):
-        # Tr(rho_j mu) = Tr(F_j^T mu F_j), with no D x D product rho_j mu
-        for i, mu in enumerate(m.elements):
-            total += float(xi) * k[i, j] * float(np.sum(f * (mu @ f)))
-        if m.residual is not None:
-            total += float(xi) * float(np.max(k[:, j])) * float(np.sum(f * (m.residual @ f)))
+        probabilities = [float(np.sum(np.square(mi.T @ f))) for mi in m.factors]
+        total += float(xi) * float(k[:, j] @ probabilities)
+        if m.has_residual:
+            total += float(xi) * float(np.max(k[:, j])) * (1.0 - sum(probabilities))
     return total
 
 
@@ -287,8 +275,7 @@ class MulticlassModel:
     ``square_root_vectors``); for ``one_vs_rest`` they are the unit acceptance
     vectors ``e_k`` of the detectors, whose scalars are ``detector_scalars``.
     Class k scores ``(x . column_k)^2`` and the top score decides.
-    ``measurement`` (dense, for small dims) and ``detectors`` are views built
-    on demand.
+    ``measurement`` and ``detectors`` are views built on demand.
     """
 
     strategy: str
@@ -323,6 +310,9 @@ class MulticlassModel:
         if len(self.priors) != n:
             raise ValueError("priors and labels must have matching lengths")
         _check_priors(self.priors)
+        if any(abs(s.prior_negative - (1.0 - p)) > 1e-12
+               for s, p in zip(self.detector_scalars, self.priors)):
+            raise ValueError("each detector's prior_negative must be 1 - its class prior")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be distinct")
         object.__setattr__(self, "vectors", vectors)
@@ -349,10 +339,10 @@ class MulticlassModel:
 
     @property
     def measurement(self) -> Measurement | None:
-        """Dense pgm view: elements ``m_k m_k^T`` and, below rank ``dim``, the residual."""
+        """Pgm view: one-column factors ``m_k``, elements ``m_k m_k^T``."""
         if self.strategy != "pgm":
             return None
-        return _block_measurement(self.vectors, [1] * len(self.labels))
+        return Measurement(np.split(self.vectors, len(self.labels), axis=1))
 
     @property
     def detectors(self) -> tuple[BinaryModel, ...] | None:
@@ -410,12 +400,7 @@ def class_scores(model: MulticlassModel, x: np.ndarray) -> np.ndarray:
     A vector with a non-finite entry, or a norm off 1 by more than 1e-10,
     raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    # a unit vector's entries lie in [-1, 1], so its norm cannot overflow;
-    # a NaN fails both comparisons
-    if not (np.all(np.abs(x) <= 1.0 + 1e-10) and abs(np.linalg.norm(x) - 1.0) <= 1e-10):
-        raise ValueError("expected a finite unit vector, with norm 1 within 1e-10")
-    return linalg.born_scores(x[None], model.vectors)[0]
+    return linalg.born_scores(linalg.unit_row(x), model.vectors)[0]
 
 
 def classify(model: MulticlassModel, x: np.ndarray) -> str:

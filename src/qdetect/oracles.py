@@ -128,9 +128,7 @@ def _sweep_three(h: HypothesisSet, k: np.ndarray, resolution: int):
         idx = int(np.argmin(costs))
         if float(costs[idx]) < best_cost:
             best_cost = float(costs[idx])
-            by_hypothesis = np.empty(3, dtype=int)
-            for m in range(3):
-                by_hypothesis[perm[m]] = m
+            by_hypothesis = np.argsort(perm)  # the slot serving each hypothesis
             best = GridPartition(
                 angles=theta[idx][by_hypothesis].copy(),
                 weights=weights[idx][by_hypothesis].copy(),

@@ -105,6 +105,15 @@ class TestScoreAndDecide:
         with pytest.raises(DimensionMismatchError):
             score(self.model, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("x", [[math.nan, math.nan], [3.0, 0.0], [1e300, 0.0]],
+                             ids=["nan", "norm-3", "1e300"])
+    def test_vector_that_is_not_unit_raises(self, x):
+        # these gave nan and False, a score of 9.0, and an overflow
+        model = detector_from_densities(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5)
+        for call in (score, decide):
+            with pytest.raises(ValueError, match="unit vector"):
+                call(model, np.array(x))
+
     def test_decide_threshold(self):
         assert not decide(self.model, np.array([0.6, 0.8]))
         assert decide(self.model, np.array([1.0, 0.0]))

@@ -538,6 +538,14 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="finite"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["elements", "residual"])
+    def test_huge_measurement_entry(self, key):
+        # rejected before the stored matrices are summed, which 1e300 overflows
+        doc = v1_document("pgm")
+        (doc[key][0] if key == "elements" else doc[key])[0][0] = 1e300
+        with pytest.raises(FormatError, match="within"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_nan_vector_entry(self, strategy):
         doc = v3_document(strategy)
@@ -582,6 +590,14 @@ class TestModelValidation:
         doc = model_to_dict(make_models()[strategy])
         doc["labels"] = ["a", "a"]
         with pytest.raises(FormatError, match="labels"):
+            model_from_dict(doc)
+
+    def test_detector_prior_must_match_its_class_prior(self):
+        # a detector whose prior_negative is not 1 - priors[k] used to load,
+        # its priors then reading (0.5, 0.5) against a class prior of 0.25
+        doc = json.loads((DATA / "cli" / "ovr.json").read_text())
+        doc["detectors"][0].update(prior_negative=0.5, **{"lambda": 1.0})
+        with pytest.raises(FormatError, match="prior_negative"):
             model_from_dict(doc)
 
     def test_dim_disagrees_with_elements(self):

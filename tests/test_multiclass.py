@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import qdetect.multiclass
 from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
@@ -279,9 +278,55 @@ def test_pgm_of_drawn_factors_matches_the_inverse_root(drawn):
     assert (m.residual is None) == (support.size == h.dim)
 
 
+@st.composite
+def drawn_measurements(draw):
+    """A hypothesis set of drawn factors, and its pgm or a drawn measurement below I."""
+    priors, factors = draw(factor_sets())
+    h = HypothesisSet(priors=priors, factors=factors,
+                      labels=tuple(f"c{k}" for k in range(len(factors))))
+    if draw(st.booleans()):
+        return h, pgm(h)
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    blocks = []
+    for _ in range(h.n):
+        b = draw(hnp.arrays(float, (h.dim, draw(st.integers(1, 3))), elements=entries))
+        assume(np.any(b))
+        # a weight of at least 1e-6 keeps the dense element M_k M_k^T from underflowing
+        blocks.append(b / np.max(np.abs(b)) * draw(st.floats(1e-6, 1.0)))
+    # scaled so that the largest singular value of M is at most 1
+    scale = np.linalg.norm(np.hstack(blocks), 2) * draw(st.floats(1.0, 4.0))
+    return h, Measurement(tuple(b / scale for b in blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_measurements(), st.data())
+def test_factor_form_matches_the_dense_formulas(drawn, data):
+    h, m = drawn
+    cost = data.draw(hnp.arrays(float, (h.n, h.n), elements=st.floats(0.0, 5.0)))
+    residual = np.zeros((h.dim, h.dim)) if m.residual is None else m.residual
+    dense = sum(xi * (sum(cost[i, j] * np.trace(rho @ mu) for i, mu in enumerate(m.elements))
+                      + np.max(cost[:, j]) * np.trace(rho @ residual))
+                for j, (xi, rho) in enumerate(zip(h.priors, h.states)))
+    assert abs(average_cost(m, h, cost) - dense) <= 1e-12
+    # the D x D projector test; projectors summing to at most I are orthogonal
+    assert (m.kind == "projective") == all(np.linalg.norm(mu @ mu - mu) <= 1e-10
+                                           for mu in m.elements)
+    want = []
+    for element in m.elements:
+        w, v = np.linalg.eigh(element)
+        if w[-1] <= 0.0 or np.max(np.abs(w[:-1]), initial=0.0) > 1e-8 * w[-1]:
+            with pytest.raises(NotRankOneError):
+                measurement_vectors(m)
+            return
+        top = v[:, -1]
+        want.append(top if top[np.abs(top) > 1e-12 * np.max(np.abs(top))][0] > 0 else -top)
+    for got, vector in zip(measurement_vectors(m), want):
+        np.testing.assert_allclose(got, vector, rtol=0.0, atol=1e-12)
+
+
 class TestMeasurementVectors:
     def test_basis_projector(self):
-        m = Measurement(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        m = Measurement((np.eye(2)[:, :1], np.eye(2)[:, 1:]))
         vectors = measurement_vectors(m)
         np.testing.assert_allclose(vectors[0], [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(vectors[1], [0.0, 1.0], atol=1e-12)
@@ -295,43 +340,34 @@ class TestMeasurementVectors:
             np.testing.assert_allclose(got, aligned, atol=1e-12)
 
     def test_rank_two_element_rejected(self):
-        m = Measurement(elements=(np.diag([0.5, 0.5]), np.diag([0.5, 0.5])))
+        m = Measurement((np.eye(2) / math.sqrt(2.0), np.eye(2) / math.sqrt(2.0)))
         with pytest.raises(NotRankOneError):
             measurement_vectors(m)
 
 
 class TestMeasurementInvariants:
     def test_elements_must_resolve_identity(self):
-        with pytest.raises(ValueError):
-            Measurement(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
-
-    def test_elements_must_be_psd(self):
-        with pytest.raises(ValueError):
-            Measurement(elements=(np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+        # elements below I get the residual I - M M^T; elements beyond I are rejected
+        m = Measurement((np.eye(2)[:, :1], math.sqrt(0.5) * np.eye(2)[:, 1:]))
+        np.testing.assert_allclose(m.residual, np.diag([0.0, 0.5]), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(sum(m.all_elements()), np.eye(2), rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match="beyond the identity"):
+            Measurement((np.eye(2)[:, :1], np.eye(2)[:, :1]))
 
     def test_kind_follows_from_the_elements(self):
-        assert Measurement(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).kind == "projective"
-        assert Measurement(elements=pgm(trine()).elements).kind == "povm"
-
-    @pytest.mark.parametrize("h", [trine(), pure_hypotheses([0.0, math.pi / 2.0])])
-    def test_pgm_leaves_the_kind_to_the_measurement(self, h):
-        with mock.patch.object(qdetect.multiclass, "_is_projective",
-                               wraps=qdetect.multiclass._is_projective) as check:
-            m = pgm(h)
-            assert check.call_count == 0
-            assert m.kind in ("projective", "povm")
-            assert check.call_count == 1
+        assert Measurement((np.eye(2)[:, :1], np.eye(2)[:, 1:])).kind == "projective"
+        assert Measurement(pgm(trine()).factors).kind == "povm"
 
 
 class TestAverageCost:
     def test_single_hypothesis_identity(self):
         h = HypothesisSet(priors=np.array([1.0]), factors=(np.eye(2)[:, :1],), labels=("only",))
-        m = Measurement(elements=(np.eye(2),))
+        m = Measurement((np.eye(2),))
         assert average_cost(m, h, np.zeros((1, 1))) == 0.0
 
     def test_matched_orthogonal_measurement_is_free(self):
         h = pure_hypotheses([0.0, math.pi / 2.0])
-        m = Measurement(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        m = Measurement((np.eye(2)[:, :1], np.eye(2)[:, 1:]))
         assert average_cost(m, h, zero_one_cost(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_outcome_charged_max_column_cost(self):
@@ -362,7 +398,7 @@ class TestAverageCost:
 
     def test_size_mismatch(self):
         h = pure_hypotheses([0.0, math.pi / 2.0])
-        m = Measurement(elements=(np.eye(2),))
+        m = Measurement((np.eye(2),))
         with pytest.raises(DimensionMismatchError):
             average_cost(m, h, zero_one_cost(2))
 

@@ -17,10 +17,17 @@ from hypothesis import strategies as st
 
 from qdetect.binary import binary_bayes_cost, detector_from_densities
 from qdetect.cli import main
-from qdetect.dataio import load_model, save_model
+from qdetect.dataio import load_model, parse_sparse, save_model
 from qdetect.errors import DegenerateSeparationError
 from qdetect.linalg import SUPPORT_RTOL, born_scores, inv_sqrt_psd
-from qdetect.multiclass import build_hypotheses, train_one_vs_rest, train_pgm
+from qdetect.multiclass import (
+    average_cost,
+    build_hypotheses,
+    measurement_vectors,
+    train_one_vs_rest,
+    train_pgm,
+    zero_one_cost,
+)
 from qdetect.oracles import helstrom_oracle
 from qdetect.states import (
     FeatureVector,
@@ -167,3 +174,24 @@ def test_commands_build_no_dim_by_dim_array(tmp_path, strategy):
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
     # a dense dim x dim model file would hold 9 million numbers
     assert Path(model).stat().st_size < 100_000
+
+
+def test_measurement_view_builds_no_dim_by_dim_array(tmp_path):
+    # the factor form checks, classifies and costs through D x N and N x N arrays
+    dim, limit = 3000, 10 * 2**20
+    data = tmp_path / "data.txt"
+    write_wide_corpus(data, dim, n_classes=4, docs_per_class=9, seed=11)
+    ds = parse_sparse(data.read_text(encoding="utf-8").splitlines(), dim=dim)
+    model = train_pgm(ds, dim)
+    tracemalloc.start()
+    try:
+        view = model.measurement
+        kind = view.kind
+        vectors = measurement_vectors(view)
+        cost = average_cost(model.measurement, build_hypotheses(ds, dim), zero_one_cost(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kind == model.kind
+    assert len(vectors) == 4 and 0.0 <= cost <= 1.0
+    assert peak < limit, f"peak {peak / 2**20:.1f} MB"

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -73,14 +74,29 @@ def _names(tree):
             yield node.attr
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_exits_cleanly(demo, tmp_path):
+def _run_python(args, cwd):
+    """A fresh interpreter that imports the library from src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_cleanly(demo, tmp_path):
+    result = _run_python([str(demo)], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # the quick start stays runnable as the library changes
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        result = _run_python(["-c", block], tmp_path)
+        assert result.returncode == 0, result.stderr
 
 
 # every model file under tests/data: each JSON file but the evaluation reports
