@@ -189,6 +189,8 @@ _SUITES = {"helstrom": _suite_helstrom, "trine": _suite_trine, "synthetic": _sui
 
 
 def _cmd_bench(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     rows = _SUITES[args.suite](args.seed)
     all_ok = True
     for name, ok, detail in rows:

@@ -132,14 +132,6 @@ class LabeledDataset:
         """Label -> dense index, assigned in first-appearance order."""
         return {label: k for k, label in enumerate(self.classes)}
 
-    def empty_rows(self) -> np.ndarray:
-        """Per row, whether the document has no nonzero feature."""
-        return self.indptr[1:] == self.indptr[:-1]
-
-    def unit_rows(self, dim: int) -> np.ndarray:
-        """Dense L2-normalized rows zero-padded to ``dim`` (see ``normalize_documents``)."""
-        return _unit_rows(self.indptr, self.indices, self.values, dim)
-
     def take(self, rows) -> LabeledDataset:
         """The given rows, in that order, as a dataset over the same features.
 
@@ -231,25 +223,33 @@ def density_from_vector(v) -> np.ndarray:
     return np.outer(u, u) / float(u @ u)
 
 
-def _unit_rows(indptr, indices, values, dim: int) -> np.ndarray:
+def unit_entries(indptr, values) -> np.ndarray:
+    """Positive CSR entry values, scaled so that each nonempty row has norm 1.
+
+    Each row is divided by its largest value before its norm is taken, so that
+    values near the overflow or subnormal limits give no infinite or zero norm.
+    """
+    lengths = np.diff(indptr)
+    starts, sizes = indptr[:-1][lengths > 0], lengths[lengths > 0]
+    if not starts.size:  # reduceat rejects an empty index list
+        return np.zeros(len(values))
+    scaled = values / np.repeat(np.maximum.reduceat(values, starts), sizes)
+    return scaled / np.repeat(np.sqrt(np.add.reduceat(np.square(scaled), starts)), sizes)
+
+
+def dense_rows(indptr, columns, values, width: int) -> np.ndarray:
+    """CSR rows as a dense matrix ``width`` wide: row i holds its ``values`` at its ``columns``."""
     n = len(indptr) - 1
-    _check_size(n, dim)
-    rows = np.zeros((n, dim))
-    rows[np.repeat(np.arange(n), np.diff(indptr)), indices] = values
-    peak = rows.max(axis=1, keepdims=True)
-    rows /= np.where(peak > 0.0, peak, 1.0)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return np.divide(rows, np.where(norms > 0.0, norms, 1.0), out=rows)
+    _check_size(n, width)
+    rows = np.zeros((n, width))
+    rows.reshape(-1)[np.repeat(np.arange(n) * width, np.diff(indptr)) + columns] = values
+    return rows
 
 
 def normalize_documents(docs: Sequence[FeatureVector], dim: int) -> np.ndarray:
-    """Dense L2-normalized rows zero-padded to ``dim``; empty documents give zero rows.
-
-    The rows are filled with one scatter.  Dividing each row by its largest
-    value before taking the norm keeps values near the overflow or subnormal
-    limits from giving an infinite or zero norm.
-    """
-    return _unit_rows(*_csr(docs, dim), dim)
+    """Dense L2-normalized rows zero-padded to ``dim``; empty documents give zero rows."""
+    indptr, indices, values = _csr(docs, dim)
+    return dense_rows(indptr, indices, unit_entries(indptr, values), dim)
 
 
 def normalize_document(doc: FeatureVector, dim: int | None = None) -> np.ndarray:

@@ -16,8 +16,8 @@ from qdetect.states import FeatureVector, LabeledDataset
 from qdetect.synth import synth_corpus
 
 # Corpora and the model, prediction and report files the version before the
-# columnar corpus wrote for them (see GOLDEN_RUNS), apart from the binary
-# predictions, rewritten with model format 3, and the models, rewritten with
+# columnar corpus wrote for them (see GOLDEN_RUNS), apart from the
+# predictions, rewritten by the dataset scorer, and the models, rewritten with
 # model format 4.
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 # The format 2 model and prediction files of the same runs.
@@ -27,6 +27,9 @@ FORMAT_THREE = Path(__file__).resolve().parent / "data" / "v3"
 # The pgm model and predictions of the same run when M was Psi G^(-1/2) with
 # G^(-1/2) formed as a matrix, before M came from the SVD of Psi.
 INVERSE_ROOT = Path(__file__).resolve().parent / "data" / "inverse-root"
+# The predictions of the same runs when each document was scattered into a
+# dense row, normalized there and scored one column at a time.
+DENSE_ROWS = Path(__file__).resolve().parent / "data" / "dense-rows"
 # strategy -> (train file, extra train arguments, test file)
 GOLDEN_RUNS = {
     "pgm": ("train.txt", [], "test.txt"),
@@ -142,6 +145,14 @@ class TestPredictEvaluate:
         assert main(["evaluate", "--model", model, "--data", data,
                      "--cost", cost, "--out", report]) == 0
         assert json.loads(open(report).read())["empirical_cost"] == 0.0
+
+    def test_huge_costs_are_reported(self, tmp_path):
+        cost = write(tmp_path, "cost.json", json.dumps((1e308 * (1 - np.eye(4))).tolist()))
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--model", str(GOLDEN / "pgm.json"), "--data",
+                     str(GOLDEN / "test.txt"), "--cost", cost, "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["empirical_cost"] == pytest.approx((1.0 - doc["accuracy"]) * 1e308, rel=1e-15)
 
     @pytest.mark.parametrize("text", ["[[0,1e999,2],[2,0,2],[2,2,0]]",
                                       "[[0,-1,2],[2,0,2],[2,2,0]]", "[[0,1],[1,0]]"])
@@ -315,6 +326,21 @@ class TestGoldenOutputs:
         outs = assert_last_bits_move(tmp_path, "pgm", INVERSE_ROOT, 1e-13)
         assert outs["pgm.report.json"] == (INVERSE_ROOT / "pgm.report.json").read_bytes()
 
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
+    def test_scores_move_in_the_last_bits_from_dense_rows(self, tmp_path, strategy):
+        # The dataset scorer normalizes each document on its own entries and
+        # scores a block of rows by one product, so sums run in another order.
+        outs = run_golden(tmp_path, strategy)
+        got = [line.split("\t") for line in outs[f"{strategy}.tsv"].decode().splitlines()]
+        want = [line.split("\t")
+                for line in (DENSE_ROWS / f"{strategy}.tsv").read_text().splitlines()]
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        old = np.array([float(row[2]) for row in want])
+        assert np.all(np.abs(np.array([float(row[2]) for row in got]) - old)
+                      <= 8 * np.spacing(old))
+        report = f"{strategy}.report.json"
+        assert outs[report] == (GOLDEN / report).read_bytes()
+
     def test_no_feature_vector_on_the_command_path(self, tmp_path, monkeypatch):
         def refuse(self):
             raise AssertionError("a FeatureVector was built on the command path")
@@ -401,6 +427,13 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("suite", ["helstrom", "trine", "synthetic"])
+    def test_negative_seed_is_a_usage_error(self, suite, capsys):
+        assert main(["bench", "--suite", suite, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "ERROR usage: --seed must be nonnegative, got -1\n"
+        assert captured.out == ""
 
     def test_synthetic_suite_trains_on_the_split_datasets(self, monkeypatch, capsys):
         def refuse(self):

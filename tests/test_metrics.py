@@ -85,6 +85,23 @@ class TestReportFromConfusion:
         # one a->b mistake costs K[b][a]=1, one b->a mistake costs K[a][b]=5
         assert report.empirical_cost == pytest.approx((1.0 + 5.0) / 6.0)
 
+    @pytest.mark.parametrize("huge", [1e308, np.finfo(float).max])
+    def test_huge_costs_give_a_finite_cost(self, huge):
+        # the products confusion * cost overflow; the cost is an average of finite costs
+        confusion = [[3, 1, 0], [2, 4, 1], [0, 0, 5]]
+        cost = np.full((3, 3), huge) - np.diag(np.full(3, huge))
+        report = report_from_confusion(("a", "b", "c"), confusion, cost=cost)
+        assert report.empirical_cost == pytest.approx((1.0 - report.accuracy) * huge, rel=1e-15)
+
+    def test_zero_one_cost_is_exactly_the_error_rate(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            confusion = rng.integers(0, 50, size=(n, n))
+            report = report_from_confusion([f"c{k}" for k in range(n)], confusion)
+            errors = confusion.sum() - np.trace(confusion)
+            assert report.empirical_cost == float(errors / confusion.sum())
+
 
 class TestEvaluate:
     def test_perfect_model_on_orthogonal_corpus(self):

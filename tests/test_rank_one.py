@@ -195,3 +195,21 @@ def test_measurement_view_builds_no_dim_by_dim_array(tmp_path):
     assert kind == model.kind
     assert len(vectors) == 4 and 0.0 <= cost <= 1.0
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("strategy", ["pgm", "ovr"])
+def test_scoring_memory_does_not_grow_with_the_vocabulary(tmp_path, strategy):
+    # dense rows of the 200 documents would take 160 MB at this dim
+    dim, limit = 100_000, 32 * 2**20
+    data = tmp_path / "data.txt"
+    write_wide_corpus(data, dim, n_classes=8, docs_per_class=25, seed=5)
+    model, out = str(tmp_path / "model.json"), str(tmp_path / "out")
+    assert main(["train", "--data", str(data), "--strategy", strategy, "--out", model]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["predict", "--model", model, "--data", str(data), "--out", out]) == 0
+        assert main(["evaluate", "--model", model, "--data", str(data), "--out", out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"peak {peak / 2**20:.1f} MB"

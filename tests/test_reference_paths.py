@@ -1,13 +1,19 @@
 """Batch scoring and one-pass one-vs-rest training against the plain per-item paths."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from qdetect import binary, metrics
 from qdetect.binary import BinaryModel, train_binary
 from qdetect.dataio import LabeledDataset
-from qdetect.metrics import predict_dataset
-from qdetect.multiclass import train_one_vs_rest, train_pgm
-from qdetect.states import FeatureVector
+from qdetect.errors import DegenerateSeparationError
+from qdetect.metrics import evaluate, predict_dataset
+from qdetect.multiclass import class_scores, train_one_vs_rest, train_pgm
+from qdetect.states import FeatureVector, normalize_document
 
 
 def random_corpus(rng, n_classes, dim, docs_per_class):
@@ -94,3 +100,82 @@ def test_predict_dataset_matches_per_document_scoring(seed, strategy):
         np.testing.assert_allclose([row[1] for row in got], [row[1] for row in want],
                                    rtol=0.0, atol=1e-12)
     assert got[-1][2]
+
+
+@st.composite
+def scored_datasets(draw):
+    """A trained model and a test dataset no wider than it, with its block budget.
+
+    Test values span the positive doubles from the smallest subnormal to 1e308;
+    empty documents fall anywhere, and every document may be empty.
+    """
+    strategy = draw(st.sampled_from(["binary", "pgm", "ovr"]))
+    n = 2 if strategy == "binary" else draw(st.integers(2, 32))
+    dim = draw(st.integers(1, 40))
+    counts = st.dictionaries(st.integers(0, dim - 1), st.integers(1, 5), max_size=6)
+    corpus = [(f"c{k}", FeatureVector(dim=dim, entries={k % dim: 1, **draw(counts)}))
+              for k in range(n) for _ in range(draw(st.integers(1, 3)))]
+    try:
+        if strategy == "binary":
+            pos = [doc for label, doc in corpus if label == "c0"]
+            neg = [doc for label, doc in corpus if label == "c1"]
+            model = train_binary(pos, neg, dim, threshold=draw(st.floats(0.0, 1.0)),
+                                 labels=("c0", "c1"))
+        else:
+            model = (train_pgm if strategy == "pgm" else train_one_vs_rest)(corpus, dim)
+    except DegenerateSeparationError:
+        assume(False)  # a class whose statistics are parallel to the rest's
+    width = draw(st.integers(1, dim))
+    values = st.floats(5e-324, 1e308, allow_subnormal=True)
+    entries = st.dictionaries(st.integers(0, width - 1), values, max_size=width)
+    if draw(st.booleans()):
+        entries = st.just({})
+    docs = draw(st.lists(st.tuples(st.sampled_from(model.labels), entries), min_size=1,
+                         max_size=30))
+    test = LabeledDataset(dim=width, documents=tuple(
+        (label, FeatureVector(dim=width, entries=e)) for label, e in docs))
+    budget = draw(st.sampled_from([1, 2, 5, 16, metrics._BLOCK_DOUBLES]))
+    return model, test, budget
+
+
+def one_at_a_time(model, ds):
+    """Labels, scores, flags and tie marks from the one-row reference API."""
+    fallback = model.labels[int(np.argmax(model.priors))]
+    rows = []
+    for _, doc in ds.documents:
+        if doc.is_empty():
+            rows.append((fallback, 0.0, True, False))
+            continue
+        x = normalize_document(doc, model.dim)
+        if isinstance(model, BinaryModel):
+            s = binary.score(model, x)
+            label = model.labels[0 if s >= model.threshold else 1]
+            rows.append((label, s, False, abs(s - model.threshold) <= 1e-12))
+        else:
+            scores = class_scores(model, x)
+            top2 = np.sort(scores)[-2:]
+            rows.append((model.labels[int(np.argmax(scores))], float(scores.max()), False,
+                         top2[1] - top2[0] <= 1e-12))
+    return rows
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scored_datasets())
+def test_dataset_scorer_matches_the_one_row_reference(drawn):
+    model, ds, budget = drawn
+    with mock.patch.object(metrics, "_BLOCK_DOUBLES", budget):
+        got = predict_dataset(model, ds)
+        report = evaluate(model, ds)
+    want = one_at_a_time(model, ds)
+    assert [row[2] for row in got] == [row[2] for row in want]
+    np.testing.assert_allclose([row[1] for row in got], [row[1] for row in want],
+                               rtol=0.0, atol=1e-12)
+    for (label, _, _), (expected, _, _, tied) in zip(got, want):
+        assert label == expected or tied
+    index = {label: k for k, label in enumerate(model.labels)}
+    n = len(model.labels)
+    confusion = np.zeros((n, n), dtype=int)
+    for (true, _), (label, _, _) in zip(ds.documents, got):
+        confusion[index[true], index[label]] += 1
+    assert np.array_equal(report.confusion, confusion)
+    assert report.degenerate_count == sum(row[2] for row in want)
