@@ -58,7 +58,7 @@ class DetectorScalars:
 class BinaryModel(DetectorScalars):
     """Immutable trained detector: its scalars and its acceptance subspace.
 
-    ``vectors`` (dim x r) holds an orthonormal basis of the acceptance
+    ``vectors`` (dim x r, read-only) holds an orthonormal basis of the acceptance
     subspace, one unit vector ``e`` for two rank-1 class states, and
     ``labels`` names the (positive, negative) classes.  ``projector`` is the
     dense view, built on demand.  Safe to score from many threads.
@@ -71,7 +71,7 @@ class BinaryModel(DetectorScalars):
 
     def __post_init__(self):
         super().__post_init__()
-        vectors = np.array(self.vectors, dtype=float, order="C")
+        vectors = linalg.frozen(self.vectors)
         if vectors.ndim != 2 or vectors.shape[0] != self.dim or not vectors.shape[1]:
             raise ValueError(f"vectors of shape {vectors.shape} do not match dim {self.dim}")
         # orthonormal columns have entries in [-1, 1]; a larger entry could

@@ -25,7 +25,7 @@ from qdetect.dataio import (
     split,
 )
 from qdetect.errors import DegenerateCorpusError, QdetectError
-from qdetect.metrics import evaluate, predict_dataset
+from qdetect.metrics import evaluate, predictions_tsv
 from qdetect.multiclass import (
     HypothesisSet,
     average_cost,
@@ -74,11 +74,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    ds = _read_dataset(args.data)
-    rows = predict_dataset(model, ds)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for i, (label, value, _) in enumerate(rows):
-            fh.write(f"{i}\t{label}\t{format(value, '.17g')}\n")
+    blocks = predictions_tsv(model, _read_dataset(args.data))
+    with open(args.out, "w", encoding="utf-8") as fh:  # opened once scoring succeeded
+        fh.writelines(blocks)
     return 0
 
 

@@ -471,8 +471,8 @@ def _float_array(value) -> np.ndarray:
     return items.astype(float)
 
 
-def _vector_rows(text: str, dim: int) -> np.ndarray:
-    """The r x dim array of a format 4 ``vectors`` string, for any r >= 1.
+def _vector_columns(text: str, dim: int) -> np.ndarray:
+    """The dim x r array of a format 4 ``vectors`` string, for any r >= 1.
 
     The string must be what the writer makes of its bytes: standard base64
     with padding, on one line, of a feature mask with no bits past ``dim``
@@ -500,11 +500,11 @@ def _vector_rows(text: str, dim: int) -> np.ndarray:
     kept = np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=len(mask)).reshape(-1, n_used)
     if not (kept.view(np.uint64) != 0).any(axis=0).all():
         raise FormatError("model field 'vectors' marks a feature whose doubles are all 0")
-    if n_used == dim:
-        return kept
-    rows = np.zeros((len(kept), dim))
-    rows[:, used] = kept
-    return rows
+    # read-only in the model's layout, so the model keeps this array and copies nothing
+    columns = np.zeros((dim, len(kept)))
+    columns[used] = kept.T
+    columns.flags.writeable = False
+    return columns
 
 
 def _projector_vectors(payload: dict, dim: int) -> np.ndarray:
@@ -570,6 +570,10 @@ def model_from_dict(doc: dict):
     labels = tuple(_require(doc, "labels", list))
     if not all(isinstance(x, str) for x in labels):
         raise FormatError("model field 'labels' must hold strings")
+    try:  # JSON can escape a lone surrogate, which predictions could not be written with
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError("model field 'labels' holds a lone surrogate") from None
     try:
         kind, fields = None, {}
         if strategy == "binary":
@@ -589,8 +593,8 @@ def model_from_dict(doc: dict):
             vectors = _dense_vectors(doc, strategy, dim)
         elif version < FORMAT_VERSION:
             vectors = _float_array(_require(doc, "vectors", list)).T
-        else:  # the model checks that a multi-class model has a row per label
-            vectors = _vector_rows(_require(doc, "vectors", str), dim).T
+        else:  # the model checks that a multi-class model has a column per label
+            vectors = _vector_columns(_require(doc, "vectors", str), dim)
         if strategy == "binary":
             return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
         priors = _require(doc, "priors", list)

@@ -106,6 +106,22 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(w)))
 
 
+def frozen(a) -> np.ndarray:
+    """``a`` as a read-only C-ordered float64 array, copied unless it already is one.
+
+    A read-only array that owns its memory is taken as it is, so a loader
+    hands over the array it built without a second copy; nothing writes to
+    it without first setting it writable again.  Any other input is copied,
+    so the result never shares memory with an array a caller can write.
+    """
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+            and not a.flags.writeable and a.base is None):
+        return a
+    out = np.array(a, dtype=float, order="C")
+    out.flags.writeable = False
+    return out
+
+
 def unit_row(x) -> np.ndarray:
     """``x`` as a 1 x dim matrix; ValueError unless it is finite with norm 1 within 1e-10."""
     x = np.asarray(x, dtype=float)

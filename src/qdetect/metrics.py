@@ -17,6 +17,8 @@ from qdetect.states import LabeledDataset, dense_rows, unit_entries
 
 # Doubles in one block of scattered rows (1 MiB); each perfbench corpus is one block.
 _BLOCK_DOUBLES = 1 << 17
+# Lines of predictions formatted by one string operation.
+_TSV_BLOCK_ROWS = 1 << 16
 
 
 def _scores(ds: LabeledDataset, vectors: np.ndarray) -> np.ndarray:
@@ -60,6 +62,26 @@ def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
     picks, values, empty = _decisions(model, ds)
     return [(model.labels[k], v, flag)
             for k, v, flag in zip(picks.tolist(), values.tolist(), empty.tolist())]
+
+
+def predictions_tsv(model, ds: LabeledDataset) -> list[str]:
+    """The ``doc_index<TAB>label<TAB>score`` lines of ``predict_dataset``, in blocks of text.
+
+    Documents are numbered from 0 and scores written with 17 significant
+    digits (``%.17g``), which read back as the same double.  A block holds at
+    most ``_TSV_BLOCK_ROWS`` lines, formatted by one ``%`` on a tuple of fields.
+    """
+    picks, values, _ = _decisions(model, ds)
+    prefixes = [f"\t{label}\t" for label in model.labels]
+    blocks = []
+    for a in range(0, len(picks), _TSV_BLOCK_ROWS):
+        k = picks[a:a + _TSV_BLOCK_ROWS].tolist()
+        fields = [None] * (3 * len(k))
+        fields[0::3] = range(a, a + len(k))
+        fields[1::3] = map(prefixes.__getitem__, k)
+        fields[2::3] = values[a:a + len(k)].tolist()
+        blocks.append("%d%s%.17g\n" * len(k) % tuple(fields))
+    return blocks
 
 
 @dataclass(frozen=True)

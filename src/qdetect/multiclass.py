@@ -275,7 +275,8 @@ class MulticlassModel:
     ``square_root_vectors``); for ``one_vs_rest`` they are the unit acceptance
     vectors ``e_k`` of the detectors, whose scalars are ``detector_scalars``.
     Class k scores ``(x . column_k)^2`` and the top score decides.
-    ``measurement`` and ``detectors`` are views built on demand.
+    ``vectors`` is held read-only (see ``linalg.frozen``); ``measurement`` and
+    ``detectors`` are views built on demand.
     """
 
     strategy: str
@@ -287,23 +288,25 @@ class MulticlassModel:
 
     def __post_init__(self):
         n = len(self.labels)
-        vectors = np.array(self.vectors, dtype=float, order="C")
+        vectors = linalg.frozen(self.vectors)
         if vectors.shape != (self.dim, n):
             raise ValueError(
                 f"vectors of shape {vectors.shape} do not match dim {self.dim} and {n} labels"
             )
-        # columns of norm at most 1 have entries in [-1, 1]; a larger entry
-        # could overflow below, and a NaN would compare False there
-        if not np.all(np.abs(vectors) <= 1.0 + PSD_ATOL):
+        # columns of norm at most 1 have entries in [-1, 1]; a larger entry could
+        # overflow below, and a NaN, which min and max pass on, compares False here.
+        # No check builds a temporary as large as the vectors.
+        bound = 1.0 + PSD_ATOL
+        if not -bound <= vectors.min(initial=0.0) <= vectors.max(initial=0.0) <= bound:
             raise ValueError("vectors must be finite, with entries in [-1, 1]")
+        gram = vectors.T @ vectors
         if self.strategy == "pgm":
-            gram = vectors.T @ vectors
             if float(np.linalg.norm(gram @ gram - gram)) > RESOLUTION_ATOL:
                 raise ValueError("M^T M is not an orthogonal projector within 1e-10")
         elif self.strategy == "one_vs_rest":
             if len(self.detector_scalars) != n:
                 raise ValueError("one_vs_rest strategy requires one detector per label")
-            if np.any(np.abs(np.linalg.norm(vectors, axis=0) - 1.0) > 1e-10):
+            if np.any(np.abs(np.sqrt(np.diag(gram)) - 1.0) > 1e-10):
                 raise ValueError("acceptance vectors must have unit norm within 1e-10")
         else:
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -328,7 +331,7 @@ class MulticlassModel:
     @property
     def rank(self) -> int:
         """Rank of a pgm ``M``: the trace ``||M||_F^2`` of the projector ``M^T M``."""
-        return round(float(np.sum(np.square(self.vectors))))
+        return round(float(np.vdot(self.vectors, self.vectors)))
 
     @property
     def kind(self) -> str | None:

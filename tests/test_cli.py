@@ -11,7 +11,8 @@ import pytest
 
 import qdetect.cli
 from qdetect.cli import main
-from qdetect.dataio import load_model, serialize_sparse
+from qdetect.dataio import load_model, parse_sparse, serialize_sparse
+from qdetect.metrics import predict_dataset
 from qdetect.states import FeatureVector, LabeledDataset
 from qdetect.synth import synth_corpus
 
@@ -200,6 +201,25 @@ class TestPredictEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR parse: line 1:")
 
+    @pytest.mark.parametrize("bad, code", [
+        ("data", "parse"), ("wide data", "dim-mismatch"), ("version", "unsupported-version"),
+        ("label", "format"),
+    ])
+    def test_failed_predict_keeps_the_out_file(self, tmp_path, capsys, bad, code):
+        _, model, preds, _ = self.run_pipeline(tmp_path)
+        text = Path(model).read_text(encoding="utf-8")
+        model_text = {"version": '{"format_version":99,"strategy":"pgm"}',
+                      "label": text.replace('"class0"', '"\\udcff"')}.get(bad, text)
+        data_text = {"data": "class0 0:1\nclass1 0:x\n",
+                     "wide data": "class0 0:1 99:1\n"}.get(bad, "class0 0:1\n")
+        before = Path(preds).read_bytes()
+        capsys.readouterr()
+        rc = main(["predict", "--model", write(tmp_path, "m.json", model_text),
+                   "--data", write(tmp_path, "in.txt", data_text), "--out", preds])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+        assert Path(preds).read_bytes() == before
+
     def test_unsupported_model_version(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", '{"format_version":99,"strategy":"binary"}')
         data = write(tmp_path, "two.txt", TWO_CLASS)
@@ -302,6 +322,18 @@ class TestGoldenOutputs:
     def test_outputs_are_byte_identical(self, tmp_path, strategy):
         for name, got in run_golden(tmp_path, strategy).items():
             assert got == (GOLDEN / name).read_bytes(), name
+
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
+    def test_tsv_rows_are_the_predict_dataset_rows(self, tmp_path, strategy):
+        _, _, test = GOLDEN_RUNS[strategy]
+        model, preds = GOLDEN / f"{strategy}.json", tmp_path / "p.tsv"
+        assert main(["predict", "--model", str(model), "--data", str(GOLDEN / test),
+                     "--out", str(preds)]) == 0
+        with open(GOLDEN / test, encoding="utf-8") as fh:
+            rows = predict_dataset(load_model(model), parse_sparse(fh))
+        lines = [line.split("\t") for line in preds.read_text(encoding="utf-8").splitlines()]
+        assert [(int(i), label, float(score)) for i, label, score in lines] == [
+            (i, label, value) for i, (label, value, _) in enumerate(rows)]
 
     @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
     def test_format_three_model_predicts_the_same_bytes(self, tmp_path, strategy):

@@ -621,6 +621,13 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_lone_surrogate_label(self, strategy):
+        doc = json.loads(json.dumps(model_to_dict(make_models()[strategy])))
+        doc["labels"][0] = "\udcff"
+        with pytest.raises(FormatError, match="labels"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
     def test_non_numeric_priors(self, version, strategy):

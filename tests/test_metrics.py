@@ -1,13 +1,21 @@
 """Evaluation metric tests against hand-computed confusion matrices."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdetect import metrics
+from qdetect.binary import train_binary
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
 from qdetect.dataio import LabeledDataset
 from qdetect.metrics import (
     evaluate,
     predict_dataset,
+    predictions_tsv,
     report_from_confusion,
 )
 from qdetect.multiclass import train_pgm, train_one_vs_rest
@@ -161,3 +169,42 @@ class TestPredictDataset:
             assert pred == label
             assert 0.0 <= value <= 1.0 + 1e-10
             assert not flagged
+
+
+# strategy -> a model trained on a tiny corpus, relabelled by the tests
+TSV_MODELS = {
+    "pgm": train_pgm(orthogonal_corpus(), 3),
+    "ovr": train_one_vs_rest(orthogonal_corpus(), 3),
+    "binary": train_binary([fv(3, {0: 2, 1: 1})], [fv(3, {2: 1})], 3,
+                           prior_negative=0.5, labels=("a", "b")),
+}
+SCORES = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+LABELS = st.one_of(st.sampled_from(["caf\u00e9", "\u65e5\u672c", "\u03a9", "100%", "%s%d"]),
+                   st.text(min_size=1, max_size=6))
+
+
+@st.composite
+def drawn_predictions(draw):
+    """A relabelled model and the per-column scores of 1 to 13 documents."""
+    model = TSV_MODELS[draw(st.sampled_from(sorted(TSV_MODELS)))]
+    labels = draw(st.lists(LABELS, min_size=len(model.labels), max_size=len(model.labels),
+                           unique=True))
+    rows = draw(st.integers(1, 13))
+    scores = draw(st.lists(st.lists(SCORES, min_size=model.vectors.shape[1],
+                                    max_size=model.vectors.shape[1]),
+                           min_size=rows, max_size=rows))
+    return dataclasses.replace(model, labels=tuple(labels)), np.array(scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_predictions())
+def test_tsv_blocks_are_the_per_row_lines(drawn):
+    model, scores = drawn
+    ds = LabeledDataset(dim=3, documents=(("x", fv(3, {0: 1.0})),) * len(scores))
+    # blocks of 4 lines, so 1 to 13 rows fall on both sides of a block boundary
+    with mock.patch.object(metrics, "_scores", lambda ds, vectors: scores), \
+            mock.patch.object(metrics, "_TSV_BLOCK_ROWS", 4):
+        blocks = predictions_tsv(model, ds)
+        rows = predict_dataset(model, ds)
+    want = [f"{i}\t{label}\t{format(value, '.17g')}\n" for i, (label, value, _) in enumerate(rows)]
+    assert blocks == ["".join(want[a:a + 4]) for a in range(0, len(want), 4)]

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qdetect.binary import BinaryModel
 from qdetect.errors import (
     DegenerateCorpusError,
     DimensionMismatchError,
@@ -452,6 +453,35 @@ class TestOneVsRest:
     def test_needs_two_classes(self):
         with pytest.raises(DegenerateCorpusError):
             train_one_vs_rest([("a", fv(2, {0: 1})), ("a", fv(2, {0: 1}))], 2)
+
+
+class TestModelVectors:
+    @pytest.mark.parametrize("strategy", ["pgm", "binary"])
+    def test_model_keeps_a_read_only_copy(self, strategy):
+        vectors = np.eye(2) if strategy == "pgm" else np.array([[0.6], [0.8]])
+        if strategy == "pgm":
+            model = MulticlassModel(strategy="pgm", dim=2, labels=("c0", "c1"),
+                                    priors=(0.5, 0.5), vectors=vectors)
+        else:
+            model = BinaryModel(lam=1.0, eta=1.0, beta=-1.0, threshold=0.5,
+                                prior_negative=0.5, dim=2, vectors=vectors)
+        assert not np.shares_memory(model.vectors, vectors)
+        assert not model.vectors.flags.writeable
+        vectors[0, 0] = 0.5
+        assert model.vectors[0, 0] != 0.5
+
+    def test_read_only_array_that_owns_its_memory_is_kept(self):
+        vectors = np.eye(2)
+        vectors.flags.writeable = False
+        model = MulticlassModel(strategy="pgm", dim=2, labels=("c0", "c1"), priors=(0.5, 0.5),
+                                vectors=vectors)
+        assert model.vectors is vectors
+        # a read-only view may share a writable array's memory, so it is copied
+        view = np.eye(2)[:, :]
+        view.flags.writeable = False
+        model = MulticlassModel(strategy="pgm", dim=2, labels=("c0", "c1"), priors=(0.5, 0.5),
+                                vectors=view)
+        assert not np.shares_memory(model.vectors, view)
 
 
 class TestClassify:

@@ -1,0 +1,48 @@
+"""The summary arithmetic of ``tools/pairs.py``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+def test_quartiles_and_medians():
+    s = pairs.summarize(PARENT, [v + 5.0 for v in PARENT], "higher")
+    # exclusive quartiles of 10..19 sit at ranks 2.75 and 8.25
+    assert s["parent"] == pytest.approx((11.75, 14.5, 17.25))
+    assert s["change"] == pytest.approx((16.75, 19.5, 22.25))
+    assert s["parent_iqr"] == pytest.approx(5.5)
+    assert (s["wins"], s["pairs"], s["gap"]) == (10, 10, 5.0)
+
+
+@pytest.mark.parametrize("shift, gain", [(5.6, True), (5.5, False), (5.0, False)])
+def test_gap_must_exceed_the_parent_iqr(shift, gain):
+    assert pairs.summarize(PARENT, [v + shift for v in PARENT], "higher")["gain"] is gain
+
+
+def test_lower_is_better():
+    s = pairs.summarize(PARENT, [v - 6.0 for v in PARENT], "lower")
+    assert (s["wins"], s["gap"], s["gain"]) == (10, 6.0, True)
+    assert pairs.summarize(PARENT, [v - 6.0 for v in PARENT], "higher")["wins"] == 0
+
+
+@pytest.mark.parametrize("losses, gain", [(1, True), (2, False)])
+def test_nine_tenths_of_the_pairs_must_be_won(losses, gain):
+    # a lost pair and a tie each take a win away
+    change = [v + 100.0 for v in PARENT]
+    change[0] = PARENT[0] - 1.0
+    if losses == 2:
+        change[1] = PARENT[1]
+    s = pairs.summarize(PARENT, change, "higher")
+    assert (s["wins"], s["gain"]) == (10 - losses, gain)
+
+
+def test_sides_alternate():
+    assert [pairs.first_side(n) for n in range(1, 5)] == ["parent", "change"] * 2

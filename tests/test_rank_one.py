@@ -213,3 +213,24 @@ def test_scoring_memory_does_not_grow_with_the_vocabulary(tmp_path, strategy):
     finally:
         tracemalloc.stop()
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("strategy", ["pgm", "ovr"])
+def test_loaded_model_holds_one_array_of_its_vectors(tmp_path, strategy):
+    # the 100_000 x 8 vectors take 6.1 MB: a second copy, or a temporary as large, exceeds 9 MB
+    dim, limit = 100_000, 9 * 2**20
+    data = tmp_path / "data.txt"
+    write_wide_corpus(data, dim, n_classes=8, docs_per_class=25, seed=5)
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--data", str(data), "--strategy", strategy, "--out", model]) == 0
+    tracemalloc.start()
+    try:
+        loaded = load_model(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.vectors.shape == (dim, 8)
+    assert peak < limit, f"peak {peak / 2**20:.1f} MB"
+    ds = parse_sparse(data.read_text(encoding="utf-8").splitlines(), dim=dim)
+    trained = (train_pgm if strategy == "pgm" else train_one_vs_rest)(ds, dim)
+    assert loaded.vectors.tobytes() == trained.vectors.tobytes()
