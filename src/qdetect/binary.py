@@ -41,7 +41,7 @@ class DetectorScalars:
 
     def __post_init__(self):
         # a NaN compares False, so finiteness is checked explicitly first
-        if not np.all(np.isfinite([self.lam, self.eta, self.beta])):
+        if not all(map(math.isfinite, (self.lam, self.eta, self.beta))):
             raise ValueError("lam, eta and beta must be finite")
         if not (self.eta > 0.0 and self.beta < 0.0):
             raise ValueError("expected eta > 0 and beta < 0")
@@ -164,53 +164,59 @@ def detector_from_densities(
     )
 
 
-def detector_from_statistics(
-    v_pos: np.ndarray,
-    v_neg: np.ndarray,
-    prior_negative: float,
+def detectors_from_statistics(
+    pos: np.ndarray,
+    neg: np.ndarray,
+    priors_negative: Sequence[float],
     threshold: float = 0.5,
-) -> tuple[np.ndarray, DetectorScalars]:
-    """Unit acceptance vector ``e`` and scalars of the detector for two class count rows.
+) -> tuple[np.ndarray, tuple[DetectorScalars, ...]]:
+    """Unit acceptance vectors ``e`` (n x dim) and scalars of n detectors, one per pair of rows.
 
-    With unit class vectors ``u+``, ``u-``, ``c = u+ . u-`` and ``r = u- - c u+``
-    of norm ``s``, the difference operator ``u+ u+^T - lam u- u-^T`` is zero off
-    ``span(u+, r)`` and acts on the orthonormal pair ``(u+, r / s)`` as
-    ``[[1 - lam c^2, -lam c s], [-lam c s, -lam s^2]]``.  Its eigenvalues
-    ``eta > 0 > beta`` have product ``-lam s^2``, so the acceptance projector is
-    ``e e^T`` for the eigenvector ``e`` of ``eta``.
+    Detector k separates row k of ``pos`` from row k of ``neg`` at negative
+    prior ``priors_negative[k]``; the first in row order that fails raises.
+    With unit class vectors ``u+``, ``u-``, ``c = u+ . u-`` and ``r = u- - c
+    u+`` of norm ``s``, ``u+ u+^T - lam u- u-^T`` is zero off ``span(u+, r)``
+    and acts on the orthonormal pair ``(u+, r / s)`` as ``[[1 - lam c^2, -lam c
+    s], [-lam c s, -lam s^2]]``.  Its eigenvalues ``eta > 0 > beta`` have product
+    ``-lam s^2``, so the acceptance projector is ``e e^T`` for the ``e`` of ``eta``.
     """
-    u_pos = v_pos / np.linalg.norm(v_pos)
-    u_neg = v_neg / np.linalg.norm(v_neg)
-    c = float(u_pos @ u_neg)
-    if abs(c) > 1.0 - 1e-12:
-        raise DegenerateSeparationError(
-            f"class statistics vectors are numerically parallel (cosine {abs(c)!r})"
-        )
-    _check_prior_negative(prior_negative)
-    lam = prior_negative / (1.0 - prior_negative)
-    r = u_neg - c * u_pos
-    s = float(np.linalg.norm(r))
-    a, b, d = 1.0 - lam * c * c, -lam * c * s, -lam * s * s
-    # the eigenvalue of larger magnitude by addition, the other from the
-    # product, so that neither comes from a cancelling difference
-    mean, spread = (a + d) / 2.0, math.hypot((a - d) / 2.0, b)
-    if mean >= 0.0:
-        eta = mean + spread
-        beta = -lam * s * s / eta
-    else:
-        beta = mean - spread
-        eta = -lam * s * s / beta
-    cutoff = linalg.ZERO_EIGENVALUE_RTOL * max(eta, -beta)
-    if eta <= cutoff or beta >= -cutoff:
-        raise DegenerateSeparationError(
-            "difference operator lacks a strictly positive or strictly negative "
-            "eigenvalue; the classes cannot be separated at this prior"
-        )
+    u_pos = pos / np.sqrt(linalg.row_dots(pos, pos))[:, None]
+    u_neg = neg / np.sqrt(linalg.row_dots(neg, neg))[:, None]
+    cosines = linalg.row_dots(u_pos, u_neg)
+    r = np.subtract(u_neg, cosines[:, None] * u_pos, out=u_neg)
+    norms = np.sqrt(linalg.row_dots(r, r))
+    scalars, weights = [], []
+    for c, s, prior_negative in zip(cosines.tolist(), norms.tolist(), priors_negative):
+        if abs(c) > 1.0 - 1e-12:
+            raise DegenerateSeparationError(
+                f"class statistics vectors are numerically parallel (cosine {abs(c)!r})"
+            )
+        _check_prior_negative(prior_negative)
+        lam = prior_negative / (1.0 - prior_negative)
+        a, b, d = 1.0 - lam * c * c, -lam * c * s, -lam * s * s
+        # the eigenvalue of larger magnitude by addition, the other from the
+        # product, so that neither comes from a cancelling difference
+        mean, spread = (a + d) / 2.0, math.hypot((a - d) / 2.0, b)
+        if mean >= 0.0:
+            eta = mean + spread
+            beta = -lam * s * s / eta
+        else:
+            beta = mean - spread
+            eta = -lam * s * s / beta
+        cutoff = linalg.ZERO_EIGENVALUE_RTOL * max(eta, -beta)
+        if eta <= cutoff or beta >= -cutoff:
+            raise DegenerateSeparationError(
+                "difference operator lacks a strictly positive or strictly negative "
+                "eigenvalue; the classes cannot be separated at this prior"
+            )
+        scalars.append(DetectorScalars(lam, eta, beta, threshold, prior_negative))
+        weights.append((eta - d, b))
     # (eta - d, b) is an eigenvector of eta, and its first entry eta - d > 0
-    e = (eta - d) * u_pos + b * (r / s)
-    e /= np.linalg.norm(e)
-    return e, DetectorScalars(lam=lam, eta=eta, beta=beta, threshold=threshold,
-                              prior_negative=prior_negative)
+    weights = np.array(weights)
+    u_pos *= weights[:, :1]
+    u_pos += np.multiply(np.divide(r, norms[:, None], out=r), weights[:, 1:], out=r)
+    u_pos /= np.sqrt(linalg.row_dots(u_pos, u_pos))[:, None]
+    return u_pos, tuple(scalars)
 
 
 def train_binary(
@@ -237,8 +243,8 @@ def binary_from_statistics(
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
     """The trained detector for two class count rows."""
-    e, scalars = detector_from_statistics(v_pos, v_neg, prior_negative, threshold)
-    return BinaryModel(dim=len(v_pos), vectors=e[:, None], labels=labels, **vars(scalars))
+    e, (s,) = detectors_from_statistics(v_pos[None], v_neg[None], [prior_negative], threshold)
+    return BinaryModel(dim=len(v_pos), vectors=e.T, labels=labels, **vars(s))
 
 
 def score(model: BinaryModel, x: np.ndarray) -> float:

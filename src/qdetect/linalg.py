@@ -131,6 +131,11 @@ def unit_row(x) -> np.ndarray:
     return x[None]
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k] @ b[k]`` for each row k of two n x d arrays, bit for bit, in one batched product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def born_scores(rows, vectors) -> np.ndarray:
     """Per-column Born-rule scores ``(rows @ v) ** 2`` of unit rows, shape (len(rows), r).
 

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
-from qdetect.multiclass import check_cost_matrix, zero_one_cost
+from qdetect.multiclass import _BLOCK_DOUBLES, check_cost_matrix, zero_one_cost
 from qdetect.states import LabeledDataset, dense_rows, unit_entries
 
-# Doubles in one block of scattered rows (1 MiB); each perfbench corpus is one block.
-_BLOCK_DOUBLES = 1 << 17
 # Lines of predictions formatted by one string operation.
 _TSV_BLOCK_ROWS = 1 << 16
 
@@ -119,17 +117,13 @@ class EvalReport:
             "micro_recall": self.accuracy,
             "micro_f1": self.accuracy,
             "per_class": [
-                {
-                    "label": label,
-                    "precision": float(self.precision[k]),
-                    "recall": float(self.recall[k]),
-                    "f1": float(self.f1[k]),
-                    "support": int(self.support[k]),
-                    "flags": list(self.flags[k]),
-                }
-                for k, label in enumerate(self.labels)
+                {"label": label, "precision": p, "recall": r, "f1": f1, "support": n,
+                 "flags": list(flags)}
+                for label, p, r, f1, n, flags in zip(
+                    self.labels, self.precision.tolist(), self.recall.tolist(),
+                    self.f1.tolist(), self.support.tolist(), self.flags)
             ],
-            "confusion": [[int(x) for x in row] for row in self.confusion],
+            "confusion": self.confusion.tolist(),
             "degenerate_count": self.degenerate_count,
             "evaluated_count": self.evaluated_count,
         }

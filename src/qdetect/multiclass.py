@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from qdetect import linalg
-from qdetect.binary import BinaryModel, DetectorScalars, detector_from_statistics
+from qdetect.binary import BinaryModel, DetectorScalars, detectors_from_statistics
 from qdetect.errors import (
     ConvergenceError,
     DegenerateCorpusError,
@@ -27,6 +27,8 @@ from qdetect.states import FeatureVector, LabeledDataset, as_dataset, class_stat
 
 PSD_ATOL = 1e-10
 RESOLUTION_ATOL = 1e-10
+# Doubles in one block of rows (1 MiB), for the dataset scorer and the one-vs-rest trainer.
+_BLOCK_DOUBLES = 1 << 17
 
 
 def _check_priors(priors) -> None:
@@ -185,8 +187,8 @@ def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
     Each state is rank-1: its factor is the unit count row as one column.
     """
     labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
-    factors = tuple((row / np.linalg.norm(row))[:, None] for row in counts)
-    return HypothesisSet(priors=np.array(priors), factors=factors, labels=tuple(labels))
+    units = counts / np.sqrt(linalg.row_dots(counts, counts))[:, None]
+    return HypothesisSet(np.array(priors), tuple(units[:, :, None]), tuple(labels))
 
 
 def pgm(h: HypothesisSet) -> Measurement:
@@ -299,14 +301,14 @@ class MulticlassModel:
         bound = 1.0 + PSD_ATOL
         if not -bound <= vectors.min(initial=0.0) <= vectors.max(initial=0.0) <= bound:
             raise ValueError("vectors must be finite, with entries in [-1, 1]")
-        gram = vectors.T @ vectors
         if self.strategy == "pgm":
+            gram = vectors.T @ vectors
             if float(np.linalg.norm(gram @ gram - gram)) > RESOLUTION_ATOL:
                 raise ValueError("M^T M is not an orthogonal projector within 1e-10")
         elif self.strategy == "one_vs_rest":
             if len(self.detector_scalars) != n:
                 raise ValueError("one_vs_rest strategy requires one detector per label")
-            if np.any(np.abs(np.sqrt(np.diag(gram)) - 1.0) > 1e-10):
+            if np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", vectors, vectors)) - 1.0) > 1e-10):
                 raise ValueError("acceptance vectors must have unit norm within 1e-10")
         else:
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -362,7 +364,7 @@ class MulticlassModel:
 def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
     """Square-root measurement of the class states, from the SVD of ``Psi``."""
     labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
-    units = np.column_stack([row / np.linalg.norm(row) for row in counts])
+    units = (counts / np.sqrt(linalg.row_dots(counts, counts))[:, None]).T
     return MulticlassModel(
         strategy="pgm",
         dim=dim,
@@ -382,18 +384,21 @@ def train_one_vs_rest(corpus: Corpus, dim: int) -> MulticlassModel:
     labels, priors, counts = _class_statistics(corpus, dim, "one-vs-rest")
     # counts are integers held in floats, so the total and each difference are exact
     total = counts.sum(axis=0)
-    vectors, scalars = [], []
-    for k, row in enumerate(counts):
-        e, s = detector_from_statistics(row, total - row, 1.0 - priors[k])
-        vectors.append(e)
-        scalars.append(s)
+    step = max(1, _BLOCK_DOUBLES // (4 * dim))  # a block's four step x dim temporaries fit
+    vectors, scalars = np.empty((dim, len(counts))), ()
+    for a in range(0, len(counts), step):
+        block = counts[a:a + step]
+        e, s = detectors_from_statistics(block, total - block, [1 - p for p in priors[a:a + step]])
+        vectors[:, a:a + step] = e.T
+        scalars += s
+    vectors.flags.writeable = False  # the model keeps it without a copy
     return MulticlassModel(
         strategy="one_vs_rest",
         dim=dim,
         labels=tuple(labels),
         priors=tuple(priors),
-        vectors=np.column_stack(vectors),
-        detector_scalars=tuple(scalars),
+        vectors=vectors,
+        detector_scalars=scalars,
     )
 
 

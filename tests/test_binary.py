@@ -13,6 +13,7 @@ import pytest
 
 from qdetect.binary import (
     BinaryModel,
+    DetectorScalars,
     binary_bayes_cost,
     decide,
     detector_from_densities,
@@ -239,6 +240,14 @@ class TestStatesMustBeDensities:
 
 
 class TestModelInvariants:
+    @pytest.mark.parametrize("field", ["lam", "eta", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_rejected(self, field, value):
+        fields = dict(lam=1.0, eta=1.0, beta=-1.0, threshold=0.5, prior_negative=0.5)
+        DetectorScalars(**fields)
+        with pytest.raises(ValueError, match="must be finite"):
+            DetectorScalars(**dict(fields, **{field: value}))
+
     def test_invalid_eta_sign(self):
         with pytest.raises(ValueError):
             BinaryModel(

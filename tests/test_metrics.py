@@ -77,6 +77,27 @@ class TestReportFromConfusion:
             assert doc["micro_f1"] == report.accuracy
             assert report.empirical_cost == pytest.approx(1.0 - report.accuracy, abs=1e-12)
 
+    def test_report_dict_holds_the_per_element_numbers(self):
+        rng = np.random.default_rng(15)
+        for _ in range(25):
+            n = int(rng.integers(1, 7))
+            confusion = rng.integers(0, 9, size=(n, n))
+            confusion[0, 0] += 1  # never all-zero
+            report = report_from_confusion([f"c{k}" for k in range(n)], confusion)
+            doc = report.to_dict()
+            assert doc["confusion"] == [[int(x) for x in row] for row in report.confusion]
+            assert doc["per_class"] == [
+                {"label": label, "precision": float(report.precision[k]),
+                 "recall": float(report.recall[k]), "f1": float(report.f1[k]),
+                 "support": int(report.support[k]), "flags": list(report.flags[k])}
+                for k, label in enumerate(report.labels)
+            ]
+            # plain Python numbers, as the JSON writer expects
+            assert {type(x) for row in doc["confusion"] for x in row} == {int}
+            assert {type(c["support"]) for c in doc["per_class"]} == {int}
+            assert {type(c[key]) for c in doc["per_class"]
+                    for key in ("precision", "recall", "f1")} == {float}
+
     def test_zero_denominator_flags(self):
         # class b never predicted, class c absent from the truth
         report = report_from_confusion(("a", "b", "c"), [[2, 0, 1], [1, 0, 0], [0, 0, 0]])

@@ -484,6 +484,23 @@ class TestModelVectors:
         assert not np.shares_memory(model.vectors, view)
 
 
+    @pytest.mark.parametrize("excess, accepted", [(5e-11, True), (5e-10, False)])
+    def test_one_vs_rest_vectors_have_unit_norm_within_1e_10(self, excess, accepted):
+        trained = train_one_vs_rest([("a", fv(3, {0: 1})), ("b", fv(3, {1: 1}))], 3)
+        vectors = np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]]) * [1.0 + excess, 1.0]
+
+        def build():
+            return MulticlassModel(strategy="one_vs_rest", dim=3, labels=("a", "b"),
+                                   priors=(0.5, 0.5), vectors=vectors,
+                                   detector_scalars=trained.detector_scalars)
+
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="unit norm"):
+                build()
+
+
 class TestClassify:
     def setup_method(self):
         # elements diag(1, 0) and diag(0, 1): the outer products of the basis vectors
