@@ -21,7 +21,6 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from qdetect import linalg
 from qdetect.binary import BinaryModel, DetectorScalars
 from qdetect.errors import (
     FormatError,
@@ -391,10 +390,9 @@ def dumps_canonical(obj) -> str:
 # first byte, then the rows restricted to those features as little-endian
 # IEEE-754 doubles.  A feature that no training document holds has a zero
 # column, so a wide vocabulary costs a bit a feature and not r doubles.
-# Format 3 stored the full rows as JSON lists of numbers.  Format 2 stored a
-# binary model's projector as a dense matrix; format 1 stored every
-# measurement element and projector that way.
+# Format 3 stored the full rows as JSON lists of numbers and still loads.
 FORMAT_VERSION = 4
+READABLE_FORMATS = range(3, FORMAT_VERSION + 1)
 _VECTOR_DTYPE = np.dtype("<f8")
 # each ``DetectorScalars`` field and its key in a model file, in file order
 _SCALAR_KEYS = {"prior_negative": "prior_negative", "lam": "lambda", "eta": "eta",
@@ -489,6 +487,9 @@ def _vector_columns(text: str, dim: int) -> np.ndarray:
     if dim < 1:
         raise FormatError(f"model field 'vectors' cannot hold rows of dim {dim}")
     mask = raw[:-(-dim // 8)]
+    # before unpacking, which takes dim bytes however short the string is
+    if 8 * len(mask) < dim:
+        raise FormatError(f"model field 'vectors' has no mask of dim {dim} features")
     used = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=dim).astype(bool)
     if np.packbits(used).tobytes() != mask:
         raise FormatError(f"model field 'vectors' has no mask of dim {dim} features")
@@ -507,63 +508,15 @@ def _vector_columns(text: str, dim: int) -> np.ndarray:
     return columns
 
 
-def _projector_vectors(payload: dict, dim: int) -> np.ndarray:
-    """Orthonormal basis of the dense ``projector`` a format 1 or 2 detector stored.
-
-    The eigenvectors of eigenvalues above 1/2 must rebuild it within 1e-10.
-    """
-    p = _float_array(_require(payload, "projector", list))
-    if p.shape != (dim, dim):
-        raise FormatError(f"projector of shape {p.shape} does not match dim {dim}")
-    if not np.all(np.abs(p) <= 1.0 + 1e-10):
-        raise FormatError("projector entries must be finite and within [-1, 1]")
-    w, v = linalg.eigh(p)
-    vectors = v[:, w > 0.5]
-    if float(np.linalg.norm(vectors @ vectors.T - p)) > 1e-10:
-        raise FormatError("projector is not an orthogonal projector within 1e-10")
-    return vectors
-
-
-def _dense_vectors(doc: dict, strategy: str, dim: int) -> np.ndarray:
-    """The vectors of a file that stored dense matrices: format 1, or a format 2 binary.
-
-    A detector's projector gives an orthonormal basis of its acceptance
-    subspace, and each rank-1 pgm element is ``trace * outer(v, v)`` for its
-    unit vector ``v``.
-    """
-    if strategy == "binary":
-        return _projector_vectors(doc, dim)
-    if strategy == "one_vs_rest":
-        bases = [_projector_vectors(payload, dim) for payload in doc["detectors"]]
-        if any(basis.shape[1] != 1 for basis in bases):
-            raise FormatError("a one-vs-rest detector does not accept on a single vector")
-        return np.hstack(bases)
-    elements = [_float_array(e) for e in _require(doc, "elements", list)]
-    residual = doc.get("residual")
-    stored = elements + ([] if residual is None else [_float_array(residual)])
-    # before the sum, which a huge entry overflows; a stored matrix also bounds eye(dim)
-    if not elements or any(e.shape != (dim, dim) or not np.all(np.abs(e) <= 1.0 + 1e-10)
-                           for e in stored):
-        raise FormatError(f"pgm elements must be finite dim {dim} x {dim} matrices within [-1, 1]")
-    if float(np.linalg.norm(sum(stored) - np.eye(dim))) > 1e-10:
-        raise FormatError("pgm elements do not resolve the identity within 1e-10")
-    vectors = []
-    for k, e in enumerate(elements):
-        w, v = linalg.eigh(e)
-        if not w[0] > 0.0 or np.max(np.abs(w[1:]), initial=0.0) > 1e-8 * w[0]:
-            raise FormatError(f"pgm element {k} is not of rank 1")
-        vectors.append(math.sqrt(np.trace(e)) * v[:, 0])
-    return np.column_stack(vectors)
-
-
 def model_from_dict(doc: dict):
-    """A model from a format 1 to 4 JSON object; raises FormatError."""
+    """A model from a format 3 or 4 JSON object; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
-    if version not in range(1, FORMAT_VERSION + 1):
+    if version not in READABLE_FORMATS:
         raise UnsupportedVersionError(
-            f"unsupported model format_version {version} (expected 1 to {FORMAT_VERSION})"
+            f"unsupported model format_version {version} "
+            f"(expected {READABLE_FORMATS[0]} to {READABLE_FORMATS[-1]})"
         )
     strategy = _require(doc, "strategy", str)
     dim = int(_require(doc, "dim", int))
@@ -589,9 +542,7 @@ def model_from_dict(doc: dict):
             fields = {"detector_scalars": tuple(DetectorScalars(**_scalars(p)) for p in payloads)}
         else:
             raise FormatError(f"unknown strategy {strategy!r}")
-        if version == 1 or (version == 2 and strategy == "binary"):
-            vectors = _dense_vectors(doc, strategy, dim)
-        elif version < FORMAT_VERSION:
+        if version < FORMAT_VERSION:
             vectors = _float_array(_require(doc, "vectors", list)).T
         else:  # the model checks that a multi-class model has a column per label
             vectors = _vector_columns(_require(doc, "vectors", str), dim)

@@ -148,8 +148,9 @@ def grid_oracle_dim2(
     """
     if h.dim != 2:
         raise DimensionMismatchError(f"grid oracle needs dim 2, got {h.dim}")
-    if resolution < 1000:
-        raise ValueError(f"resolution must be at least 1000, got {resolution}")
+    # memory grows with the resolution: about 0.5 GB at the ceiling
+    if not 1000 <= resolution <= 10**7:
+        raise ValueError(f"resolution must be from 1000 to 10**7, got {resolution}")
     k = check_cost_matrix(cost, h.n)
     if h.n == 2:
         return _sweep_two(h, k, resolution)

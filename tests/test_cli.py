@@ -15,14 +15,13 @@ from qdetect.dataio import load_model, parse_sparse, serialize_sparse
 from qdetect.metrics import predict_dataset
 from qdetect.states import FeatureVector, LabeledDataset
 from qdetect.synth import synth_corpus
+from test_dataio import RETIRED_DOCUMENTS
 
 # Corpora and the model, prediction and report files the version before the
 # columnar corpus wrote for them (see GOLDEN_RUNS), apart from the
 # predictions, rewritten by the dataset scorer, and the models, rewritten with
 # model format 4.
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
-# The format 2 model and prediction files of the same runs.
-FORMAT_TWO = Path(__file__).resolve().parent / "data" / "v2"
 # The format 3 model files of the same runs.
 FORMAT_THREE = Path(__file__).resolve().parent / "data" / "v3"
 # The pgm model and predictions of the same run when M was Psi G^(-1/2) with
@@ -228,6 +227,16 @@ class TestPredictEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR unsupported-version:")
 
+    @pytest.mark.parametrize("version", sorted(RETIRED_DOCUMENTS))
+    def test_retired_model_format(self, tmp_path, capsys, version):
+        model = write(tmp_path, "old.json", json.dumps(RETIRED_DOCUMENTS[version]))
+        out = tmp_path / "p.tsv"
+        rc = main(["predict", "--model", model, "--data", write(tmp_path, "data.txt", "a 0:1\n"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR unsupported-version:")
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         corpus = synth_corpus("orthogonal", 5, 0.1, seed=23, n_classes=2)
         data = write(tmp_path, "data.txt", serialize_sparse(corpus))
@@ -347,11 +356,6 @@ class TestGoldenOutputs:
         assert main(["predict", "--model", str(old), "--data", str(GOLDEN / test),
                      "--out", str(preds)]) == 0
         assert preds.read_bytes() == (GOLDEN / f"{strategy}.tsv").read_bytes()
-
-    def test_binary_scores_move_in_the_last_bits_from_format_two(self, tmp_path):
-        # Format 2 recovered e from the stored projector by an eigensolve;
-        # format 3 keeps e as trained.  Scores move by up to 5 ulp, at s = 0.093.
-        assert_last_bits_move(tmp_path, "binary", FORMAT_TWO, 4 * np.finfo(float).eps)
 
     def test_pgm_scores_move_in_the_last_bits_from_the_inverse_root(self, tmp_path):
         # M = U V^T from the SVD of Psi is the matrix Psi G^(-1/2) was, up to rounding

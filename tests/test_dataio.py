@@ -37,20 +37,10 @@ from qdetect.errors import (
     SplitError,
     UnsupportedVersionError,
 )
-from qdetect.metrics import predict_dataset
 from qdetect.multiclass import train_one_vs_rest, train_pgm
 from qdetect.states import FeatureVector, LabeledDataset, as_dataset
 
 DATA = Path(__file__).resolve().parent / "data"
-# Format 1 model files written by the version before format 2, with the
-# predictions that version made for test.txt (see FORMAT_ONE_FILES).
-V1_DATA = DATA / "v1"
-FORMAT_ONE_FILES = {"binary": "binary", "pgm": "pgm", "one_vs_rest": "ovr"}
-# Format 2 model files written by the version before format 3, with the
-# predictions that version made for the test corpus in data/cli.
-V2_DATA = DATA / "v2"
-FORMAT_TWO_TEST = {"binary": DATA / "cli" / "binary-test.txt",
-                   "pgm": DATA / "cli" / "test.txt", "one_vs_rest": DATA / "cli" / "test.txt"}
 
 
 def fv(dim, entries):
@@ -377,16 +367,6 @@ def make_models():
     }
 
 
-def v1_document(strategy):
-    """The JSON object of a format 1 model file."""
-    return json.loads((V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json").read_text())
-
-
-def v2_document(strategy):
-    """The JSON object of a format 2 model file."""
-    return json.loads((V2_DATA / f"{FORMAT_ONE_FILES[strategy]}.json").read_text())
-
-
 def v3_document(strategy):
     """The JSON object of a format 3 model file, for a model of dim 3."""
     model = make_models()[strategy]
@@ -399,7 +379,7 @@ def v4_document(strategy):
     return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
 
 
-DOCUMENTS = {1: v1_document, 2: v2_document, 3: v3_document, 4: v4_document}
+DOCUMENTS = {3: v3_document, 4: v4_document}
 
 
 BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -524,28 +504,6 @@ class TestModelValidation:
         with pytest.raises(FormatError, match=literal):
             load_model(path)
 
-    @pytest.mark.parametrize("strategy", ["binary", "one_vs_rest"])
-    def test_nan_projector_entry(self, strategy):
-        doc = v1_document(strategy)
-        payload = doc if strategy == "binary" else doc["detectors"][1]
-        payload["projector"][0][0] = float("nan")
-        with pytest.raises(FormatError, match="finite"):
-            model_from_dict(doc)
-
-    def test_nan_measurement_element(self):
-        doc = v1_document("pgm")
-        doc["elements"][0][1][1] = float("nan")
-        with pytest.raises(FormatError, match="finite"):
-            model_from_dict(doc)
-
-    @pytest.mark.parametrize("key", ["elements", "residual"])
-    def test_huge_measurement_entry(self, key):
-        # rejected before the stored matrices are summed, which 1e300 overflows
-        doc = v1_document("pgm")
-        (doc[key][0] if key == "elements" else doc[key])[0][0] = 1e300
-        with pytest.raises(FormatError, match="within"):
-            model_from_dict(doc)
-
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_nan_vector_entry(self, strategy):
         doc = v3_document(strategy)
@@ -600,12 +558,6 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="prior_negative"):
             model_from_dict(doc)
 
-    def test_dim_disagrees_with_elements(self):
-        doc = v1_document("pgm")
-        doc["dim"] = 5
-        with pytest.raises(FormatError, match="dim 5"):
-            model_from_dict(doc)
-
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_dim_disagrees_with_vectors(self, strategy):
         doc = v3_document(strategy)
@@ -613,7 +565,7 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="dim 5"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [3, 4])
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_string_labels(self, version, strategy):
         doc = DOCUMENTS[version](strategy)
@@ -628,7 +580,7 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [3, 4])
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
     def test_non_numeric_priors(self, version, strategy):
         doc = DOCUMENTS[version](strategy)
@@ -653,19 +605,10 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="numbers"):
             model_from_dict(dict(self.IDENTITY_PGM, vectors=vectors))
 
-    def test_string_projector_entries(self):
-        doc = v1_document("binary")
-        doc["projector"] = [[str(x) for x in row] for row in doc["projector"]]
-        with pytest.raises(FormatError, match="numbers"):
-            model_from_dict(doc)
-
     def test_boolean_dim(self):
         # a consistent one-dimensional model apart from the type of its dim
-        doc = {
-            "format_version": 1, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
-            "priors": [0.5, 0.5], "kind": "povm", "elements": [[[0.5]], [[0.5]]],
-            "residual": None,
-        }
+        doc = dict(self.IDENTITY_PGM, dim=True, kind="povm",
+                   vectors=[[math.sqrt(0.5)], [math.sqrt(0.5)]])
         with pytest.raises(FormatError, match="'dim'"):
             model_from_dict(doc)
         doc["dim"] = 1
@@ -729,6 +672,18 @@ class TestFormatFourVectors:
         with pytest.raises(FormatError, match=error):
             model_from_dict(doc)
 
+    def test_short_mask_is_rejected_before_it_is_unpacked(self):
+        # a few bytes cannot hold the mask of 10**8 features, which takes 12.5 MB
+        doc = dict(v4_document("pgm"), dim=10**8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="no mask of dim 100000000"):
+                model_from_dict(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("edit", [
         lambda text: text[:5] + "-" + text[5:],  # the URL-safe alphabet, not the standard one
         lambda text: text[:5] + "\n" + text[5:],
@@ -785,11 +740,10 @@ class TestFormatFourVectors:
             model_from_dict(doc)
 
 
-# Every model document the fuzzer starts from: format 3 and 4 documents and
-# the format 1 and 2 fixture files, for each strategy.
+# Every model document the fuzzer starts from: a format 3 and a format 4
+# document for each strategy.
 FUZZ_BASES = [documents(strategy) for documents in DOCUMENTS.values()
               for strategy in ("binary", "pgm", "one_vs_rest")]
-MATRICES = ("vectors", "projector", "elements", "residual")
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                  st.lists(st.integers(0, 3), max_size=3))
 DELTAS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0), st.sampled_from([1e300, -1e300]))
@@ -838,7 +792,7 @@ def mutated_documents(draw):
     """A fuzz base with one mutation, in it or in one of its detectors."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     owner = draw(st.sampled_from([doc] + [d for d in doc.get("detectors", []) if d]))
-    matrices = [key for key in MATRICES if isinstance(owner.get(key), list) and owner[key]]
+    rows = doc["vectors"]  # a list in format 3, which the matrix mutations edit
     mutation = draw(st.sampled_from(["drop", "retype", "perturb", "truncate", "transpose",
                                      "dim", "reorder"]))
     if mutation in ("drop", "retype"):
@@ -851,9 +805,7 @@ def mutated_documents(draw):
         doc["dim"] = draw(st.integers(-1, 2 * doc["dim"] + 1))
     elif mutation == "reorder":
         doc["labels"] = draw(st.permutations(doc["labels"]))
-    elif matrices:
-        key = draw(st.sampled_from(matrices))
-        rows = owner[key]
+    elif isinstance(rows, list) and rows:
         if mutation == "perturb":
             *path, last = draw(st.sampled_from(list(number_paths(rows))))
             entry = rows
@@ -862,11 +814,11 @@ def mutated_documents(draw):
             entry[last] += draw(DELTAS)
         elif mutation == "truncate":
             if draw(st.booleans()):
-                owner[key] = rows[:draw(st.integers(0, len(rows) - 1))]
+                doc["vectors"] = rows[:draw(st.integers(0, len(rows) - 1))]
             else:
-                owner[key] = [row[:-1] if isinstance(row, list) else row for row in rows]
+                doc["vectors"] = [row[:-1] if isinstance(row, list) else row for row in rows]
         elif all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
-            owner[key] = [list(column) for column in zip(*rows)]
+            doc["vectors"] = [list(column) for column in zip(*rows)]
     return doc
 
 
@@ -895,57 +847,24 @@ class TestModelDocumentFuzzing:
         assert_rejected_or_round_trips(doc)
 
 
-class TestFormatOneFiles:
-    """Format 1 files still load and predict what the version that wrote them did."""
-
-    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
-    def test_predictions_match_the_writing_version(self, strategy):
-        model = load_model(V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
-        ds = parse_sparse((V1_DATA / "test.txt").read_text().splitlines())
-        got = predict_dataset(model, ds)
-        want = [line.split("\t") for line in
-                (V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.tsv").read_text().splitlines()]
-        assert [label for label, _, _ in got] == [label for _, label, _ in want]
-        np.testing.assert_allclose([score for _, score, _ in got],
-                                   [float(score) for _, _, score in want], rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
-    def test_resaved_in_the_current_format(self, tmp_path, strategy):
-        model = load_model(V1_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
-        save_model(model, tmp_path / "model.json")
-        again = load_model(tmp_path / "model.json")
-        assert json.loads((tmp_path / "model.json").read_text())["format_version"] == 4
-        assert again.vectors.tobytes() == model.vectors.tobytes()
+# Documents of the retired formats, each of which the version that wrote it
+# loaded: a format 1 pgm model stored its measurement elements as dense
+# matrices, a format 2 binary model its acceptance projector.
+RETIRED_DOCUMENTS = {
+    1: {"format_version": 1, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
+        "priors": [0.5, 0.5], "kind": "projective",
+        "elements": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], "residual": None},
+    2: {"format_version": 2, "strategy": "binary", "dim": 2, "labels": ["a", "b"],
+        "prior_negative": 0.5, "lambda": 1.0, "eta": 1.0, "beta": -1.0, "threshold": 0.5,
+        "projector": [[1.0, 0.0], [0.0, 0.0]]},
+}
 
 
-class TestFormatTwoFiles:
-    """Format 2 files still load and predict what the version that wrote them did."""
-
-    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
-    def test_predictions_match_the_writing_version(self, strategy):
-        model = load_model(V2_DATA / f"{FORMAT_ONE_FILES[strategy]}.json")
-        ds = parse_sparse(FORMAT_TWO_TEST[strategy].read_text().splitlines())
-        got = predict_dataset(model, ds)
-        want = [line.split("\t") for line in
-                (V2_DATA / f"{FORMAT_ONE_FILES[strategy]}.tsv").read_text().splitlines()]
-        assert [label for label, _, _ in got] == [label for _, label, _ in want]
-        np.testing.assert_allclose([score for _, score, _ in got],
-                                   [float(score) for _, _, score in want], rtol=0.0, atol=1e-12)
-
-    def test_binary_resaved_as_one_vector(self, tmp_path):
-        model = load_model(V2_DATA / "binary.json")
-        save_model(model, tmp_path / "model.json")
-        doc = json.loads((tmp_path / "model.json").read_text())
-        assert (doc["format_version"], "projector" in doc) == (4, False)
-        assert decode_rows(doc).shape == (1, model.dim)
-        assert load_model(tmp_path / "model.json").vectors.tobytes() == model.vectors.tobytes()
-
-    def test_projector_of_rank_two_loads_as_two_vectors(self):
-        doc = v2_document("binary")
-        doc["projector"] = np.diag([1.0, 1.0] + [0.0] * (doc["dim"] - 2)).tolist()
-        model = model_from_dict(doc)
-        assert model.vectors.shape == (doc["dim"], 2)
-        np.testing.assert_array_equal(model.projector, doc["projector"])
+class TestRetiredFormats:
+    @pytest.mark.parametrize("version", sorted(RETIRED_DOCUMENTS))
+    def test_document_is_refused(self, version):
+        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 3 to 4\)"):
+            model_from_dict(RETIRED_DOCUMENTS[version])
 
 
 class TestCanonicalJson:

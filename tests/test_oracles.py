@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qdetect import oracles
 from qdetect.errors import DimensionMismatchError
 from qdetect.multiclass import HypothesisSet, zero_one_cost
 from qdetect.oracles import grid_oracle_dim2, helstrom_oracle
@@ -125,6 +126,20 @@ class TestGridPreconditions:
         h = pure_hypotheses([0.0, math.pi / 2.0])
         with pytest.raises(ValueError):
             grid_oracle_dim2(h, zero_one_cost(2), resolution=500)
+
+    @pytest.mark.parametrize("angles", [[0.0, math.pi / 2.0], [0.0, 2.0, 4.0]])
+    def test_resolution_ceiling(self, monkeypatch, angles):
+        # checked before a sweep takes memory that grows with the resolution
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(oracles, "_sweep_two", sweep)
+        monkeypatch.setattr(oracles, "_sweep_three", sweep)
+        h = pure_hypotheses(angles)
+        with pytest.raises(AssertionError, match="the sweep ran"):
+            grid_oracle_dim2(h, zero_one_cost(len(angles)), resolution=10**7)
+        with pytest.raises(ValueError, match="resolution"):
+            grid_oracle_dim2(h, zero_one_cost(len(angles)), resolution=10**7 + 1)
 
     @pytest.mark.parametrize("cost", [[[0.0, math.nan], [1.0, 0.0]],
                                       [[0.0, math.inf], [1.0, 0.0]]])
