@@ -74,9 +74,8 @@ class BinaryModel(DetectorScalars):
         vectors = linalg.frozen(self.vectors)
         if vectors.ndim != 2 or vectors.shape[0] != self.dim or not vectors.shape[1]:
             raise ValueError(f"vectors of shape {vectors.shape} do not match dim {self.dim}")
-        # orthonormal columns have entries in [-1, 1]; a larger entry could
-        # overflow below, and a NaN would compare False there
-        if not np.all(np.abs(vectors) <= 1.0 + 1e-10):
+        # orthonormal columns have entries in [-1, 1]; a larger entry could overflow below
+        if not linalg.bounded(vectors):
             raise ValueError("vectors must be finite, with entries in [-1, 1]")
         gram = vectors.T @ vectors
         if float(np.linalg.norm(gram - np.eye(len(gram)))) > 1e-10:
@@ -123,6 +122,17 @@ def _check_densities(**states: np.ndarray) -> None:
             raise ValueError(f"{name} is not a density operator within 1e-10")
 
 
+def _check_separated(eta: float, beta: float) -> float:
+    """The cutoff ``1e-12 * max|w|`` of a spectrum w from eta down to beta; both must clear it."""
+    cutoff = linalg.ZERO_EIGENVALUE_RTOL * max(eta, -beta, 0.0)
+    if eta <= cutoff or beta >= -cutoff:
+        raise DegenerateSeparationError(
+            "difference operator lacks a strictly positive or strictly negative "
+            "eigenvalue; the classes cannot be separated at this prior"
+        )
+    return cutoff
+
+
 def detector_from_densities(
     rho_pos: np.ndarray,
     rho_neg: np.ndarray,
@@ -144,14 +154,8 @@ def detector_from_densities(
     _check_densities(rho_pos=rho_pos, rho_neg=rho_neg)
     lam = prior_negative / (1.0 - prior_negative)
     w, v = linalg.eigh(rho_pos - lam * rho_neg)
-    cutoff = linalg.ZERO_EIGENVALUE_RTOL * float(np.max(np.abs(w)) if w.size else 0.0)
-    eta = float(w[0])
-    beta = float(w[-1])
-    if eta <= cutoff or beta >= -cutoff:
-        raise DegenerateSeparationError(
-            "difference operator lacks a strictly positive or strictly negative "
-            "eigenvalue; the classes cannot be separated at this prior"
-        )
+    eta, beta = float(w[0]), float(w[-1])
+    cutoff = _check_separated(eta, beta)
     return BinaryModel(
         dim=rho_pos.shape[0],
         vectors=v[:, w > cutoff],
@@ -180,8 +184,7 @@ def detectors_from_statistics(
     s], [-lam c s, -lam s^2]]``.  Its eigenvalues ``eta > 0 > beta`` have product
     ``-lam s^2``, so the acceptance projector is ``e e^T`` for the ``e`` of ``eta``.
     """
-    u_pos = pos / np.sqrt(linalg.row_dots(pos, pos))[:, None]
-    u_neg = neg / np.sqrt(linalg.row_dots(neg, neg))[:, None]
+    u_pos, u_neg = linalg.unit_rows(pos), linalg.unit_rows(neg)
     cosines = linalg.row_dots(u_pos, u_neg)
     r = np.subtract(u_neg, cosines[:, None] * u_pos, out=u_neg)
     norms = np.sqrt(linalg.row_dots(r, r))
@@ -203,12 +206,7 @@ def detectors_from_statistics(
         else:
             beta = mean - spread
             eta = -lam * s * s / beta
-        cutoff = linalg.ZERO_EIGENVALUE_RTOL * max(eta, -beta)
-        if eta <= cutoff or beta >= -cutoff:
-            raise DegenerateSeparationError(
-                "difference operator lacks a strictly positive or strictly negative "
-                "eigenvalue; the classes cannot be separated at this prior"
-            )
+        _check_separated(eta, beta)
         scalars.append(DetectorScalars(lam, eta, beta, threshold, prior_negative))
         weights.append((eta - d, b))
     # (eta - d, b) is an eigenvector of eta, and its first entry eta - d > 0

@@ -345,23 +345,16 @@ def _round_half_up(x: float) -> int:
 def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic split; stratified mode keeps per-class proportions."""
     rng = Lcg(spec.seed)
+    # one group of rows per class in order of first appearance, or one group of all rows
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(ds.label_ids.tolist() if spec.stratified else [0] * len(ds)):
+        groups.setdefault(k, []).append(i)
     train_idx: list[int] = []
-    if spec.stratified:
-        by_class: dict[int, list[int]] = {}
-        for i, k in enumerate(ds.label_ids.tolist()):
-            by_class.setdefault(k, []).append(i)
-        for k, indices in by_class.items():
-            if len(indices) < 2:
-                raise SplitError(
-                    f"class {ds.classes[k]!r} has only one document; stratified split needs >= 2"
-                )
-            shuffled = _shuffle(indices, rng)
-            take = _round_half_up(spec.train_fraction * len(indices))
-            train_idx.extend(shuffled[:take])
-    else:
-        shuffled = _shuffle(list(range(len(ds))), rng)
-        take = _round_half_up(spec.train_fraction * len(ds))
-        train_idx = shuffled[:take]
+    for k, indices in groups.items():
+        if spec.stratified and len(indices) < 2:
+            raise SplitError(f"class {ds.classes[k]!r} has only one document; "
+                             "stratified split needs >= 2")
+        train_idx += _shuffle(indices, rng)[:_round_half_up(spec.train_fraction * len(indices))]
     chosen = np.zeros(len(ds), dtype=bool)
     chosen[train_idx] = True
     train_rows, test_rows = np.flatnonzero(chosen), np.flatnonzero(~chosen)
@@ -403,8 +396,15 @@ def _scalar_payload(det) -> dict:
     return {key: getattr(det, name) for name, key in _SCALAR_KEYS.items()}
 
 
+def _is_label(label) -> bool:
+    """Whether a dataset line's first field can be ``label``: nonempty UTF-8, no whitespace."""
+    return isinstance(label, str) and label.split() == [label] and not _SURROGATE.search(label)
+
+
 def model_to_dict(model) -> dict:
-    """The model file's JSON object."""
+    """The model file's JSON object; ValueError for a label no dataset line can hold."""
+    if not all(map(_is_label, model.labels)):
+        raise ValueError(f"model labels must be nonempty UTF-8, no whitespace: {model.labels!r}")
     if model.strategy == "binary":
         fields = _scalar_payload(model)
     else:
@@ -434,8 +434,9 @@ def _vector_text(vectors: np.ndarray) -> str:
 
 
 def save_model(model, path) -> None:
+    text = dumps_canonical(model_to_dict(model))  # before the file is opened, as it may raise
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(model_to_dict(model)))
+        fh.write(text)
 
 
 _NUMBER = (int, float)
@@ -521,12 +522,9 @@ def model_from_dict(doc: dict):
     strategy = _require(doc, "strategy", str)
     dim = int(_require(doc, "dim", int))
     labels = tuple(_require(doc, "labels", list))
-    if not all(isinstance(x, str) for x in labels):
-        raise FormatError("model field 'labels' must hold strings")
-    try:  # JSON can escape a lone surrogate, which predictions could not be written with
-        "".join(labels).encode("utf-8")
-    except UnicodeEncodeError:
-        raise FormatError("model field 'labels' holds a lone surrogate") from None
+    if not all(map(_is_label, labels)):  # JSON can escape a lone surrogate, which is no UTF-8
+        raise FormatError("model field 'labels' must hold strings, nonempty UTF-8 with no "
+                          f"whitespace: {labels!r}")
     try:
         kind, fields = None, {}
         if strategy == "binary":

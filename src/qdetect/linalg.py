@@ -122,11 +122,16 @@ def frozen(a) -> np.ndarray:
     return out
 
 
+def bounded(a: np.ndarray) -> bool:
+    """``np.all(np.abs(a) <= 1 + 1e-10)``, NaN included, with no temporary as large as ``a``."""
+    return bool(-1.0 - 1e-10 <= a.min(initial=0.0) <= a.max(initial=0.0) <= 1.0 + 1e-10)
+
+
 def unit_row(x) -> np.ndarray:
     """``x`` as a 1 x dim matrix; ValueError unless it is finite with norm 1 within 1e-10."""
     x = np.asarray(x, dtype=float)
-    # entries within [-1, 1] keep the norm from overflowing; a NaN fails both comparisons
-    if not (np.all(np.abs(x) <= 1.0 + 1e-10) and abs(np.linalg.norm(x) - 1.0) <= 1e-10):
+    # entries within [-1, 1] keep the norm from overflowing
+    if not (bounded(x) and abs(np.linalg.norm(x) - 1.0) <= 1e-10):
         raise ValueError("expected a finite unit vector, with norm 1 within 1e-10")
     return x[None]
 
@@ -136,17 +141,19 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def born_scores(rows, vectors) -> np.ndarray:
-    """Per-column Born-rule scores ``(rows @ v) ** 2`` of unit rows, shape (len(rows), r).
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` divided by its norm."""
+    return a / np.sqrt(row_dots(a, a))[:, None]
 
-    ``vectors`` is dim x r.  Each column is projected on its own, so a score
-    does not depend on the other columns.  A ``rows`` that is not a matrix as
-    wide as ``vectors`` is tall raises DimensionMismatchError.
+
+def born_scores(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Born-rule scores ``(rows @ vectors) ** 2`` of unit rows, shape (len(rows), r).
+
+    ``vectors`` is dim x r.  A ``rows`` that is not a matrix as wide as
+    ``vectors`` is tall raises DimensionMismatchError.
     """
-    rows = np.asarray(rows, dtype=float)
-    dim = vectors.shape[0]
-    if rows.ndim != 2 or rows.shape[1] != dim:
+    if rows.ndim != 2 or rows.shape[1] != len(vectors):
         raise DimensionMismatchError(
-            f"document dim {rows.shape[1:]} does not match model dim {dim}"
-        )
-    return np.hstack([np.square(rows @ vectors[:, k:k + 1]) for k in range(vectors.shape[1])])
+            f"document dim {rows.shape[1:]} does not match model dim {len(vectors)}")
+    scores = rows @ vectors
+    return np.square(scores, out=scores)

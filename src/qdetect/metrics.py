@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
+from qdetect.linalg import born_scores
 from qdetect.multiclass import _BLOCK_DOUBLES, check_cost_matrix, zero_one_cost
 from qdetect.states import LabeledDataset, dense_rows, unit_entries
 
@@ -35,7 +36,7 @@ def _scores(ds: LabeledDataset, vectors: np.ndarray) -> np.ndarray:
         used = np.flatnonzero(np.bincount(cols, minlength=ds.dim))
         position[used] = np.arange(len(used))
         rows = dense_rows(ptr - ptr[0], position[cols], unit[ptr[0]:ptr[-1]], len(used))
-        np.square(rows @ vectors[used], out=scores[a:a + step])
+        scores[a:a + step] = born_scores(rows, vectors[used])
     return scores
 
 

@@ -64,8 +64,8 @@ class HypothesisSet:
         if any(len(f) != len(factors[0]) for f in factors):
             raise DimensionMismatchError("hypothesis states have mixed dimensions")
         for k, f in enumerate(factors):
-            # entries beyond [-1, 1] (NaN compares False) could overflow the norm
-            if not (np.all(np.abs(f) <= 1.0 + PSD_ATOL) and abs(np.sum(f * f) - 1.0) <= PSD_ATOL):
+            # entries beyond [-1, 1] could overflow the norm
+            if not (linalg.bounded(f) and abs(np.vdot(f, f) - 1.0) <= PSD_ATOL):
                 raise ValueError(f"factor {k} must be finite with unit Frobenius norm, "
                                  "its state of trace 1, within 1e-10")
         object.__setattr__(self, "priors", priors)
@@ -105,7 +105,7 @@ class Measurement:
             raise DimensionMismatchError("measurement factors have mixed dimensions")
         m = np.hstack(factors)
         # M M^T <= I bounds every entry by 1; a larger one could overflow G, a NaN break eigvalsh
-        if not np.all(np.abs(m) <= 1.0 + PSD_ATOL):
+        if not linalg.bounded(m):
             raise ValueError("measurement factor entries must be finite and within [-1, 1]")
         if float(np.linalg.eigvalsh(m.T @ m)[-1]) > 1.0 + RESOLUTION_ATOL:
             raise ValueError("measurement elements sum beyond the identity")
@@ -187,8 +187,7 @@ def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
     Each state is rank-1: its factor is the unit count row as one column.
     """
     labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
-    units = counts / np.sqrt(linalg.row_dots(counts, counts))[:, None]
-    return HypothesisSet(np.array(priors), tuple(units[:, :, None]), tuple(labels))
+    return HypothesisSet(priors, tuple(linalg.unit_rows(counts)[..., None]), tuple(labels))
 
 
 def pgm(h: HypothesisSet) -> Measurement:
@@ -295,11 +294,8 @@ class MulticlassModel:
             raise ValueError(
                 f"vectors of shape {vectors.shape} do not match dim {self.dim} and {n} labels"
             )
-        # columns of norm at most 1 have entries in [-1, 1]; a larger entry could
-        # overflow below, and a NaN, which min and max pass on, compares False here.
-        # No check builds a temporary as large as the vectors.
-        bound = 1.0 + PSD_ATOL
-        if not -bound <= vectors.min(initial=0.0) <= vectors.max(initial=0.0) <= bound:
+        # columns of norm at most 1 have entries in [-1, 1]; a larger entry could overflow below
+        if not linalg.bounded(vectors):
             raise ValueError("vectors must be finite, with entries in [-1, 1]")
         if self.strategy == "pgm":
             gram = vectors.T @ vectors
@@ -364,13 +360,12 @@ class MulticlassModel:
 def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
     """Square-root measurement of the class states, from the SVD of ``Psi``."""
     labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
-    units = (counts / np.sqrt(linalg.row_dots(counts, counts))[:, None]).T
     return MulticlassModel(
         strategy="pgm",
         dim=dim,
         labels=tuple(labels),
         priors=tuple(priors),
-        vectors=square_root_vectors(units * np.sqrt(priors)),
+        vectors=square_root_vectors(linalg.unit_rows(counts).T * np.sqrt(priors)),
     )
 
 

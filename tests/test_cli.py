@@ -237,6 +237,18 @@ class TestPredictEvaluate:
         assert capsys.readouterr().err.startswith("ERROR unsupported-version:")
         assert not out.exists()
 
+    def test_model_labels_no_dataset_line_can_hold(self, tmp_path, capsys):
+        # predict once wrote these labels into its TSV as "0\ta\nb\t..." and "5\t\t..."
+        doc = json.loads((GOLDEN / "pgm.json").read_text(encoding="utf-8"))
+        doc["labels"][:2] = ["a\nb", ""]
+        model = write(tmp_path, "labels.json", json.dumps(doc))
+        out = tmp_path / "p.tsv"
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / "test.txt"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR format:")
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         corpus = synth_corpus("orthogonal", 5, 0.1, seed=23, n_classes=2)
         data = write(tmp_path, "data.txt", serialize_sparse(corpus))

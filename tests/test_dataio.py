@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -613,6 +614,29 @@ class TestModelValidation:
             model_from_dict(doc)
         doc["dim"] = 1
         assert model_from_dict(doc).dim == 1
+
+    # labels that no dataset line's first field can be: predictions would
+    # write them as broken TSV rows
+    UNWRITABLE_LABELS = ["", "a b", "a\tb", "a\nb", "a\u2028b"]
+
+    @pytest.mark.parametrize("label", UNWRITABLE_LABELS)
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_label_a_dataset_line_cannot_hold(self, strategy, label):
+        doc = v4_document(strategy)
+        doc["labels"][0] = label
+        with pytest.raises(FormatError, match="labels"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("label", UNWRITABLE_LABELS + ["\udcff"])
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_save_refuses_a_label_the_loader_refuses(self, tmp_path, strategy, label):
+        # an in-memory model takes any string; its file must load again
+        model = make_models()[strategy]
+        model = dataclasses.replace(model, labels=(label,) + model.labels[1:])
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="labels"):
+            save_model(model, path)
+        assert not path.exists()
 
 
 class TestFormatFourVectors:

@@ -6,12 +6,18 @@ and the eigenvector solves (M - w I) x = 0.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qdetect import linalg
+from qdetect.binary import BinaryModel
 from qdetect.errors import NotPsdError
+from qdetect.multiclass import HypothesisSet
 
 # [[-0.5, 0.5], [0.5, 0.5]]: trace 0, det -0.5 -> eigenvalues +-sqrt(0.5)
 TILTED = np.array([[-0.5, 0.5], [0.5, 0.5]])
@@ -127,3 +133,58 @@ class TestTraceNorm:
             a = rng.normal(size=(4, 4))
             m = a @ a.T
             assert linalg.trace_norm(m) == pytest.approx(np.trace(m), rel=1e-12)
+
+
+# the entry bound 1 + 1e-10, one ulp either side of it, and the values at
+# which a range check most easily goes wrong
+EDGE = 1.0 + 1e-10
+SPECIAL = [math.nan, math.inf, 0.0, 1.0, EDGE, math.nextafter(EDGE, 2.0),
+           math.nextafter(EDGE, 0.0), 5e-324, 2.2250738585072014e-308, 1e308]
+ENTRIES = st.sampled_from(SPECIAL + [-v for v in SPECIAL]) | st.floats(-2.0, 2.0) | st.floats()
+
+
+@settings(max_examples=500, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+              elements=ENTRIES))
+def test_bounded_is_the_abs_check(a):
+    assert linalg.bounded(a) is bool(np.all(np.abs(a) <= 1.0 + 1e-10))
+
+
+@pytest.mark.parametrize("value, ok", [(-0.0, True), (-EDGE, True), (math.nan, False),
+                                       (-math.inf, False), (math.nextafter(-EDGE, -2.0), False)])
+def test_bounded_single_entries(value, ok):
+    assert linalg.bounded(np.array([0.5, value])) is ok
+    assert linalg.bounded(np.array([[value], [0.5]])) is ok
+
+
+def _unit(shape, k: int) -> np.ndarray:
+    """The k-th basis vector, of the given shape, read-only and owning its memory."""
+    e = np.zeros(shape)
+    e.flat[k] = 1.0
+    e.flags.writeable = False
+    return e
+
+
+CHECKS = {
+    "unit_row": lambda dim: (linalg.unit_row, _unit(dim, 0)),
+    "BinaryModel": lambda dim: (
+        lambda v: BinaryModel(lam=1.0, eta=0.5, beta=-0.5, threshold=0.5, prior_negative=0.5,
+                              dim=dim, vectors=v),
+        _unit((dim, 1), 0)),
+    "HypothesisSet": lambda dim: (
+        lambda factors: HypothesisSet([0.5, 0.5], factors, ("a", "b")),
+        (_unit((dim, 1), 0), _unit((dim, 1), 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_entry_checks_build_no_array_sized_temporary(name):
+    # one D = 10**6 array of doubles takes 7.6 MiB; its bool mask 0.95 MiB
+    check, argument = CHECKS[name](10**6)
+    tracemalloc.start()
+    try:
+        check(argument)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -46,3 +46,26 @@ def test_nine_tenths_of_the_pairs_must_be_won(losses, gain):
 
 def test_sides_alternate():
     assert [pairs.first_side(n) for n in range(1, 5)] == ["parent", "change"] * 2
+
+
+# PARENT's median is 14.5 and its interquartile range 5.5: a bound of 0.5 gives a
+# margin of 7.25, wider than the range, and a bound of 0.25 one of 3.625, narrower
+
+
+@pytest.mark.parametrize("shift, verdict", [(0.0, "ok"), (-7.25, "ok"), (-7.5, "worse")])
+def test_worse_past_the_margin(shift, verdict):
+    assert pairs.regression(PARENT, [v + shift for v in PARENT], "higher", 0.5) == verdict
+    assert pairs.regression(PARENT, [v - shift for v in PARENT], "lower", 0.5) == verdict
+
+
+@pytest.mark.parametrize("shift, verdict", [(0.0, "unresolved"), (9.0, "unresolved"),
+                                            (10.0, "ok"), (-5.0, "worse")])
+def test_unresolved_when_the_parent_spreads_past_the_margin(shift, verdict):
+    # only a change whose every run beats every parent run resolves a wide parent
+    assert pairs.regression(PARENT, [v + shift for v in PARENT], "higher", 0.25) == verdict
+    assert pairs.regression(PARENT, [v - shift for v in PARENT], "lower", 0.25) == verdict
+
+
+def test_verdicts_rank_from_best_to_worst():
+    assert max(["ok", "worse", "unresolved"], key=pairs.VERDICTS.index) == "worse"
+    assert max(["ok", "unresolved"], key=pairs.VERDICTS.index) == "unresolved"

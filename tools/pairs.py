@@ -10,10 +10,12 @@ Pair n runs ``perfbench/run.py --workload W --seed n --seconds S`` in each
 checkout, one after the other: the parent first in odd pairs, the change first
 in even ones.  For every end-to-end metric of the parent's ``BENCHMARK.json``
 it prints each side's median and quartiles (``statistics.quantiles(values,
-n=4)``), the pairs the change won (ties count for neither side), and whether
-the gain rule holds: the change wins at least nine tenths of the pairs, and its
-median beats the parent's by more than the parent's interquartile range.
-Each run finishes before the next starts; an interrupted run is killed.
+n=4)``), the pairs the change won (ties count for neither side), whether the
+gain rule holds (the change wins at least nine tenths of the pairs, and its
+median beats the parent's by more than the parent's interquartile range), and
+the no-regression verdict of ``regression``; a last line gives the worst
+verdict over the metrics.  Each run finishes before the next starts; an
+interrupted run is killed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,27 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``ok``, ``worse`` or ``unresolved``: the no-regression rule for one metric.
+
+    The margin is ``bound`` times the parent's median.  ``worse``: the
+    change's median is worse than the parent's by more than the margin.
+    ``unresolved``: the parent's interquartile range is wider than the margin,
+    and not every change run beats every parent run.
+    """
+    s = summarize(parent, change, better)
+    margin = bound * abs(s["parent"][1])
+    sign = 1.0 if better == "higher" else -1.0
+    if -s["gap"] > margin:
+        return "worse"
+    if s["parent_iqr"] > margin and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "ok"
+
+
+VERDICTS = ("ok", "unresolved", "worse")  # from best to worst
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line ``perfbench/run.py`` prints last, as a dict."""
     done = subprocess.run(
@@ -88,18 +111,23 @@ def main(argv=None) -> int:
               flush=True)
 
     print(f"{'metric':24s} {'parent Q1 / median / Q3':>36s} {'change Q1 / median / Q3':>36s}"
-          f"  wins  gain")
+          f"  wins  gain  verdict")
+    verdicts = {}
     for metric in contract["end_to_end"]:
         name = metric["name"]
-        s = summarize([r["metrics"][name]["value"] for r in results["parent"]],
-                      [r["metrics"][name]["value"] for r in results["change"]],
-                      metric["better"])
+        values = [[r["metrics"][name]["value"] for r in results[side]]
+                  for side in ("parent", "change")]
+        s = summarize(*values, metric["better"])
+        verdicts[name] = regression(*values, metric["better"], metric["bound"])
         print(f"{name:24s} {' / '.join(f'{v:.6g}' for v in s['parent']):>36s} "
               f"{' / '.join(f'{v:.6g}' for v in s['change']):>36s}  "
-              f"{s['wins']:2d}/{s['pairs']}  {'yes' if s['gain'] else 'no'}")
+              f"{s['wins']:2d}/{s['pairs']}  {'yes' if s['gain'] else 'no':4s}  {verdicts[name]}")
     for side, runs in results.items():
         print(f"{side}: {sum(r['failed'] for r in runs)} of "
               f"{sum(r['attempted'] for r in runs)} operations failed")
+    worst = max(verdicts.values(), key=VERDICTS.index, default="ok")
+    flagged = [f"{name} {v}" for name, v in verdicts.items() if v != "ok"]
+    print(f"overall: {worst}" + (f" ({', '.join(flagged)})" if flagged else ""))
     return 0
 
 
