@@ -20,36 +20,30 @@ from qdetect.states import LabeledDataset, dense_rows, unit_entries
 _TSV_BLOCK_ROWS = 1 << 16
 
 
-def _scores(ds: LabeledDataset, vectors: np.ndarray) -> np.ndarray:
-    """Born-rule scores ``(x @ v) ** 2`` of each unit row x and column v, shape (len(ds), r).
-
-    A block of n rows spans at most min(dim, n * longest row) features; n fits ``_BLOCK_DOUBLES``.
-    """
-    unit = unit_entries(ds.indptr, ds.values)
-    longest = int(np.diff(ds.indptr).max(initial=1))
-    step = max(1, _BLOCK_DOUBLES // ds.dim, math.isqrt(_BLOCK_DOUBLES // longest))
-    scores = np.empty((len(ds), vectors.shape[1]))
-    position = np.zeros(ds.dim, dtype=np.int64)
-    for a in range(0, len(ds), step):
-        ptr = ds.indptr[a:a + step + 1]
-        cols = ds.indices[ptr[0]:ptr[-1]]
-        used = np.flatnonzero(np.bincount(cols, minlength=ds.dim))
-        position[used] = np.arange(len(used))
-        rows = dense_rows(ptr - ptr[0], position[cols], unit[ptr[0]:ptr[-1]], len(used))
-        scores[a:a + step] = born_scores(rows, vectors[used])
-    return scores
-
-
 def _decisions(model, ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per document: the chosen label's index, its score, and the degenerate flag.
 
+    Each block of n rows is normalized, scored and decided in one pass; it spans at
+    most min(dim, n * longest row) features, and n fits ``_BLOCK_DOUBLES``.
     Degenerate (empty) documents take the largest-prior class with score 0.
     """
     if ds.dim > model.dim:
         raise DimensionMismatchError(f"dataset dim {ds.dim} exceeds model dim {model.dim}")
-    picks, values = model.decisions(_scores(ds, model.vectors))
+    longest = int(np.diff(ds.indptr).max(initial=1))
+    step = max(1, _BLOCK_DOUBLES // ds.dim, math.isqrt(_BLOCK_DOUBLES // longest))
+    picks, values = np.empty(len(ds), dtype=np.int64), np.empty(len(ds))
+    position = np.zeros(ds.dim, dtype=np.int64)
+    for a in range(0, len(ds), step):
+        ptr = ds.indptr[a:a + step + 1]
+        cols, vals = ds.indices[ptr[0]:ptr[-1]], ds.values[ptr[0]:ptr[-1]]
+        used = np.flatnonzero(np.bincount(cols, minlength=ds.dim))
+        position[used] = np.arange(len(used))
+        ptr = ptr - ptr[0]
+        rows = dense_rows(ptr, position[cols], unit_entries(ptr, vals), len(used))
+        picks[a:a + step], values[a:a + step] = model.decisions(
+            born_scores(rows, model.vectors[used]))
     empty = ds.indptr[1:] == ds.indptr[:-1]
-    picks = np.where(empty, int(np.argmax(model.priors)), picks)
+    picks[empty] = int(np.argmax(model.priors))
     return picks, values, empty  # an empty row scores 0 in every column
 
 

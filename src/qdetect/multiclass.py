@@ -103,11 +103,15 @@ class Measurement:
             raise ValueError("a measurement needs at least one factor, each a matrix with columns")
         if any(len(f) != len(factors[0]) for f in factors):
             raise DimensionMismatchError("measurement factors have mixed dimensions")
-        m = np.hstack(factors)
         # M M^T <= I bounds every entry by 1; a larger one could overflow G, a NaN break eigvalsh
-        if not linalg.bounded(m):
+        if not all(linalg.bounded(f) for f in factors):
             raise ValueError("measurement factor entries must be finite and within [-1, 1]")
-        if float(np.linalg.eigvalsh(m.T @ m)[-1]) > 1.0 + RESOLUTION_ATOL:
+        r = sum(f.shape[1] for f in factors)
+        gram, step = np.zeros((r, r)), max(1, _BLOCK_DOUBLES // r)  # M^T M by chunks of rows
+        for a in range(0, len(factors[0]), step):
+            m = np.hstack([f[a:a + step] for f in factors])
+            gram += m.T @ m
+        if float(np.linalg.eigvalsh(gram)[-1]) > 1.0 + RESOLUTION_ATOL:
             raise ValueError("measurement elements sum beyond the identity")
         object.__setattr__(self, "factors", factors)
 

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from qdetect import linalg
 from qdetect.binary import BinaryModel
 from qdetect.errors import NotPsdError
-from qdetect.multiclass import HypothesisSet
+from qdetect.multiclass import HypothesisSet, Measurement
 
 # [[-0.5, 0.5], [0.5, 0.5]]: trace 0, det -0.5 -> eigenvalues +-sqrt(0.5)
 TILTED = np.array([[-0.5, 0.5], [0.5, 0.5]])
@@ -188,3 +188,19 @@ def test_entry_checks_build_no_array_sized_temporary(name):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_measurement_check_copies_no_factor():
+    # the two D = 10**6 factors take 15.3 MiB; one D x 2 copy of them as much again
+    factors = (_unit((10**6, 1), 0), _unit((10**6, 1), 1))
+    tracemalloc.start()
+    try:
+        Measurement(factors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # a unit column spread over every chunk of rows, twice: M^T M has eigenvalue 2
+    spread = np.full((10**6, 1), 1e-3)
+    with pytest.raises(ValueError, match="beyond the identity"):
+        Measurement((spread, spread))

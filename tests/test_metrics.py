@@ -223,7 +223,7 @@ def test_tsv_blocks_are_the_per_row_lines(drawn):
     model, scores = drawn
     ds = LabeledDataset(dim=3, documents=(("x", fv(3, {0: 1.0})),) * len(scores))
     # blocks of 4 lines, so 1 to 13 rows fall on both sides of a block boundary
-    with mock.patch.object(metrics, "_scores", lambda ds, vectors: scores), \
+    with mock.patch.object(metrics, "born_scores", lambda rows, vectors: scores), \
             mock.patch.object(metrics, "_TSV_BLOCK_ROWS", 4):
         blocks = predictions_tsv(model, ds)
         rows = predict_dataset(model, ds)

@@ -20,7 +20,9 @@ from qdetect.cli import main
 from qdetect.dataio import load_model, parse_sparse, save_model
 from qdetect.errors import DegenerateSeparationError
 from qdetect.linalg import SUPPORT_RTOL, born_scores, inv_sqrt_psd
+from qdetect.metrics import evaluate
 from qdetect.multiclass import (
+    MulticlassModel,
     average_cost,
     build_hypotheses,
     measurement_vectors,
@@ -31,6 +33,7 @@ from qdetect.multiclass import (
 from qdetect.oracles import helstrom_oracle
 from qdetect.states import (
     FeatureVector,
+    LabeledDataset,
     density_from_vector,
     feature_statistics,
     normalize_documents,
@@ -213,6 +216,28 @@ def test_scoring_memory_does_not_grow_with_the_vocabulary(tmp_path, strategy):
     finally:
         tracemalloc.stop()
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_scoring_memory_does_not_grow_with_documents_times_classes():
+    # the 20_000 x 256 scores would take 39 MiB, the 400_000 normalized entries 3.1 MiB
+    dim, n_classes, n, length, limit = 1024, 256, 20_000, 20, 8 * 2**20
+    rng = np.random.default_rng(3)
+    vectors = np.linalg.qr(rng.standard_normal((dim, n_classes)))[0]
+    labels = tuple(f"c{k}" for k in range(n_classes))
+    model = MulticlassModel("pgm", dim, labels, (1.0 / n_classes,) * n_classes, vectors)
+    # distinct features per row: 51 is odd, so k * 51 differ mod 1024 for k < 20
+    cols = np.sort((rng.integers(0, dim, (n, 1)) + 51 * np.arange(length)) % dim, axis=1)
+    ds = LabeledDataset.from_arrays(dim, labels, rng.integers(0, n_classes, n),
+                                    np.arange(n + 1) * length, cols.ravel(),
+                                    rng.random(n * length) + 0.5)
+    tracemalloc.start()
+    try:
+        report = evaluate(model, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.evaluated_count == n
+    assert peak < limit, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("strategy", ["pgm", "ovr"])
