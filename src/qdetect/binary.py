@@ -80,8 +80,8 @@ class BinaryModel(DetectorScalars):
         gram = vectors.T @ vectors
         if float(np.linalg.norm(gram - np.eye(len(gram)))) > 1e-10:
             raise ValueError("vectors are not orthonormal within 1e-10")
-        if self.labels[0] == self.labels[1]:
-            raise ValueError("the two labels must differ")
+        if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
+            raise ValueError(f"binary models need exactly two distinct labels: {self.labels!r}")
         object.__setattr__(self, "vectors", vectors)
 
     @property

@@ -383,9 +383,7 @@ def dumps_canonical(obj) -> str:
 # first byte, then the rows restricted to those features as little-endian
 # IEEE-754 doubles.  A feature that no training document holds has a zero
 # column, so a wide vocabulary costs a bit a feature and not r doubles.
-# Format 3 stored the full rows as JSON lists of numbers and still loads.
 FORMAT_VERSION = 4
-READABLE_FORMATS = range(3, FORMAT_VERSION + 1)
 _VECTOR_DTYPE = np.dtype("<f8")
 # each ``DetectorScalars`` field and its key in a model file, in file order
 _SCALAR_KEYS = {"prior_negative": "prior_negative", "lam": "lambda", "eta": "eta",
@@ -458,7 +456,7 @@ def _scalars(payload: dict) -> dict:
 
 
 def _float_array(value) -> np.ndarray:
-    """A float array from nested lists of numbers.
+    """A cost file's float array from nested lists of numbers.
 
     ``np.array(value, dtype=float)`` alone would also turn numeric strings and
     booleans into numbers, so the type of every item is checked first.
@@ -466,7 +464,7 @@ def _float_array(value) -> np.ndarray:
     items = np.array(value, dtype=object)
     if not all(issubclass(kind, _NUMBER) and not issubclass(kind, bool)
                for kind in set(map(type, items.flat))):
-        raise FormatError("model arrays must hold only numbers")
+        raise FormatError("cost arrays must hold only numbers")
     return items.astype(float)
 
 
@@ -510,15 +508,13 @@ def _vector_columns(text: str, dim: int) -> np.ndarray:
 
 
 def model_from_dict(doc: dict):
-    """A model from a format 3 or 4 JSON object; raises FormatError."""
+    """A model from a format 4 JSON object; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
-    if version not in READABLE_FORMATS:
+    if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"unsupported model format_version {version} "
-            f"(expected {READABLE_FORMATS[0]} to {READABLE_FORMATS[-1]})"
-        )
+            f"unsupported model format_version {version} (expected {FORMAT_VERSION})")
     strategy = _require(doc, "strategy", str)
     dim = int(_require(doc, "dim", int))
     labels = tuple(_require(doc, "labels", list))
@@ -527,23 +523,17 @@ def model_from_dict(doc: dict):
                           f"whitespace: {labels!r}")
     try:
         kind, fields = None, {}
+        # the models check the label count, the detector count and the vector columns
         if strategy == "binary":
-            if len(labels) != 2:
-                raise FormatError("binary models need exactly two labels")
             fields = _scalars(doc)
         elif strategy == "pgm":
             kind = _require(doc, "kind", str)
         elif strategy == "one_vs_rest":
-            payloads = _require(doc, "detectors", list)
-            if len(payloads) != len(labels):
-                raise FormatError("one detector per label is required")
-            fields = {"detector_scalars": tuple(DetectorScalars(**_scalars(p)) for p in payloads)}
+            fields = {"detector_scalars": tuple(DetectorScalars(**_scalars(p))
+                                                for p in _require(doc, "detectors", list))}
         else:
             raise FormatError(f"unknown strategy {strategy!r}")
-        if version < FORMAT_VERSION:
-            vectors = _float_array(_require(doc, "vectors", list)).T
-        else:  # the model checks that a multi-class model has a column per label
-            vectors = _vector_columns(_require(doc, "vectors", str), dim)
+        vectors = _vector_columns(_require(doc, "vectors", str), dim)
         if strategy == "binary":
             return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
         priors = _require(doc, "priors", list)

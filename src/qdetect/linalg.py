@@ -137,7 +137,12 @@ def unit_row(x) -> np.ndarray:
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[k] @ b[k]`` for each row k of two n x d arrays, bit for bit, in one batched product."""
+    """``a[k] @ b[k]`` for each row k of two n x d arrays, in one batched product.
+
+    Both forms agree bit for bit on the same memory.  Under OpenBLAS's
+    Prescott kernel ``ddot`` also depends on a row's alignment, so the same
+    values in another buffer can differ in the last bits.
+    """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 

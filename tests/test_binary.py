@@ -284,6 +284,12 @@ class TestModelInvariants:
                 threshold=0.5, prior_negative=0.5,
             )
 
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c"), ("a", "a")])
+    def test_labels_other_than_two_distinct_rejected(self, labels):
+        # one label used to raise IndexError, and three to save a file the loader refused
+        with pytest.raises(ValueError, match="two distinct labels"):
+            detector_from_densities(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.5, labels=labels)
+
     def test_projector_annihilates_complement(self):
         model = train_binary([fv(2, {0: 1, 1: 1})], [fv(2, {0: 1})], 2, prior_negative=0.5)
         p = model.projector

@@ -368,19 +368,9 @@ def make_models():
     }
 
 
-def v3_document(strategy):
-    """The JSON object of a format 3 model file, for a model of dim 3."""
-    model = make_models()[strategy]
-    doc = dict(model_to_dict(model), format_version=3, vectors=model.vectors.T.tolist())
-    return json.loads(dumps_canonical(doc))
-
-
 def v4_document(strategy):
     """The JSON object of a format 4 model file, for a model of dim 3."""
     return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
-
-
-DOCUMENTS = {3: v3_document, 4: v4_document}
 
 
 BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -474,7 +464,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize(
         "text", ["", "{} extra", '{"elements": [[[{"a": 1}]]]}',
-                 '{"detectors": [{"projector": [["x"]]}]}'])
+                 '{"detectors": [{"projector": [["x"]]}]}', '["format_version", 4]'])
     def test_unreadable_file(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)
@@ -488,8 +478,8 @@ class TestModelSerialization:
             model_from_dict(doc)
 
     def test_corrupt_matrix(self):
-        doc = v3_document("binary")
-        doc["vectors"] = [[0.7, 0.7], [0.7, 0.7], [0.7, 0.7]]
+        doc = v4_document("binary")
+        doc["vectors"] = encode_rows(np.full((3, 3), 0.7))
         with pytest.raises(FormatError):
             model_from_dict(doc)
 
@@ -507,37 +497,46 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_nan_vector_entry(self, strategy):
-        doc = v3_document(strategy)
-        doc["vectors"][-1][0] = float("nan")
+        doc = v4_document(strategy)
+        rows = decode_rows(doc)
+        rows[0, -1] = float("nan")
+        doc["vectors"] = encode_rows(rows)
         with pytest.raises(FormatError, match="finite"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_wrong_vector_length(self, strategy):
-        doc = v3_document(strategy)
-        doc["vectors"] = [row[:-1] for row in doc["vectors"]]
+        # every row one double short of the three features that the mask marks
+        doc = v4_document(strategy)
+        mask, rows = base64.b64decode(doc["vectors"])[:1], decode_rows(doc).astype("<f8")
+        assert mask == bytes([0b1110_0000])
+        doc["vectors"] = base64.b64encode(mask + rows[:, :-1].tobytes()).decode("ascii")
         with pytest.raises(FormatError, match="dim 3"):
             model_from_dict(doc)
-        doc["vectors"][0].append(0.0)  # ragged rows
+        ragged = np.delete(rows.ravel(), rows.shape[1] - 1)  # only the first row is short
+        doc["vectors"] = base64.b64encode(mask + ragged.tobytes()).decode("ascii")
         with pytest.raises(FormatError):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_missing_vectors(self, strategy):
-        doc = v3_document(strategy)
+        doc = v4_document(strategy)
         del doc["vectors"]
         with pytest.raises(FormatError, match="vectors"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_orthonormal_vectors(self, strategy):
-        doc = v3_document(strategy)
-        doc["vectors"][0] = [1.01 * x for x in doc["vectors"][0]]
+        doc = v4_document(strategy)
+        rows = decode_rows(doc)
+        rows[0] *= 1.01
+        doc["vectors"] = encode_rows(rows)
         with pytest.raises(FormatError, match="projector|unit norm|orthonormal"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
-    @pytest.mark.parametrize("priors", [[5.0, -3.0], [0.25, 0.25], [1.0, float("nan")]])
+    @pytest.mark.parametrize("priors", [[5.0, -3.0], [0.25, 0.25], [1.0, float("nan")],
+                                        [0.25, 0.25, 0.5]])
     def test_bad_priors(self, strategy, priors):
         doc = model_to_dict(make_models()[strategy])
         doc["priors"] = priors
@@ -559,17 +558,28 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="prior_negative"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
-    def test_dim_disagrees_with_vectors(self, strategy):
-        doc = v3_document(strategy)
-        doc["dim"] = 5
-        with pytest.raises(FormatError, match="dim 5"):
+    @pytest.mark.parametrize("strategy, edit, error", [
+        ("binary", lambda doc: doc["labels"].append("c"), "two distinct labels"),
+        ("binary", lambda doc: doc["labels"].pop(), "two distinct labels"),
+        ("one_vs_rest", lambda doc: doc["detectors"].pop(), "one detector per label"),
+    ], ids=["binary-three-labels", "binary-one-label", "ovr-one-detector-short"])
+    def test_count_that_the_model_refuses(self, strategy, edit, error):
+        doc = v4_document(strategy)
+        edit(doc)
+        with pytest.raises(FormatError, match=error):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [3, 4])
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
-    def test_non_string_labels(self, version, strategy):
-        doc = DOCUMENTS[version](strategy)
+    def test_dim_disagrees_with_vectors(self, strategy):
+        # dim 9 takes a mask of two bytes; a dim up to 8 would read as a wider model
+        doc = v4_document(strategy)
+        doc["dim"] = 9
+        with pytest.raises(FormatError, match="dim 9"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_non_string_labels(self, strategy):
+        doc = v4_document(strategy)
         doc["labels"] = list(range(1, len(doc["labels"]) + 1))
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
@@ -581,35 +591,18 @@ class TestModelValidation:
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [3, 4])
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
-    def test_non_numeric_priors(self, version, strategy):
-        doc = DOCUMENTS[version](strategy)
+    def test_non_numeric_priors(self, strategy):
+        doc = v4_document(strategy)
         doc["priors"] = [str(x) for x in doc["priors"]]
         with pytest.raises(FormatError, match="priors"):
             model_from_dict(doc)
 
-    # the identity in two dims, a valid projective pgm model apart from its item types
-    IDENTITY_PGM = {"format_version": 3, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
-                    "priors": [0.5, 0.5], "kind": "projective"}
-
-    def test_string_vector_entries(self):
-        doc = dict(self.IDENTITY_PGM, vectors=[[1.0, 0.0], [0.0, 1.0]])
-        assert model_from_dict(doc).dim == 2
-        doc["vectors"] = [["1.0", "0.0"], ["0.0", "1.0"]]
-        with pytest.raises(FormatError, match="numbers"):
-            model_from_dict(doc)
-
-    @pytest.mark.parametrize("vectors", [[[True, False], [False, True]],
-                                         [[1.0, False], [0.0, 1.0]]])
-    def test_boolean_vector_entries(self, vectors):
-        with pytest.raises(FormatError, match="numbers"):
-            model_from_dict(dict(self.IDENTITY_PGM, vectors=vectors))
-
     def test_boolean_dim(self):
         # a consistent one-dimensional model apart from the type of its dim
-        doc = dict(self.IDENTITY_PGM, dim=True, kind="povm",
-                   vectors=[[math.sqrt(0.5)], [math.sqrt(0.5)]])
+        doc = {"format_version": 4, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
+               "priors": [0.5, 0.5], "kind": "povm",
+               "vectors": encode_rows([[math.sqrt(0.5)], [math.sqrt(0.5)]])}
         with pytest.raises(FormatError, match="'dim'"):
             model_from_dict(doc)
         doc["dim"] = 1
@@ -754,20 +747,15 @@ class TestFormatFourVectors:
         assert model_from_dict(doc).vectors.shape == (3, 2)
 
     def test_vectors_of_the_other_format(self):
+        # the JSON lists of numbers that format 3 wrote
         doc = v4_document("pgm")
         doc["vectors"] = decode_rows(doc).tolist()
         with pytest.raises(FormatError, match="wrong type"):
             model_from_dict(doc)
-        doc = v3_document("pgm")
-        doc["vectors"] = v4_document("pgm")["vectors"]
-        with pytest.raises(FormatError, match="wrong type"):
-            model_from_dict(doc)
 
 
-# Every model document the fuzzer starts from: a format 3 and a format 4
-# document for each strategy.
-FUZZ_BASES = [documents(strategy) for documents in DOCUMENTS.values()
-              for strategy in ("binary", "pgm", "one_vs_rest")]
+# Every model document the fuzzer starts from: one for each strategy.
+FUZZ_BASES = [v4_document(strategy) for strategy in ("binary", "pgm", "one_vs_rest")]
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                  st.lists(st.integers(0, 3), max_size=3))
 DELTAS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0), st.sampled_from([1e300, -1e300]))
@@ -775,21 +763,13 @@ DELTAS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0), st.sampled_from
 NOT_BASE64 = st.sampled_from(["=", "-", "_", " ", "\n", ".", "\u00e9", "\x00"])
 
 
-def number_paths(value, path=()):
-    """Index paths of the numbers inside nested lists."""
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from number_paths(item, path + (i,))
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield path
-
-
 @st.composite
 def mutated_base64(draw, doc):
     """A format 4 document's ``vectors`` string with one change to its text or its doubles."""
     text = doc["vectors"]
     at = draw(st.integers(0, len(text) - 1))
-    edit = draw(st.sampled_from(["flip", "drop", "insert", "mask-bit", "drop-row", "entry"]))
+    edit = draw(st.sampled_from(["flip", "drop", "insert", "mask-bit", "drop-row", "entry",
+                                 "perturb", "truncate", "transpose"]))
     if edit == "mask-bit":  # a feature marked or unmarked, or a bit past dim set
         raw = bytearray(base64.b64decode(text))
         bit = draw(st.integers(0, 8 * -(-doc["dim"] // 8) - 1))
@@ -803,11 +783,17 @@ def mutated_base64(draw, doc):
     if edit == "insert":
         return text[:at] + draw(NOT_BASE64) + text[at:]
     rows = decode_rows(doc)
+    row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, doc["dim"] - 1))
     if edit == "drop-row":
-        rows = np.delete(rows, draw(st.integers(0, len(rows) - 1)), axis=0)
+        rows = np.delete(rows, row, axis=0)
+    elif edit == "entry":
+        rows[row, column] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1.01, -1.01]))
+    elif edit == "perturb":
+        rows[row, column] += draw(DELTAS)
+    elif edit == "truncate":  # the first rows kept, or each row's last double cut
+        rows = rows[:row] if draw(st.booleans()) else rows[:, :-1]
     else:
-        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1.01, -1.01]))
-        rows[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, doc["dim"] - 1))] = value
+        rows = rows.T
     return encode_rows(rows)
 
 
@@ -816,9 +802,7 @@ def mutated_documents(draw):
     """A fuzz base with one mutation, in it or in one of its detectors."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     owner = draw(st.sampled_from([doc] + [d for d in doc.get("detectors", []) if d]))
-    rows = doc["vectors"]  # a list in format 3, which the matrix mutations edit
-    mutation = draw(st.sampled_from(["drop", "retype", "perturb", "truncate", "transpose",
-                                     "dim", "reorder"]))
+    mutation = draw(st.sampled_from(["drop", "retype", "dim", "reorder"]))
     if mutation in ("drop", "retype"):
         key = draw(st.sampled_from(sorted(owner)))
         if mutation == "drop":
@@ -827,22 +811,8 @@ def mutated_documents(draw):
             owner[key] = draw(JUNK)
     elif mutation == "dim":
         doc["dim"] = draw(st.integers(-1, 2 * doc["dim"] + 1))
-    elif mutation == "reorder":
+    else:
         doc["labels"] = draw(st.permutations(doc["labels"]))
-    elif isinstance(rows, list) and rows:
-        if mutation == "perturb":
-            *path, last = draw(st.sampled_from(list(number_paths(rows))))
-            entry = rows
-            for i in path:
-                entry = entry[i]
-            entry[last] += draw(DELTAS)
-        elif mutation == "truncate":
-            if draw(st.booleans()):
-                doc["vectors"] = rows[:draw(st.integers(0, len(rows) - 1))]
-            else:
-                doc["vectors"] = [row[:-1] if isinstance(row, list) else row for row in rows]
-        elif all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
-            doc["vectors"] = [list(column) for column in zip(*rows)]
     return doc
 
 
@@ -873,7 +843,8 @@ class TestModelDocumentFuzzing:
 
 # Documents of the retired formats, each of which the version that wrote it
 # loaded: a format 1 pgm model stored its measurement elements as dense
-# matrices, a format 2 binary model its acceptance projector.
+# matrices, a format 2 binary model its acceptance projector, and a format 3
+# pgm model its vectors as JSON lists of numbers.
 RETIRED_DOCUMENTS = {
     1: {"format_version": 1, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
         "priors": [0.5, 0.5], "kind": "projective",
@@ -881,13 +852,15 @@ RETIRED_DOCUMENTS = {
     2: {"format_version": 2, "strategy": "binary", "dim": 2, "labels": ["a", "b"],
         "prior_negative": 0.5, "lambda": 1.0, "eta": 1.0, "beta": -1.0, "threshold": 0.5,
         "projector": [[1.0, 0.0], [0.0, 0.0]]},
+    3: {"format_version": 3, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
+        "priors": [0.5, 0.5], "kind": "projective", "vectors": [[1.0, 0.0], [0.0, 1.0]]},
 }
 
 
 class TestRetiredFormats:
     @pytest.mark.parametrize("version", sorted(RETIRED_DOCUMENTS))
     def test_document_is_refused(self, version):
-        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 3 to 4\)"):
+        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 4\)"):
             model_from_dict(RETIRED_DOCUMENTS[version])
 
 

@@ -113,8 +113,8 @@ def test_every_model_fixture_loads(path):
 
 
 def test_model_fixtures_cover_every_format():
-    from qdetect.dataio import READABLE_FORMATS
+    from qdetect.dataio import FORMAT_VERSION
 
     versions = {json.loads(path.read_text(encoding="utf-8"))["format_version"]
                 for path in MODEL_FIXTURES}
-    assert versions == set(READABLE_FORMATS)
+    assert versions == {FORMAT_VERSION}
