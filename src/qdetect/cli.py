@@ -21,6 +21,7 @@ from qdetect.dataio import (
     load_cost_matrix,
     load_model,
     parse_sparse,
+    read_class_statistics,
     save_model,
     split,
 )
@@ -29,13 +30,14 @@ from qdetect.metrics import evaluate, predictions_tsv
 from qdetect.multiclass import (
     HypothesisSet,
     average_cost,
+    one_vs_rest_from_statistics,
     pgm,
+    pgm_from_statistics,
     train_one_vs_rest,
     train_pgm,
     zero_one_cost,
 )
 from qdetect.oracles import grid_oracle_dim2, helstrom_oracle
-from qdetect.states import class_statistics
 from qdetect.synth import synth_corpus
 
 
@@ -43,10 +45,11 @@ class UsageError(QdetectError):
     code = "usage"
 
 
-def _read_dataset(path: str, dim: int | None = None):
+def _read(reader, path: str, dim: int | None = None):
+    """``reader(file, dim=dim)`` of the dataset file at ``path``."""
     # the parser rejects undecodable bytes, kept as lone surrogates, by line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_sparse(fh, dim=dim)
+        return reader(fh, dim=dim)
 
 
 def _cmd_train(args) -> int:
@@ -55,26 +58,26 @@ def _cmd_train(args) -> int:
     threshold = 0.5 if args.threshold is None else args.threshold
     if not 0.0 <= threshold <= 1.0:  # False for NaN
         raise UsageError(f"--threshold must lie in [0, 1], got {threshold}")
-    ds = _read_dataset(args.data, dim=args.dim)
+    # the trainers read only the class counts, so the file is counted a batch at a time
+    labels, priors, counts = _read(read_class_statistics, args.data, args.dim)
     if args.strategy == "binary":
-        if len(ds.classes) != 2:
+        if len(labels) != 2:
             raise DegenerateCorpusError(
-                f"binary strategy needs exactly 2 classes, found {len(ds.classes)}"
+                f"binary strategy needs exactly 2 classes, found {len(labels)}"
             )
-        priors, (v_pos, v_neg) = class_statistics(ds, ds.dim)
         prior = priors[1] if args.prior is None else args.prior
-        model = binary_from_statistics(v_pos, v_neg, prior, threshold, labels=ds.classes)
+        model = binary_from_statistics(counts[0], counts[1], prior, threshold, labels=labels)
     elif args.strategy == "pgm":
-        model = train_pgm(ds, ds.dim)
+        model = pgm_from_statistics(labels, priors, counts)
     else:
-        model = train_one_vs_rest(ds, ds.dim)
+        model = one_vs_rest_from_statistics(labels, priors, counts)
     save_model(model, args.out)
     return 0
 
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    blocks = predictions_tsv(model, _read_dataset(args.data))
+    blocks = predictions_tsv(model, _read(parse_sparse, args.data))
     with open(args.out, "w", encoding="utf-8") as fh:  # opened once scoring succeeded
         fh.writelines(blocks)
     return 0
@@ -82,7 +85,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    ds = _read_dataset(args.data)
+    ds = _read(parse_sparse, args.data)
     cost = None if args.cost == "zero-one" else load_cost_matrix(args.cost, len(model.labels))
     report = evaluate(model, ds, cost)
     with open(args.out, "w", encoding="utf-8") as fh:

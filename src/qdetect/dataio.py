@@ -30,7 +30,7 @@ from qdetect.errors import (
     UnsupportedVersionError,
 )
 from qdetect.multiclass import MulticlassModel, check_cost_matrix
-from qdetect.states import LabeledDataset
+from qdetect.states import LabeledDataset, count_entries, counted_statistics, widened
 
 
 # the largest feature index an int64 index array holds
@@ -191,61 +191,73 @@ def _document_lines(fields: list[list[str]], linenos: Sequence[int]
     return kept, numbers, None
 
 
-class _Columns:
-    """The growing CSR buffers of a parse, filled a batch of lines at a time."""
+def _documents(source: Iterable[str] | IO[str], labels: dict[str, int]):
+    """The source's documents as arrays, a converted range of a batch of lines at a time.
 
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.label_ids, self.indptr = array("q"), array("q", [0])
-        self.indices, self.values = array("q"), array("d")
-        self.max_index = -1
-
-    def add_batch(self, lines: list[str], first: int) -> None:
-        """Append a batch of lines, numbered from ``first``; the first bad line raises."""
+    Each item holds the range's label ids, the entry count of each of its
+    documents, and their indices and values.  A label id is the label's
+    position in ``labels``, which gains each new label in first-appearance
+    order.  The first bad line raises, after every range before it.
+    """
+    first = 1
+    for lines in _batches(source):
         fields = [line.split(None, 1) for line in lines]
         linenos, error = range(first, first + len(lines)), None
         if not _regular(fields):
             fields, linenos, error = _document_lines(fields, linenos)
         if fields:
-            index = self.index
-            self.label_ids.extend([index.setdefault(label, len(index)) for label, _ in fields])
+            ids = np.array([labels.setdefault(label, len(labels)) for label, _ in fields],
+                           dtype=np.int64)
             texts = [text for _, text in fields]
-            self._append(texts, linenos, 0, len(texts), _convert_chunk(texts))
+            yield from _ranges(ids, texts, linenos, 0, len(texts), _convert_chunk(texts))
         if error is not None:
             raise error
+        first += len(lines)
 
-    def _append(self, texts: list[str], linenos: Sequence[int], lo: int, hi: int,
-                converted: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> None:
-        """Append lines ``lo`` to ``hi - 1`` of a batch, given their chunk conversion.
 
-        A rejected range is split in halves.  While one half converts, the
-        other is split again, so a lone line the array path cannot take goes
-        token by token alone.  When both halves are rejected, all their lines
-        go token by token: a corpus the array path cannot take costs a few
-        conversions per chunk, not one per line.  Conversions never raise, so
-        an earlier line's error still comes first.
-        """
-        if converted is not None:
-            counts, indices, values = converted
-            ends = len(self.indices) + np.cumsum(counts)
-            self.indices.frombytes(indices.tobytes())
-            self.values.frombytes(values.tobytes())
-            self.indptr.frombytes(ends.tobytes())
-            self.max_index = max(self.max_index, int(indices.max()))
+def _ranges(ids: np.ndarray, texts: list[str], linenos: Sequence[int], lo: int, hi: int,
+            converted: tuple[np.ndarray, np.ndarray, np.ndarray] | None):
+    """Lines ``lo`` to ``hi - 1`` of a batch, given their chunk conversion, as ``_documents`` items.
+
+    A rejected range is split in halves.  While one half converts, the
+    other is split again, so a lone line the array path cannot take goes
+    token by token alone.  When both halves are rejected, all their lines
+    go token by token: a corpus the array path cannot take costs a few
+    conversions per chunk, not one per line.  Conversions never raise, so
+    an earlier line's error still comes first.
+    """
+    if converted is not None:
+        yield ids[lo:hi], *converted
+        return
+    mid = (lo + hi) // 2
+    if mid > lo:
+        left, right = _convert_chunk(texts[lo:mid]), _convert_chunk(texts[mid:hi])
+        if left is not None or right is not None:
+            yield from _ranges(ids, texts, linenos, lo, mid, left)
+            yield from _ranges(ids, texts, linenos, mid, hi, right)
             return
-        mid = (lo + hi) // 2
-        if mid > lo:
-            left, right = _convert_chunk(texts[lo:mid]), _convert_chunk(texts[mid:hi])
-            if left is not None or right is not None:
-                self._append(texts, linenos, lo, mid, left)
-                self._append(texts, linenos, mid, hi, right)
-                return
-        for text, lineno in zip(texts[lo:hi], linenos[lo:hi]):
-            indices, values = _checked_pairs(text.split(), lineno)
-            self.indices.extend(indices)
-            self.values.extend(values)
-            self.indptr.append(len(self.indices))
-            self.max_index = max(self.max_index, indices[-1])
+    rows = [_checked_pairs(text.split(), lineno)
+            for text, lineno in zip(texts[lo:hi], linenos[lo:hi])]
+    yield (ids[lo:hi], np.array([len(indices) for indices, _ in rows], dtype=np.intp),
+           np.array([i for indices, _ in rows for i in indices], dtype=np.int64),
+           np.array([v for _, values in rows for v in values], dtype=float))
+
+
+def _width(dim: int | None, largest: int, documents: int) -> int:
+    """The feature count of a whole read: ``dim``, or the largest index + 1 without it.
+
+    Checked once the last line is read, so that any bad line comes first.
+    """
+    if not documents:
+        raise ParseError("dataset contains no documents")
+    inferred = largest + 1
+    if dim is None:
+        return inferred
+    if dim < inferred:
+        raise ParseError(
+            f"requested dim {dim} is smaller than the largest feature index + 1 ({inferred})"
+        )
+    return dim
 
 
 def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> LabeledDataset:
@@ -255,25 +267,47 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
     each batch fills the dataset's CSR buffers, so no per-document object is
     built; errors name the first bad line.
     """
-    columns = _Columns()
-    first = 1
-    for lines in _batches(source):
-        columns.add_batch(lines, first)
-        first += len(lines)
-    if not columns.label_ids:
-        raise ParseError("dataset contains no documents")
-    inferred = columns.max_index + 1
-    if dim is None:
-        dim = inferred
-    elif dim < inferred:
-        raise ParseError(
-            f"requested dim {dim} is smaller than the largest feature index + 1 ({inferred})"
-        )
+    labels: dict[str, int] = {}
+    label_ids, indptr = array("q"), array("q", [0])
+    indices, values = array("q"), array("d")
+    largest = -1
+    for ids, counts, idx, vals in _documents(source, labels):
+        indptr.frombytes((len(indices) + np.cumsum(counts)).tobytes())
+        label_ids.frombytes(ids.tobytes())
+        indices.frombytes(idx.tobytes())
+        values.frombytes(vals.tobytes())
+        largest = max(largest, int(idx.max()))
     return LabeledDataset.from_arrays(
-        dim, tuple(columns.index),
-        *(np.frombuffer(buffer, dtype=buffer.typecode) for buffer in
-          (columns.label_ids, columns.indptr, columns.indices, columns.values)),
+        _width(dim, largest, len(label_ids)), tuple(labels),
+        *(np.frombuffer(buffer, dtype=buffer.typecode)
+          for buffer in (label_ids, indptr, indices, values)),
     )
+
+
+def read_class_statistics(source: Iterable[str] | IO[str], dim: int | None = None
+                          ) -> tuple[tuple[str, ...], list[float], np.ndarray]:
+    """The classes of ``parse_sparse(source, dim)`` and their ``class_statistics``.
+
+    Each converted range of a batch is counted into the N x width table and
+    dropped, so memory does not grow with the number of documents.  The
+    table widens as new labels and larger indices arrive.  As in the parse,
+    ``dim`` and the no-documents rule are checked after the last line, so an
+    error on any line comes first; past ``dim`` nothing more is counted.
+    """
+    labels: dict[str, int] = {}
+    sizes, counts = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+    largest = -1
+    for ids, lengths, indices, _ in _documents(source, labels):
+        batch = np.bincount(ids, minlength=len(labels))
+        batch[:len(sizes)] += sizes
+        sizes = batch
+        largest = max(largest, int(indices.max()))
+        if dim is None or largest < dim:  # past dim the read ends in an error
+            counts = widened(counts, len(labels), largest + 1)
+            count_entries(counts, ids, lengths, indices)
+    classes = tuple(labels)
+    dim = _width(dim, largest, int(sizes.sum()))
+    return (classes, *counted_statistics(classes, sizes, counts, dim))
 
 
 def serialize_sparse(ds: LabeledDataset) -> str:

@@ -172,17 +172,17 @@ def check_cost_matrix(k, n: int) -> np.ndarray:
 Corpus = Union[LabeledDataset, Sequence[tuple[str, FeatureVector]]]
 
 
-def _class_statistics(
-    corpus: Corpus, dim: int, training: str
-) -> tuple[list[str], list[float], np.ndarray]:
+def _class_statistics(corpus: Corpus, dim: int) -> tuple[tuple[str, ...], list[float], np.ndarray]:
     """Labels in first-appearance order, document-frequency priors, one count row per label."""
     ds = as_dataset(corpus, dim)
-    if len(ds.classes) < 2:
+    return (ds.classes, *class_statistics(ds, dim))
+
+
+def _check_classes(labels: Sequence[str], training: str) -> None:
+    if len(labels) < 2:
         raise DegenerateCorpusError(
-            f"{training} training needs at least 2 classes, found {len(ds.classes)}"
+            f"{training} training needs at least 2 classes, found {len(labels)}"
         )
-    priors, counts = class_statistics(ds, dim)
-    return list(ds.classes), priors, counts
 
 
 def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
@@ -190,7 +190,8 @@ def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
 
     Each state is rank-1: its factor is the unit count row as one column.
     """
-    labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
+    labels, priors, counts = _class_statistics(corpus, dim)
+    _check_classes(labels, "multi-class")
     return HypothesisSet(priors, tuple(linalg.unit_rows(counts)[..., None]), tuple(labels))
 
 
@@ -362,11 +363,17 @@ class MulticlassModel:
 
 
 def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
-    """Square-root measurement of the class states, from the SVD of ``Psi``."""
-    labels, priors, counts = _class_statistics(corpus, dim, "multi-class")
+    """Square-root measurement of a corpus's class states (``pgm_from_statistics``)."""
+    return pgm_from_statistics(*_class_statistics(corpus, dim))
+
+
+def pgm_from_statistics(labels: Sequence[str], priors: Sequence[float],
+                        counts: np.ndarray) -> MulticlassModel:
+    """Square-root measurement of the states of N x dim class counts, from the SVD of ``Psi``."""
+    _check_classes(labels, "multi-class")
     return MulticlassModel(
         strategy="pgm",
-        dim=dim,
+        dim=counts.shape[1],
         labels=tuple(labels),
         priors=tuple(priors),
         vectors=square_root_vectors(linalg.unit_rows(counts).T * np.sqrt(priors)),
@@ -374,13 +381,20 @@ def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
 
 
 def train_one_vs_rest(corpus: Corpus, dim: int) -> MulticlassModel:
-    """One binary detector per class against the union of all other classes.
+    """A corpus's one-vs-rest detector bank (``one_vs_rest_from_statistics``)."""
+    return one_vs_rest_from_statistics(*_class_statistics(corpus, dim))
+
+
+def one_vs_rest_from_statistics(labels: Sequence[str], priors: Sequence[float],
+                                counts: np.ndarray) -> MulticlassModel:
+    """One binary detector per row of N x dim class counts against the sum of the other rows.
 
     Each detector's negative-class prior is one minus the class proportion;
     prediction picks the class with the highest acceptance score, so no
     detector's threshold is read and each stores the default 0.5.
     """
-    labels, priors, counts = _class_statistics(corpus, dim, "one-vs-rest")
+    _check_classes(labels, "one-vs-rest")
+    dim = counts.shape[1]
     # counts are integers held in floats, so the total and each difference are exact
     total = counts.sum(axis=0)
     step = max(1, _BLOCK_DOUBLES // (4 * dim))  # a block's four step x dim temporaries fit

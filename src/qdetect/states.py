@@ -175,22 +175,62 @@ def as_dataset(corpus, dim: int) -> LabeledDataset:
 def class_statistics(ds: LabeledDataset, dim: int) -> tuple[list[float], np.ndarray]:
     """Document-frequency priors and the N x dim class counts, rows aligned with ``ds.classes``.
 
-    All class count vectors come from one ``bincount`` of ``label_id * dim +
-    index`` over the entries.  No row is all-zero.
+    The entries are counted by ``count_entries`` and finished by
+    ``counted_statistics``, as a batch-by-batch read counts and finishes them.
     """
     if ds.dim > dim:
         raise ValueError(f"document dim {ds.dim} exceeds corpus dim {dim}")
     n = len(ds.classes)
     _check_size(n, dim)
-    keys = np.repeat(ds.label_ids * dim, np.diff(ds.indptr)) + ds.indices
-    counts = np.bincount(keys, minlength=n * dim).reshape(n, dim).astype(float)
-    sizes = np.bincount(ds.label_ids, minlength=n).tolist()
-    priors = [size / len(ds) for size in sizes]
-    empty = ~counts.any(axis=1)
+    counts = np.zeros((n, dim), dtype=np.int64)
+    count_entries(counts, ds.label_ids, np.diff(ds.indptr), ds.indices)
+    return counted_statistics(ds.classes, np.bincount(ds.label_ids, minlength=n), counts, dim)
+
+
+def widened(counts: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``counts`` itself when it is ``rows`` x ``cols``, else a zero-padded copy of that shape.
+
+    The size is checked before anything is allocated, so that no key
+    ``label_id * cols + index`` of ``count_entries`` can overflow.
+    """
+    if counts.shape == (rows, cols):
+        return counts
+    _check_size(rows, cols)
+    grown = np.zeros((rows, cols), dtype=counts.dtype)
+    grown[:counts.shape[0], :counts.shape[1]] = counts
+    return grown
+
+
+def count_entries(counts: np.ndarray, label_ids, lengths, indices) -> None:
+    """Add one to ``counts[label_id, index]`` for each entry of CSR rows, in place.
+
+    ``counts`` is a C-contiguous N x width table.  The keys ``label_id *
+    width + index`` are counted with ``np.add.at``, whose cost is the
+    entries' and not the table's, so counting a batch at a time stays cheap.
+    """
+    keys = np.repeat(label_ids * counts.shape[1], lengths) + indices
+    np.add.at(counts.reshape(-1), keys, 1)
+
+
+def counted_statistics(classes: Sequence[str], sizes, counts: np.ndarray,
+                       dim: int) -> tuple[list[float], np.ndarray]:
+    """Priors ``size / total`` and the counts as floats, widened to ``dim`` columns.
+
+    ``sizes`` holds each class's document count and ``counts`` its N x width
+    entry counts, width at most ``dim``.  A class whose row is all zero
+    raises DegenerateClassError, naming the first.
+    """
+    _check_size(len(classes), dim)
+    table = np.zeros((len(classes), dim))
+    table[:, :counts.shape[1]] = counts
+    sizes = list(map(int, sizes))
+    total = sum(sizes)
+    priors = [size / total for size in sizes]
+    empty = ~table.any(axis=1)
     if empty.any():
-        label = ds.classes[int(np.argmax(empty))]
+        label = classes[int(np.argmax(empty))]
         raise DegenerateClassError(f"class {label!r} has an all-zero statistics vector")
-    return priors, counts
+    return priors, table
 
 
 def feature_statistics(

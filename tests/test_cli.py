@@ -429,7 +429,7 @@ class TestResourceErrors:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 22.4 GiB for an array")
 
-        monkeypatch.setattr(qdetect.cli, "train_pgm", exhausted)
+        monkeypatch.setattr(qdetect.cli, "pgm_from_statistics", exhausted)
         data = write(tmp_path, "two.txt", TWO_CLASS)
         rc = main(["train", "--data", data, "--strategy", "pgm",
                    "--out", str(tmp_path / "m.json")])

@@ -3,7 +3,8 @@
 A file or ``StringIO`` is read with ``readlines(_CHUNK_CHARS)``; a list or a
 generator is cut by character count.  Whatever the source and the batch
 size, ``parse_sparse`` must give what the per-token ``reference_parse`` gives,
-or raise a ParseError with the same message.
+or raise a ParseError with the same message, and ``read_class_statistics``
+must give the ``class_statistics`` of that parse, or the same message.
 """
 
 import contextlib
@@ -19,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdetect import dataio
-from qdetect.dataio import parse_sparse
+from qdetect.dataio import parse_sparse, read_class_statistics
 from qdetect.errors import ParseError
-from test_parse_reference import LINES, reference_parse
+from qdetect.states import class_statistics
+from test_parse_reference import LINES, document_lines, reference_parse
 
 SOURCES = ("stringio", "file", "list", "generator")
 CHUNKS = (1, 40, dataio._CHUNK_CHARS)
@@ -111,3 +113,36 @@ def test_a_clean_corpus_stays_on_the_batch_path(kind):
     assert convert.call_count <= math.ceil(len(text) / dataio._CHUNK_CHARS) + 1
     assert outcome(parse_sparse, kind, text, dataio._CHUNK_CHARS) == outcome(
         reference_parse, kind, text, dataio._CHUNK_CHARS)
+
+
+def parsed_statistics(source, dim=None):
+    """The reference for ``read_class_statistics``: the whole parse, then its statistics."""
+    ds = parse_sparse(source, dim)
+    return (ds.classes, *class_statistics(ds, ds.dim))
+
+
+def statistics(reader, kind, text, chunk_chars, dim):
+    """The error message, or the classes, priors, and count table shape and bytes."""
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars), opened(kind, text) as source:
+        try:
+            classes, priors, counts = reader(source, dim)
+        except ParseError as exc:
+            return str(exc)
+    return classes, priors, counts.shape, counts.tobytes()
+
+
+# Indices below 41, so that every count table is small: a 17-digit index
+# makes the table too large to exist, which the read reports at its batch and
+# the whole parse only after the last line.
+SMALL_INDEX_LINES = document_lines().filter(lambda line: "12345678901234567" not in line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(SMALL_INDEX_LINES, st.sampled_from(ODD_LINES)),
+                      min_size=1, max_size=10),
+       kind=st.sampled_from(SOURCES), chunk_chars=st.sampled_from(CHUNKS),
+       dim=st.one_of(st.none(), st.integers(0, 45)))
+def test_statistics_read_counts_like_the_parse(lines, kind, chunk_chars, dim):
+    text = "\n".join(lines) + "\n"
+    assert (statistics(read_class_statistics, kind, text, chunk_chars, dim)
+            == statistics(parsed_statistics, kind, text, chunk_chars, dim))
