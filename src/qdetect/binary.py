@@ -27,43 +27,29 @@ from qdetect.states import FeatureVector, feature_statistics
 
 @dataclass(frozen=True)
 class DetectorScalars:
-    """Everything of a detector but its acceptance subspace.
+    """The extreme eigenvalues of ``rho_pos - lam * rho_neg``: all a one-vs-rest detector stores."""
 
-    ``eta``/``beta`` are the extreme positive/negative eigenvalues of the
-    difference operator for ``lam = prior_negative / (1 - prior_negative)``.
-    """
-
-    lam: float
     eta: float
     beta: float
-    threshold: float
-    prior_negative: float
 
     def __post_init__(self):
-        # a NaN compares False, so finiteness is checked explicitly first
-        if not all(map(math.isfinite, (self.lam, self.eta, self.beta))):
-            raise ValueError("lam, eta and beta must be finite")
-        if not (self.eta > 0.0 and self.beta < 0.0):
-            raise ValueError("expected eta > 0 and beta < 0")
-        if not 0.0 < self.prior_negative < 1.0:
-            raise ValueError("prior_negative must lie strictly inside (0, 1)")
-        expected_lam = self.prior_negative / (1.0 - self.prior_negative)
-        if abs(self.lam - expected_lam) > 1e-12 * max(1.0, abs(expected_lam)):
-            raise ValueError("lam is inconsistent with prior_negative")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
+        # a NaN or an infinity fails one of these comparisons
+        if not (0.0 < self.eta < math.inf and -math.inf < self.beta < 0.0):
+            raise ValueError("eta and beta must be finite, with eta > 0 > beta")
 
 
 @dataclass(frozen=True)
 class BinaryModel(DetectorScalars):
-    """Immutable trained detector: its scalars and its acceptance subspace.
+    """Immutable trained detector: its scalars, prior, threshold and acceptance subspace.
 
     ``vectors`` (dim x r, read-only) holds an orthonormal basis of the acceptance
     subspace, one unit vector ``e`` for two rank-1 class states, and
-    ``labels`` names the (positive, negative) classes.  ``projector`` is the
-    dense view, built on demand.  Safe to score from many threads.
+    ``labels`` names the (positive, negative) classes.  ``lam`` and the dense
+    ``projector`` are derived on demand.  Safe to score from many threads.
     """
 
+    prior_negative: float
+    threshold: float
     dim: int
     vectors: np.ndarray
     labels: tuple[str, str] = ("positive", "negative")
@@ -71,6 +57,10 @@ class BinaryModel(DetectorScalars):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 0.0 < self.prior_negative < 1.0:
+            raise ValueError("prior_negative must lie strictly inside (0, 1)")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
         vectors = linalg.frozen(self.vectors)
         if vectors.ndim != 2 or vectors.shape[0] != self.dim or not vectors.shape[1]:
             raise ValueError(f"vectors of shape {vectors.shape} do not match dim {self.dim}")
@@ -83,6 +73,11 @@ class BinaryModel(DetectorScalars):
         if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
             raise ValueError(f"binary models need exactly two distinct labels: {self.labels!r}")
         object.__setattr__(self, "vectors", vectors)
+
+    @property
+    def lam(self) -> float:
+        """``xi / (1 - xi)`` of the negative prior ``xi``, as training computes it."""
+        return self.prior_negative / (1.0 - self.prior_negative)
 
     @property
     def priors(self) -> tuple[float, float]:
@@ -159,7 +154,6 @@ def detector_from_densities(
     return BinaryModel(
         dim=rho_pos.shape[0],
         vectors=v[:, w > cutoff],
-        lam=lam,
         eta=eta,
         beta=beta,
         threshold=threshold,
@@ -172,7 +166,6 @@ def detectors_from_statistics(
     pos: np.ndarray,
     neg: np.ndarray,
     priors_negative: Sequence[float],
-    threshold: float = 0.5,
 ) -> tuple[np.ndarray, tuple[DetectorScalars, ...]]:
     """Unit acceptance vectors ``e`` (n x dim) and scalars of n detectors, one per pair of rows.
 
@@ -207,7 +200,7 @@ def detectors_from_statistics(
             beta = mean - spread
             eta = -lam * s * s / beta
         _check_separated(eta, beta)
-        scalars.append(DetectorScalars(lam, eta, beta, threshold, prior_negative))
+        scalars.append(DetectorScalars(eta, beta))
         weights.append((eta - d, b))
     # (eta - d, b) is an eigenvector of eta, and its first entry eta - d > 0
     weights = np.array(weights)
@@ -241,8 +234,9 @@ def binary_from_statistics(
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
     """The trained detector for two class count rows."""
-    e, (s,) = detectors_from_statistics(v_pos[None], v_neg[None], [prior_negative], threshold)
-    return BinaryModel(dim=len(v_pos), vectors=e.T, labels=labels, **vars(s))
+    e, (s,) = detectors_from_statistics(v_pos[None], v_neg[None], [prior_negative])
+    return BinaryModel(dim=len(v_pos), vectors=e.T, labels=labels, prior_negative=prior_negative,
+                       threshold=threshold, **vars(s))
 
 
 def score(model: BinaryModel, x: np.ndarray) -> float:

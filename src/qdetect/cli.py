@@ -85,8 +85,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    ds = _read(parse_sparse, args.data)
+    # the cost file needs only the label count, so it is checked before the data is read
     cost = None if args.cost == "zero-one" else load_cost_matrix(args.cost, len(model.labels))
+    ds = _read(parse_sparse, args.data)
     report = evaluate(model, ds, cost)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(report.to_dict()))

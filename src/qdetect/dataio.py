@@ -410,22 +410,20 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, **_JSON_SETTINGS) + "\n"
 
 
-# Format 4 stores every model's dim x r vectors as r rows of length dim next
-# to the scalars of its decision rule, in one base64 string (standard
+# Format 5 stores a model's dim x r vectors, as r rows of length dim, next to
+# the values its training data decides, in one base64 string (standard
 # alphabet, padded): a bitmask of the features whose column holds a nonzero
 # double, ceil(dim / 8) bytes with the first feature in the high bit of the
 # first byte, then the rows restricted to those features as little-endian
 # IEEE-754 doubles.  A feature that no training document holds has a zero
 # column, so a wide vocabulary costs a bit a feature and not r doubles.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _VECTOR_DTYPE = np.dtype("<f8")
-# each ``DetectorScalars`` field and its key in a model file, in file order
-_SCALAR_KEYS = {"prior_negative": "prior_negative", "lam": "lambda", "eta": "eta",
-                "beta": "beta", "threshold": "threshold"}
-
-
-def _scalar_payload(det) -> dict:
-    return {key: getattr(det, name) for name, key in _SCALAR_KEYS.items()}
+# the fields of each strategy's file between its labels and its vectors, in file order
+_FIELDS = {"binary": ("prior_negative", "eta", "beta", "threshold"),
+           "pgm": ("priors",), "one_vs_rest": ("priors", "detectors")}
+# the fields of each one-vs-rest detector
+_DETECTOR_FIELDS = ("eta", "beta")
 
 
 def _is_label(label) -> bool:
@@ -438,13 +436,11 @@ def model_to_dict(model) -> dict:
     if not all(map(_is_label, model.labels)):
         raise ValueError(f"model labels must be nonempty UTF-8, no whitespace: {model.labels!r}")
     if model.strategy == "binary":
-        fields = _scalar_payload(model)
+        fields = {key: getattr(model, key) for key in _FIELDS["binary"]}
     else:
         fields = {"priors": list(model.priors)}
-        if model.strategy == "pgm":
-            fields["kind"] = model.kind
-        else:
-            fields["detectors"] = [_scalar_payload(s) for s in model.detector_scalars]
+        if model.strategy == "one_vs_rest":
+            fields["detectors"] = [dict(vars(s)) for s in model.detector_scalars]
     return {
         "format_version": FORMAT_VERSION,
         "strategy": model.strategy,
@@ -456,7 +452,7 @@ def model_to_dict(model) -> dict:
 
 
 def _vector_text(vectors: np.ndarray) -> str:
-    """The format 4 ``vectors`` string of a dim x r array."""
+    """The ``vectors`` string of a dim x r array."""
     rows = np.ascontiguousarray(vectors.T, dtype=_VECTOR_DTYPE)
     # a -0.0 has a set bit, so its feature is kept and written as it is
     used = (rows.view(np.uint64) != 0).any(axis=0)
@@ -484,9 +480,19 @@ def _require(doc: dict, key: str, kinds) -> object:
     return value
 
 
-def _scalars(payload: dict) -> dict:
-    """``DetectorScalars`` keyword arguments from a detector's fields."""
-    return {name: float(_require(payload, key, _NUMBER)) for name, key in _SCALAR_KEYS.items()}
+def _numbers(doc: dict, keys: tuple[str, ...]) -> dict:
+    """The number under each of ``keys``, as a float."""
+    return {key: float(_require(doc, key, _NUMBER)) for key in keys}
+
+
+def _check_keys(doc, keys: tuple[str, ...], what: str) -> None:
+    """FormatError unless ``doc`` is a JSON object of no key outside ``keys``, naming the first."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise FormatError(f"{what} holds field {key!r}, which format {FORMAT_VERSION} "
+                              "does not write")
 
 
 def _float_array(value) -> np.ndarray:
@@ -503,7 +509,7 @@ def _float_array(value) -> np.ndarray:
 
 
 def _vector_columns(text: str, dim: int) -> np.ndarray:
-    """The dim x r array of a format 4 ``vectors`` string, for any r >= 1.
+    """The dim x r array of a ``vectors`` string, for any r >= 1.
 
     The string must be what the writer makes of its bytes: standard base64
     with padding, on one line, of a feature mask with no bits past ``dim``
@@ -542,7 +548,7 @@ def _vector_columns(text: str, dim: int) -> np.ndarray:
 
 
 def model_from_dict(doc: dict):
-    """A model from a format 4 JSON object; raises FormatError."""
+    """A model from a format 5 JSON object; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
@@ -550,36 +556,36 @@ def model_from_dict(doc: dict):
         raise UnsupportedVersionError(
             f"unsupported model format_version {version} (expected {FORMAT_VERSION})")
     strategy = _require(doc, "strategy", str)
+    if strategy not in _FIELDS:
+        raise FormatError(f"unknown strategy {strategy!r}")
+    _check_keys(doc, ("format_version", "strategy", "dim", "labels", *_FIELDS[strategy], "vectors"),
+                "model file")
     dim = int(_require(doc, "dim", int))
     labels = tuple(_require(doc, "labels", list))
     if not all(map(_is_label, labels)):  # JSON can escape a lone surrogate, which is no UTF-8
         raise FormatError("model field 'labels' must hold strings, nonempty UTF-8 with no "
                           f"whitespace: {labels!r}")
     try:
-        kind, fields = None, {}
         # the models check the label count, the detector count and the vector columns
+        fields = {}
         if strategy == "binary":
-            fields = _scalars(doc)
-        elif strategy == "pgm":
-            kind = _require(doc, "kind", str)
+            fields = _numbers(doc, _FIELDS["binary"])
         elif strategy == "one_vs_rest":
-            fields = {"detector_scalars": tuple(DetectorScalars(**_scalars(p))
-                                                for p in _require(doc, "detectors", list))}
-        else:
-            raise FormatError(f"unknown strategy {strategy!r}")
+            detectors = _require(doc, "detectors", list)
+            for p in detectors:
+                _check_keys(p, _DETECTOR_FIELDS, "a detector")
+            fields["detector_scalars"] = tuple(DetectorScalars(**_numbers(p, _DETECTOR_FIELDS))
+                                               for p in detectors)
         vectors = _vector_columns(_require(doc, "vectors", str), dim)
         if strategy == "binary":
             return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
         priors = _require(doc, "priors", list)
         if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in priors):
             raise FormatError("model field 'priors' must hold numbers")
-        model = MulticlassModel(
+        return MulticlassModel(
             strategy=strategy, dim=dim, labels=labels, priors=tuple(float(x) for x in priors),
             vectors=vectors, **fields,
         )
-        if model.kind != kind:
-            raise FormatError(f"model kind {kind!r} does not match its rank-{model.rank} vectors")
-        return model
     except FormatError:
         raise
     except (ValueError, TypeError, QdetectError) as exc:

@@ -279,7 +279,7 @@ class MulticlassModel:
 
     For ``pgm`` the columns are ``m_k`` of ``M = Psi G^(-1/2)`` (see
     ``square_root_vectors``); for ``one_vs_rest`` they are the unit acceptance
-    vectors ``e_k`` of the detectors, whose scalars are ``detector_scalars``.
+    vectors ``e_k`` of the detectors, whose eigenvalues are ``detector_scalars``.
     Class k scores ``(x . column_k)^2`` and the top score decides.
     ``vectors`` is held read-only (see ``linalg.frozen``); ``measurement`` and
     ``detectors`` are views built on demand.
@@ -316,9 +316,6 @@ class MulticlassModel:
         if len(self.priors) != n:
             raise ValueError("priors and labels must have matching lengths")
         _check_priors(self.priors)
-        if any(abs(s.prior_negative - (1.0 - p)) > 1e-12
-               for s, p in zip(self.detector_scalars, self.priors)):
-            raise ValueError("each detector's prior_negative must be 1 - its class prior")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be distinct")
         object.__setattr__(self, "vectors", vectors)
@@ -352,13 +349,13 @@ class MulticlassModel:
 
     @property
     def detectors(self) -> tuple[BinaryModel, ...] | None:
-        """One-vs-rest view: one detector on the column ``e_k`` per class."""
+        """One-vs-rest view: detector k on ``e_k``, with prior ``1 - p_k`` and threshold 0.5."""
         if self.strategy != "one_vs_rest":
             return None
         return tuple(
-            BinaryModel(dim=self.dim, vectors=self.vectors[:, k:k + 1],
-                        labels=(label, f"not-{label}"), **vars(s))
-            for k, (label, s) in enumerate(zip(self.labels, self.detector_scalars))
+            BinaryModel(dim=self.dim, vectors=self.vectors[:, k:k + 1], prior_negative=1.0 - p,
+                        threshold=0.5, labels=(label, f"not-{label}"), **vars(s))
+            for k, (label, p, s) in enumerate(zip(self.labels, self.priors, self.detector_scalars))
         )
 
 
@@ -391,7 +388,7 @@ def one_vs_rest_from_statistics(labels: Sequence[str], priors: Sequence[float],
 
     Each detector's negative-class prior is one minus the class proportion;
     prediction picks the class with the highest acceptance score, so no
-    detector's threshold is read and each stores the default 0.5.
+    detector's threshold is read.  The model stores neither; ``detectors`` supplies both.
     """
     _check_classes(labels, "one-vs-rest")
     dim = counts.shape[1]

@@ -243,36 +243,42 @@ class TestModelInvariants:
     @pytest.mark.parametrize("field", ["lam", "eta", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_scalar_rejected(self, field, value):
-        fields = dict(lam=1.0, eta=1.0, beta=-1.0, threshold=0.5, prior_negative=0.5)
+        fields = dict(eta=1.0, beta=-1.0)
         DetectorScalars(**fields)
-        with pytest.raises(ValueError, match="must be finite"):
+        # lam follows from prior_negative, so a detector takes no lam, finite or not
+        error, match = (TypeError, "'lam'") if field == "lam" else (ValueError, "must be finite")
+        with pytest.raises(error, match=match):
             DetectorScalars(**dict(fields, **{field: value}))
 
     def test_invalid_eta_sign(self):
         with pytest.raises(ValueError):
             BinaryModel(
-                dim=2, vectors=np.array([[1.0], [0.0]]), lam=1.0, eta=-1.0, beta=-1.0,
+                dim=2, vectors=np.array([[1.0], [0.0]]), eta=-1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 
     def test_lambda_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        # lam is derived from prior_negative by training's own expression, never stored
+        with pytest.raises(TypeError, match="'lam'"):
             BinaryModel(
                 dim=2, vectors=np.array([[1.0], [0.0]]), lam=2.0, eta=1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
+        model = train_binary([fv(2, {0: 1})], [fv(2, {1: 1})], 2, prior_negative=0.3)
+        assert model.lam == 0.3 / (1.0 - 0.3)
+        assert dataclasses.replace(model, prior_negative=0.8).lam == 0.8 / (1.0 - 0.8)
 
     def test_non_idempotent_projector_rejected(self):
         with pytest.raises(ValueError):
             BinaryModel(
-                dim=2, vectors=np.full((2, 1), 0.7), lam=1.0, eta=1.0, beta=-1.0,
+                dim=2, vectors=np.full((2, 1), 0.7), eta=1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 
     def test_non_orthogonal_columns_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
             BinaryModel(
-                dim=2, vectors=np.array([[1.0, 0.6], [0.0, 0.8]]), lam=1.0, eta=1.0, beta=-1.0,
+                dim=2, vectors=np.array([[1.0, 0.6], [0.0, 0.8]]), eta=1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 
@@ -280,7 +286,7 @@ class TestModelInvariants:
     def test_vectors_of_the_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="shape"):
             BinaryModel(
-                dim=2, vectors=np.ones(shape) / np.sqrt(shape[0]), lam=1.0, eta=1.0, beta=-1.0,
+                dim=2, vectors=np.ones(shape) / np.sqrt(shape[0]), eta=1.0, beta=-1.0,
                 threshold=0.5, prior_negative=0.5,
             )
 

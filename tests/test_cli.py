@@ -11,16 +11,16 @@ import pytest
 
 import qdetect.cli
 from qdetect.cli import main
-from qdetect.dataio import load_model, parse_sparse, serialize_sparse
+from qdetect.dataio import dumps_canonical, load_model, parse_sparse, serialize_sparse
 from qdetect.metrics import predict_dataset
 from qdetect.states import FeatureVector, LabeledDataset
 from qdetect.synth import synth_corpus
-from test_dataio import RETIRED_DOCUMENTS
+from test_dataio import RETIRED_DOCUMENTS, format_four_document
 
 # Corpora and the model, prediction and report files the version before the
 # columnar corpus wrote for them (see GOLDEN_RUNS), apart from the
 # predictions, rewritten by the dataset scorer, and the models, rewritten with
-# model format 4.
+# model format 4 and then without the keys format 5 drops (the same vectors).
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 # The pgm model and predictions of the same run when M was Psi G^(-1/2) with
 # G^(-1/2) formed as a matrix, before M came from the SVD of Psi.
@@ -65,7 +65,7 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", "--data", data, "--strategy", "binary", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == 5
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
         # a mask of the 4 features, of which e uses the ham ones, 0 and 1, then their doubles
@@ -81,7 +81,7 @@ class TestTrain:
         assert main(["train", "--data", data, "--strategy", "pgm", "--out", model]) == 0
         vectors = load_model(model).vectors
         assert np.linalg.norm(vectors.T @ vectors - np.eye(3)) <= 1e-13
-        assert json.loads(Path(model).read_text())["kind"] == "projective"
+        assert load_model(model).kind == "projective"
         assert main(["evaluate", "--model", model, "--data", data,
                      "--out", str(tmp_path / "report.json")]) == 0
 
@@ -163,6 +163,15 @@ class TestPredictEvaluate:
         assert capsys.readouterr().err == (
             "ERROR format: cost file must hold a finite nonnegative 3x3 JSON array\n")
 
+    def test_cost_file_is_checked_before_the_data_is_read(self, tmp_path, capsys):
+        cost = write(tmp_path, "cost.json", "[[0,1],[1,0]]")
+        rc = main(["evaluate", "--model", str(GOLDEN / "pgm.json"),
+                   "--data", str(tmp_path / "absent.txt"), "--cost", cost,
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "ERROR format: cost file must hold a finite nonnegative 4x4 JSON array\n")
+
     def test_unseen_label(self, tmp_path, capsys):
         data, model, _, _ = self.run_pipeline(tmp_path)
         other = write(tmp_path, "other.txt", "mystery 0:1 1:1\n")
@@ -232,8 +241,20 @@ class TestPredictEvaluate:
         rc = main(["predict", "--model", model, "--data", write(tmp_path, "data.txt", "a 0:1\n"),
                    "--out", str(out)])
         assert rc == 1
-        assert re.match(r"ERROR unsupported-version: .*version \d \(expected 4\)",
+        assert re.match(r"ERROR unsupported-version: .*version \d \(expected 5\)",
                         capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN_RUNS))
+    def test_format_four_golden_is_refused(self, tmp_path, capsys, strategy):
+        _, _, test = GOLDEN_RUNS[strategy]
+        doc = format_four_document(load_model(GOLDEN / f"{strategy}.json"))
+        model = write(tmp_path, "old.json", dumps_canonical(doc))
+        out = tmp_path / "p.tsv"
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / test), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "ERROR unsupported-version: unsupported model format_version 4 (expected 5)\n")
         assert not out.exists()
 
     def test_model_labels_no_dataset_line_can_hold(self, tmp_path, capsys):
@@ -268,9 +289,8 @@ class TestModelScalars:
     @pytest.mark.parametrize("strategy, field, value, check", [
         ("binary", "threshold", "1.5", "threshold must lie in [0, 1]"),
         ("binary", "prior_negative", "1.0", "prior_negative must lie strictly inside (0, 1)"),
-        ("binary", "eta", "1e999", "lam, eta and beta must be finite"),
-        ("binary", "lambda", "1e999", "lam, eta and beta must be finite"),
-        ("ovr", "threshold", "-0.1", "threshold must lie in [0, 1]"),
+        ("binary", "eta", "1e999", "eta and beta must be finite, with eta > 0 > beta"),
+        ("ovr", "beta", "0.0", "eta and beta must be finite, with eta > 0 > beta"),
     ])
     def test_out_of_range_scalar_is_a_format_error(self, tmp_path, capsys, strategy, field,
                                                    value, check):
@@ -287,17 +307,40 @@ class TestModelScalars:
         assert err.endswith(f"{check}\n")
         assert err.count("\n") == 1
 
+    # a field that the writer does not write, such as a value format 4 stored and the
+    # model now derives: lambda, or a one-vs-rest detector's prior or threshold
+    @pytest.mark.parametrize("strategy, owner, field", [
+        ("binary", "file", "lambda"),
+        ("ovr", "detector", "threshold"),
+        ("ovr", "detector", "prior_negative"),
+        ("pgm", "file", "threshold"),
+    ])
+    def test_unwritten_field_is_a_format_error(self, tmp_path, capsys, strategy, owner,
+                                               field):
+        _, _, test = GOLDEN_RUNS[strategy]
+        doc = json.loads((GOLDEN / f"{strategy}.json").read_text(encoding="utf-8"))
+        (doc if owner == "file" else doc["detectors"][0])[field] = 0.5
+        model = write(tmp_path, "model.json", json.dumps(doc))
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / test),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        where = "model file" if owner == "file" else "a detector"
+        assert capsys.readouterr().err == (
+            f"ERROR format: {where} holds field '{field}', which format 5 does not write\n")
+
 
 def test_pgm_kind_that_disagrees_with_its_vectors_is_a_format_error(tmp_path, capsys):
-    # the golden pgm model has 4 orthonormal columns, so its kind is projective
-    text = (GOLDEN / "pgm.json").read_text(encoding="utf-8")
-    assert text.count('"kind":"projective"') == 1
-    model = write(tmp_path, "model.json", text.replace('"kind":"projective"', '"kind":"povm"'))
-    rc = main(["predict", "--model", model, "--data", str(GOLDEN / "test.txt"),
-               "--out", str(tmp_path / "p.tsv")])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "ERROR format: model kind 'povm' does not match its rank-4 vectors\n")
+    # the golden pgm model has 4 orthonormal columns, so its kind is projective; the rank
+    # decides the kind, so a file that states one is refused, whether it agrees or not
+    assert load_model(GOLDEN / "pgm.json").kind == "projective"
+    doc = json.loads((GOLDEN / "pgm.json").read_text(encoding="utf-8"))
+    for kind in ("povm", "projective"):
+        model = write(tmp_path, "model.json", json.dumps(dict(doc, kind=kind)))
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / "test.txt"),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "ERROR format: model file holds field 'kind', which format 5 does not write\n")
 
 
 def run_golden(tmp_path, strategy):

@@ -368,9 +368,30 @@ def make_models():
     }
 
 
-def v4_document(strategy):
-    """The JSON object of a format 4 model file, for a model of dim 3."""
+def model_document(strategy):
+    """The JSON object of a model file, for a model of dim 3."""
     return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
+
+
+def format_four_document(model):
+    """The JSON object that model format 4 wrote: format 5's, with the values the model derives.
+
+    Those are a binary model's ``lambda``, a pgm model's ``kind``, and each
+    one-vs-rest detector's ``prior_negative``, ``lambda`` and ``threshold``.
+    """
+    def scalars(detector):
+        return {"prior_negative": detector.prior_negative, "lambda": detector.lam,
+                "eta": detector.eta, "beta": detector.beta, "threshold": detector.threshold}
+
+    doc = model_to_dict(model)
+    if model.strategy == "binary":
+        fields = scalars(model)
+    elif model.strategy == "pgm":
+        fields = {"priors": doc["priors"], "kind": model.kind}
+    else:
+        fields = {"priors": doc["priors"], "detectors": list(map(scalars, model.detectors))}
+    return {"format_version": 4, "strategy": doc["strategy"], "dim": doc["dim"],
+            "labels": doc["labels"], **fields, "vectors": doc["vectors"]}
 
 
 BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -428,7 +449,23 @@ class TestModelSerialization:
         else:
             for got, want in zip(loaded.detectors, model.detectors):
                 assert got.projector.tobytes() == want.projector.tobytes()
-                assert got.prior_negative == want.prior_negative
+                assert (got.eta, got.beta) == (want.eta, want.beta)
+
+    def test_derived_values_are_the_training_values(self, tmp_path):
+        # bit for bit what training forms and format 4 stored: lam = xi / (1 - xi),
+        # and each one-vs-rest detector's xi = 1 - p_k and threshold 0.5
+        corpus = [("a", fv(3, {0: 1, 1: 1})), ("b", fv(3, {1: 1, 2: 1})), ("b", fv(3, {2: 3})),
+                  ("c", fv(3, {0: 2, 2: 1}))]
+        ovr = train_one_vs_rest(corpus, 3)
+        binary = train_binary([corpus[0][1]], [corpus[1][1], corpus[2][1]], 3)
+        path = tmp_path / "model.json"
+        for model, priors_negative in ((ovr, [1 - p for p in ovr.priors]), (binary, [2 / 3])):
+            save_model(model, path)
+            expected = [(xi.hex(), (xi / (1.0 - xi)).hex(), 0.5) for xi in priors_negative]
+            for got in (model, load_model(path)):
+                detectors = got.detectors if got.strategy == "one_vs_rest" else (got,)
+                assert [(d.prior_negative.hex(), d.lam.hex(), d.threshold)
+                        for d in detectors] == expected
 
     def test_save_bytes_are_stable(self, tmp_path):
         model = make_models()["binary"]
@@ -478,7 +515,7 @@ class TestModelSerialization:
             model_from_dict(doc)
 
     def test_corrupt_matrix(self):
-        doc = v4_document("binary")
+        doc = model_document("binary")
         doc["vectors"] = encode_rows(np.full((3, 3), 0.7))
         with pytest.raises(FormatError):
             model_from_dict(doc)
@@ -491,13 +528,13 @@ class TestModelValidation:
     def test_non_finite_literal(self, tmp_path, literal):
         text = dumps_canonical(model_to_dict(make_models()["binary"]))
         path = tmp_path / "model.json"
-        path.write_text(text.replace('"lambda":1.0', f'"lambda":{literal}'))
+        path.write_text(text.replace('"threshold":0.5', f'"threshold":{literal}'))
         with pytest.raises(FormatError, match=literal):
             load_model(path)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_nan_vector_entry(self, strategy):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         rows = decode_rows(doc)
         rows[0, -1] = float("nan")
         doc["vectors"] = encode_rows(rows)
@@ -507,7 +544,7 @@ class TestModelValidation:
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_wrong_vector_length(self, strategy):
         # every row one double short of the three features that the mask marks
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         mask, rows = base64.b64decode(doc["vectors"])[:1], decode_rows(doc).astype("<f8")
         assert mask == bytes([0b1110_0000])
         doc["vectors"] = base64.b64encode(mask + rows[:, :-1].tobytes()).decode("ascii")
@@ -520,14 +557,14 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_missing_vectors(self, strategy):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         del doc["vectors"]
         with pytest.raises(FormatError, match="vectors"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_orthonormal_vectors(self, strategy):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         rows = decode_rows(doc)
         rows[0] *= 1.01
         doc["vectors"] = encode_rows(rows)
@@ -551,11 +588,14 @@ class TestModelValidation:
             model_from_dict(doc)
 
     def test_detector_prior_must_match_its_class_prior(self):
-        # a detector whose prior_negative is not 1 - priors[k] used to load,
-        # its priors then reading (0.5, 0.5) against a class prior of 0.25
+        # a detector whose prior_negative was not 1 - priors[k] once loaded, its
+        # priors then reading (0.5, 0.5) against a class prior of 0.25; a
+        # detector's prior now follows from its class prior, and none is stored
         doc = json.loads((DATA / "cli" / "ovr.json").read_text())
-        doc["detectors"][0].update(prior_negative=0.5, **{"lambda": 1.0})
-        with pytest.raises(FormatError, match="prior_negative"):
+        model = model_from_dict(doc)
+        assert [d.prior_negative for d in model.detectors] == [1.0 - p for p in model.priors]
+        doc["detectors"][0]["prior_negative"] = 0.5
+        with pytest.raises(FormatError, match="'prior_negative'"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy, edit, error", [
@@ -564,7 +604,7 @@ class TestModelValidation:
         ("one_vs_rest", lambda doc: doc["detectors"].pop(), "one detector per label"),
     ], ids=["binary-three-labels", "binary-one-label", "ovr-one-detector-short"])
     def test_count_that_the_model_refuses(self, strategy, edit, error):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         edit(doc)
         with pytest.raises(FormatError, match=error):
             model_from_dict(doc)
@@ -572,14 +612,14 @@ class TestModelValidation:
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_dim_disagrees_with_vectors(self, strategy):
         # dim 9 takes a mask of two bytes; a dim up to 8 would read as a wider model
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         doc["dim"] = 9
         with pytest.raises(FormatError, match="dim 9"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_string_labels(self, strategy):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         doc["labels"] = list(range(1, len(doc["labels"]) + 1))
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
@@ -593,15 +633,15 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
     def test_non_numeric_priors(self, strategy):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         doc["priors"] = [str(x) for x in doc["priors"]]
         with pytest.raises(FormatError, match="priors"):
             model_from_dict(doc)
 
     def test_boolean_dim(self):
         # a consistent one-dimensional model apart from the type of its dim
-        doc = {"format_version": 4, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
-               "priors": [0.5, 0.5], "kind": "povm",
+        doc = {"format_version": 5, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
+               "priors": [0.5, 0.5],
                "vectors": encode_rows([[math.sqrt(0.5)], [math.sqrt(0.5)]])}
         with pytest.raises(FormatError, match="'dim'"):
             model_from_dict(doc)
@@ -615,7 +655,7 @@ class TestModelValidation:
     @pytest.mark.parametrize("label", UNWRITABLE_LABELS)
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_label_a_dataset_line_cannot_hold(self, strategy, label):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         doc["labels"][0] = label
         with pytest.raises(FormatError, match="labels"):
             model_from_dict(doc)
@@ -633,17 +673,17 @@ class TestModelValidation:
 
 
 class TestFormatFourVectors:
-    """The base64 ``vectors`` string of a format 4 file."""
+    """The base64 ``vectors`` string, which format 5 keeps as format 4 wrote it."""
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_rows_are_little_endian_doubles(self, strategy):
         model = make_models()[strategy]
-        assert decode_rows(v4_document(strategy)).tobytes() == model.vectors.T.tobytes()
+        assert decode_rows(model_document(strategy)).tobytes() == model.vectors.T.tobytes()
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.01])
     def test_entry_outside_the_unit_range(self, strategy, value):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         rows = decode_rows(doc)
         rows[-1, 0] = value
         doc["vectors"] = encode_rows(rows)
@@ -691,7 +731,7 @@ class TestFormatFourVectors:
 
     def test_short_mask_is_rejected_before_it_is_unpacked(self):
         # a few bytes cannot hold the mask of 10**8 features, which takes 12.5 MB
-        doc = dict(v4_document("pgm"), dim=10**8)
+        doc = dict(model_document("pgm"), dim=10**8)
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match="no mask of dim 100000000"):
@@ -717,7 +757,7 @@ class TestFormatFourVectors:
     def test_text_that_the_writer_does_not_make(self, edit):
         # a mask of 16 features and one row of 16 doubles: 130 bytes, 174 characters and "=="
         doc = json.loads((DATA / "cli" / "binary.json").read_text())
-        assert (doc["format_version"], len(doc["vectors"])) == (4, 176)
+        assert (doc["format_version"], len(doc["vectors"])) == (5, 176)
         assert doc["vectors"][-3:] != "===" and doc["vectors"][-2:] == "=="
         model_from_dict(dict(doc))
         doc["vectors"] = edit(doc["vectors"])
@@ -728,34 +768,34 @@ class TestFormatFourVectors:
     @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1), slice(0, 0)],
                              ids=["first-row", "last-row", "every-row"])
     def test_missing_rows(self, strategy, cut):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         doc["vectors"] = encode_rows(decode_rows(doc)[cut])
         with pytest.raises(FormatError, match="dim 3"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_bytes_that_are_not_whole_rows(self, strategy):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         raw = base64.b64decode(doc["vectors"]) + bytes(8)
         doc["vectors"] = base64.b64encode(raw).decode("ascii")
         with pytest.raises(FormatError, match="not whole rows"):
             model_from_dict(doc)
 
     def test_binary_model_of_two_vectors(self):
-        doc = v4_document("binary")
+        doc = model_document("binary")
         doc["vectors"] = encode_rows(np.eye(3)[:2])
         assert model_from_dict(doc).vectors.shape == (3, 2)
 
     def test_vectors_of_the_other_format(self):
         # the JSON lists of numbers that format 3 wrote
-        doc = v4_document("pgm")
+        doc = model_document("pgm")
         doc["vectors"] = decode_rows(doc).tolist()
         with pytest.raises(FormatError, match="wrong type"):
             model_from_dict(doc)
 
 
 # Every model document the fuzzer starts from: one for each strategy.
-FUZZ_BASES = [v4_document(strategy) for strategy in ("binary", "pgm", "one_vs_rest")]
+FUZZ_BASES = [model_document(strategy) for strategy in ("binary", "pgm", "one_vs_rest")]
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                  st.lists(st.integers(0, 3), max_size=3))
 DELTAS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-2.0, 2.0), st.sampled_from([1e300, -1e300]))
@@ -797,13 +837,21 @@ def mutated_base64(draw, doc):
     return encode_rows(rows)
 
 
+# keys that some model file or detector holds, or that format 4 wrote
+KEYS = st.one_of(st.sampled_from(["format_version", "strategy", "dim", "labels", "priors", "kind",
+                                  "detectors", "prior_negative", "lambda", "eta", "beta",
+                                  "threshold", "vectors"]), st.text(max_size=3))
+
+
 @st.composite
 def mutated_documents(draw):
-    """A fuzz base with one mutation, in it or in one of its detectors."""
+    """A fuzz base with one mutation, in it or in one of its detectors, and the mutation."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     owner = draw(st.sampled_from([doc] + [d for d in doc.get("detectors", []) if d]))
-    mutation = draw(st.sampled_from(["drop", "retype", "dim", "reorder"]))
-    if mutation in ("drop", "retype"):
+    mutation = draw(st.sampled_from(["drop", "retype", "dim", "reorder", "add"]))
+    if mutation == "add":  # a key the writer does not write
+        owner[draw(KEYS.filter(lambda key: key not in owner))] = draw(JUNK | DELTAS)
+    elif mutation in ("drop", "retype"):
         key = draw(st.sampled_from(sorted(owner)))
         if mutation == "drop":
             del owner[key]
@@ -813,7 +861,7 @@ def mutated_documents(draw):
         doc["dim"] = draw(st.integers(-1, 2 * doc["dim"] + 1))
     else:
         doc["labels"] = draw(st.permutations(doc["labels"]))
-    return doc
+    return mutation, doc
 
 
 def assert_rejected_or_round_trips(doc):
@@ -830,37 +878,44 @@ def assert_rejected_or_round_trips(doc):
 class TestModelDocumentFuzzing:
     @settings(max_examples=400, deadline=None)
     @given(mutated_documents())
-    def test_mutation_is_rejected_or_round_trips(self, doc):
-        assert_rejected_or_round_trips(doc)
+    def test_mutation_is_rejected_or_round_trips(self, mutated):
+        mutation, doc = mutated
+        if mutation == "add":
+            with pytest.raises(FormatError, match="which format 5 does not write"):
+                model_from_dict(doc)
+        else:
+            assert_rejected_or_round_trips(doc)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["binary", "pgm", "one_vs_rest"]), st.data())
     def test_vectors_mutation_is_rejected_or_round_trips(self, strategy, data):
-        doc = v4_document(strategy)
+        doc = model_document(strategy)
         doc["vectors"] = data.draw(mutated_base64(doc))
         assert_rejected_or_round_trips(doc)
 
 
 # Documents of the retired formats, each of which the version that wrote it
 # loaded: a format 1 pgm model stored its measurement elements as dense
-# matrices, a format 2 binary model its acceptance projector, and a format 3
-# pgm model its vectors as JSON lists of numbers.
+# matrices, a format 2 binary model its acceptance projector, a format 3 pgm
+# model its vectors as JSON lists of numbers, and format 4 the values that the
+# model derives (see ``format_four_document``).
 RETIRED_DOCUMENTS = {
-    1: {"format_version": 1, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
+    "1": {"format_version": 1, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
         "priors": [0.5, 0.5], "kind": "projective",
         "elements": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]], "residual": None},
-    2: {"format_version": 2, "strategy": "binary", "dim": 2, "labels": ["a", "b"],
+    "2": {"format_version": 2, "strategy": "binary", "dim": 2, "labels": ["a", "b"],
         "prior_negative": 0.5, "lambda": 1.0, "eta": 1.0, "beta": -1.0, "threshold": 0.5,
         "projector": [[1.0, 0.0], [0.0, 0.0]]},
-    3: {"format_version": 3, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
+    "3": {"format_version": 3, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
         "priors": [0.5, 0.5], "kind": "projective", "vectors": [[1.0, 0.0], [0.0, 1.0]]},
+    **{f"4-{strategy}": format_four_document(model) for strategy, model in make_models().items()},
 }
 
 
 class TestRetiredFormats:
     @pytest.mark.parametrize("version", sorted(RETIRED_DOCUMENTS))
     def test_document_is_refused(self, version):
-        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 4\)"):
+        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 5\)"):
             model_from_dict(RETIRED_DOCUMENTS[version])
 
 

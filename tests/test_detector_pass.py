@@ -26,8 +26,8 @@ from qdetect.errors import DegenerateSeparationError, InvalidPriorError
 from qdetect.linalg import ZERO_EIGENVALUE_RTOL
 
 
-def reference_detector(v_pos, v_neg, prior_negative, threshold=0.5):
-    """Unit acceptance vector and scalars of one detector, one class at a time."""
+def reference_detector(v_pos, v_neg, prior_negative):
+    """Unit acceptance vector and eigenvalues of one detector, one class at a time."""
     u_pos = v_pos / np.linalg.norm(v_pos)
     u_neg = v_neg / np.linalg.norm(v_neg)
     c = float(u_pos @ u_neg)
@@ -56,8 +56,7 @@ def reference_detector(v_pos, v_neg, prior_negative, threshold=0.5):
         )
     e = (eta - d) * u_pos + b * (r / s)
     e /= np.linalg.norm(e)
-    return e, DetectorScalars(lam=lam, eta=eta, beta=beta, threshold=threshold,
-                              prior_negative=prior_negative)
+    return e, DetectorScalars(eta=eta, beta=beta)
 
 
 def outcome(build):

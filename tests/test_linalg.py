@@ -168,7 +168,7 @@ def _unit(shape, k: int) -> np.ndarray:
 CHECKS = {
     "unit_row": lambda dim: (linalg.unit_row, _unit(dim, 0)),
     "BinaryModel": lambda dim: (
-        lambda v: BinaryModel(lam=1.0, eta=0.5, beta=-0.5, threshold=0.5, prior_negative=0.5,
+        lambda v: BinaryModel(eta=0.5, beta=-0.5, threshold=0.5, prior_negative=0.5,
                               dim=dim, vectors=v),
         _unit((dim, 1), 0)),
     "HypothesisSet": lambda dim: (

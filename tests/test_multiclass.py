@@ -463,7 +463,7 @@ class TestModelVectors:
             model = MulticlassModel(strategy="pgm", dim=2, labels=("c0", "c1"),
                                     priors=(0.5, 0.5), vectors=vectors)
         else:
-            model = BinaryModel(lam=1.0, eta=1.0, beta=-1.0, threshold=0.5,
+            model = BinaryModel(eta=1.0, beta=-1.0, threshold=0.5,
                                 prior_negative=0.5, dim=2, vectors=vectors)
         assert not np.shares_memory(model.vectors, vectors)
         assert not model.vectors.flags.writeable
