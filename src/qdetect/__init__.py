@@ -24,7 +24,13 @@ from qdetect.dataio import (
     split,
 )
 from qdetect.linalg import inv_sqrt_psd
-from qdetect.metrics import EvalReport, evaluate, predict_dataset, report_from_confusion
+from qdetect.metrics import (
+    EvalReport,
+    evaluate,
+    predict_dataset,
+    predictions_tsv,
+    report_from_confusion,
+)
 from qdetect.multiclass import (
     HypothesisSet,
     Measurement,
@@ -79,6 +85,7 @@ __all__ = [
     "parse_sparse",
     "pgm",
     "predict_dataset",
+    "predictions_tsv",
     "report_from_confusion",
     "save_model",
     "score",

@@ -20,13 +20,12 @@ from qdetect.dataio import (
     dumps_canonical,
     load_cost_matrix,
     load_model,
-    parse_sparse,
     read_class_statistics,
     save_model,
     split,
 )
 from qdetect.errors import DegenerateCorpusError, QdetectError
-from qdetect.metrics import evaluate, predictions_tsv
+from qdetect.metrics import evaluate, read_evaluate, read_predictions_tsv
 from qdetect.multiclass import (
     HypothesisSet,
     average_cost,
@@ -45,11 +44,10 @@ class UsageError(QdetectError):
     code = "usage"
 
 
-def _read(reader, path: str, dim: int | None = None):
-    """``reader(file, dim=dim)`` of the dataset file at ``path``."""
+def _open_data(path: str):
+    """The dataset file at ``path``, opened for reading."""
     # the parser rejects undecodable bytes, kept as lone surrogates, by line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return reader(fh, dim=dim)
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def _cmd_train(args) -> int:
@@ -59,7 +57,8 @@ def _cmd_train(args) -> int:
     if not 0.0 <= threshold <= 1.0:  # False for NaN
         raise UsageError(f"--threshold must lie in [0, 1], got {threshold}")
     # the trainers read only the class counts, so the file is counted a batch at a time
-    labels, priors, counts = _read(read_class_statistics, args.data, args.dim)
+    with _open_data(args.data) as fh:
+        labels, priors, counts = read_class_statistics(fh, args.dim)
     if args.strategy == "binary":
         if len(labels) != 2:
             raise DegenerateCorpusError(
@@ -77,7 +76,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    blocks = predictions_tsv(model, _read(parse_sparse, args.data))
+    # each parse range is scored and formatted as it is read; only the text is kept
+    with _open_data(args.data) as fh:
+        blocks = read_predictions_tsv(model, fh)
     with open(args.out, "w", encoding="utf-8") as fh:  # opened once scoring succeeded
         fh.writelines(blocks)
     return 0
@@ -87,8 +88,9 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     # the cost file needs only the label count, so it is checked before the data is read
     cost = None if args.cost == "zero-one" else load_cost_matrix(args.cost, len(model.labels))
-    ds = _read(parse_sparse, args.data)
-    report = evaluate(model, ds, cost)
+    # each parse range is scored and counted as it is read
+    with _open_data(args.data) as fh:
+        report = read_evaluate(model, fh, cost)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(report.to_dict()))
     return 0

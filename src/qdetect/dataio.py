@@ -85,6 +85,15 @@ _PLAIN_BYTES = bytes(c for c in range(128) if chr(c).isspace() or chr(c) in "012
 _COLON, _DOT, _ZERO = b":.0"
 
 
+def _number_bounds(raw: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where each number of a batch's bytes starts and ends, and the batch's colon count."""
+    # a number is a run of digits and dots: it starts and ends where this mask flips
+    not_colon = raw != _COLON
+    inside = np.zeros(len(raw) + 2, dtype=bool)
+    np.logical_and(raw > 32, not_colon, out=inside[1:-1])
+    return np.flatnonzero(inside[1:] != inside[:-1]), len(raw) - np.count_nonzero(not_colon)
+
+
 def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Entries of several lines' pair texts, by array operations over their numbers.
 
@@ -98,24 +107,22 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if text.translate(None, _PLAIN_BYTES):
         return None
     raw = np.frombuffer(text, dtype=np.uint8)
-    # a number is a run of digits and dots: it starts and ends where this mask flips
-    not_colon = raw != _COLON
-    inside = np.zeros(len(raw) + 2, dtype=bool)
-    np.logical_and(raw > 32, not_colon, out=inside[1:-1])
-    bounds = np.flatnonzero(inside[1:] != inside[:-1])
+    bounds, colons = _number_bounds(raw)
     # Per pair: index start and end, value start and end.  Every index ends at
     # a colon and every value starts right after it, so with no other colon
     # every token is exactly ``number:number``.
-    if len(bounds) != 4 * (len(raw) - np.count_nonzero(not_colon)) or (
+    if len(bounds) != 4 * colons or (
             np.any(raw[bounds[1::4]] != _COLON) or np.any(bounds[2::4] - bounds[1::4] != 1)):
         return None
+    line_ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
+    counts = np.diff(np.searchsorted(bounds, line_ends) // 4, prepend=0)  # four bounds a pair
     starts, ends = bounds[0::2], bounds[1::2]  # of each number: index 0, value 0, ...
     digits = ends - starts
     if digits.max() > _DIGITS + 1:
         return None  # longer than 15 digits and a dot, before any digit is read
     # Horner's rule below reads each number's digits at ``packed[firsts]``: the
     # text itself, or, when it holds dots, the text without them
-    packed, firsts, dotted = raw, starts, None
+    packed, dotted = raw, None
     if _DOT in text:
         dots = np.flatnonzero(raw == _DOT)
         dotted = np.searchsorted(starts, dots, side="right") - 1  # the number holding each dot
@@ -124,6 +131,11 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
         digits[dotted] -= 1
         packed = np.frombuffer(text.replace(b".", b""), dtype=np.uint8)
         firsts = starts - np.searchsorted(dots, starts)
+        decimals = ends[dotted] - dots - 1  # the digits after each dot
+    else:
+        firsts = starts.copy()
+    # the bounds are the conversion's largest array: dropped before Horner's rule
+    del bounds, starts, ends
     longest = int(digits.max())
     if digits.min() < 1 or longest > _DIGITS:
         return None  # a value without digits, or too many
@@ -134,9 +146,7 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
         numbers[more] = numbers[more] * 10 + packed[firsts[more] + j] - _ZERO
     indices, values = numbers[0::2], numbers[1::2].astype(float)
     if dotted is not None:
-        values[dotted // 2] /= _POW10[ends[dotted] - dots - 1]  # the digits after each dot
-    line_ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
-    counts = np.diff(np.searchsorted(bounds, line_ends) // 4, prepend=0)  # four bounds a pair
+        values[dotted // 2] /= _POW10[decimals]
     increasing = np.diff(indices) > 0
     increasing[np.cumsum(counts)[:-1] - 1] = True  # across a line boundary
     if not (values.min() > 0 and np.all(increasing)):
@@ -192,13 +202,7 @@ def _document_lines(fields: list[list[str]], linenos: Sequence[int]
 
 
 def _documents(source: Iterable[str] | IO[str], labels: dict[str, int]):
-    """The source's documents as arrays, a converted range of a batch of lines at a time.
-
-    Each item holds the range's label ids, the entry count of each of its
-    documents, and their indices and values.  A label id is the label's
-    position in ``labels``, which gains each new label in first-appearance
-    order.  The first bad line raises, after every range before it.
-    """
+    """The ranges that ``DocumentReader`` yields; ``labels`` gains each new label."""
     first = 1
     for lines in _batches(source):
         fields = [line.split(None, 1) for line in lines]
@@ -243,21 +247,45 @@ def _ranges(ids: np.ndarray, texts: list[str], linenos: Sequence[int], lo: int, 
            np.array([v for _, values in rows for v in values], dtype=float))
 
 
-def _width(dim: int | None, largest: int, documents: int) -> int:
-    """The feature count of a whole read: ``dim``, or the largest index + 1 without it.
+class DocumentReader:
+    """A source's documents, a converted range of a batch of lines at a time.
 
-    Checked once the last line is read, so that any bad line comes first.
+    Iterating yields ``_documents`` items: each range's label ids (positions
+    in ``labels``, which gains each new label in first-appearance order), the
+    entry count of each of its documents, and their indices and values.
+    ``count`` and ``largest`` hold the documents and the largest index read
+    so far.  The first bad line raises, after every range before it.
     """
-    if not documents:
-        raise ParseError("dataset contains no documents")
-    inferred = largest + 1
-    if dim is None:
-        return inferred
-    if dim < inferred:
-        raise ParseError(
-            f"requested dim {dim} is smaller than the largest feature index + 1 ({inferred})"
-        )
-    return dim
+
+    def __init__(self, source: Iterable[str] | IO[str]):
+        self.labels: dict[str, int] = {}
+        self.count, self.largest = 0, -1
+        self._ranges = _documents(source, self.labels)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        item = next(self._ranges)
+        self.count += len(item[0])
+        self.largest = max(self.largest, int(item[2].max()))
+        return item
+
+    def width(self, dim: int | None = None) -> int:
+        """The feature count of the whole read: ``dim``, or the largest index + 1 without it.
+
+        Checked once the last line is read, so that any bad line comes first.
+        """
+        if not self.count:
+            raise ParseError("dataset contains no documents")
+        inferred = self.largest + 1
+        if dim is None:
+            return inferred
+        if dim < inferred:
+            raise ParseError(
+                f"requested dim {dim} is smaller than the largest feature index + 1 ({inferred})"
+            )
+        return dim
 
 
 def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> LabeledDataset:
@@ -267,18 +295,16 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
     each batch fills the dataset's CSR buffers, so no per-document object is
     built; errors name the first bad line.
     """
-    labels: dict[str, int] = {}
+    reader = DocumentReader(source)
     label_ids, indptr = array("q"), array("q", [0])
     indices, values = array("q"), array("d")
-    largest = -1
-    for ids, counts, idx, vals in _documents(source, labels):
+    for ids, counts, idx, vals in reader:
         indptr.frombytes((len(indices) + np.cumsum(counts)).tobytes())
         label_ids.frombytes(ids.tobytes())
         indices.frombytes(idx.tobytes())
         values.frombytes(vals.tobytes())
-        largest = max(largest, int(idx.max()))
     return LabeledDataset.from_arrays(
-        _width(dim, largest, len(label_ids)), tuple(labels),
+        reader.width(dim), tuple(reader.labels),
         *(np.frombuffer(buffer, dtype=buffer.typecode)
           for buffer in (label_ids, indptr, indices, values)),
     )
@@ -294,19 +320,17 @@ def read_class_statistics(source: Iterable[str] | IO[str], dim: int | None = Non
     ``dim`` and the no-documents rule are checked after the last line, so an
     error on any line comes first; past ``dim`` nothing more is counted.
     """
-    labels: dict[str, int] = {}
+    reader = DocumentReader(source)
     sizes, counts = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
-    largest = -1
-    for ids, lengths, indices, _ in _documents(source, labels):
-        batch = np.bincount(ids, minlength=len(labels))
+    for ids, lengths, indices, _ in reader:
+        batch = np.bincount(ids, minlength=len(reader.labels))
         batch[:len(sizes)] += sizes
         sizes = batch
-        largest = max(largest, int(indices.max()))
-        if dim is None or largest < dim:  # past dim the read ends in an error
-            counts = widened(counts, len(labels), largest + 1)
+        if dim is None or reader.largest < dim:  # past dim the read ends in an error
+            counts = widened(counts, len(reader.labels), reader.largest + 1)
             count_entries(counts, ids, lengths, indices)
-    classes = tuple(labels)
-    dim = _width(dim, largest, int(sizes.sum()))
+    classes = tuple(reader.labels)
+    dim = reader.width(dim)
     return (classes, *counted_statistics(classes, sizes, counts, dim))
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qdetect.dataio import DocumentReader
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
 from qdetect.linalg import born_scores
 from qdetect.multiclass import _BLOCK_DOUBLES, check_cost_matrix, zero_one_cost
@@ -20,31 +21,94 @@ from qdetect.states import LabeledDataset, dense_rows, unit_entries
 _TSV_BLOCK_ROWS = 1 << 16
 
 
-def _decisions(model, ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per document: the chosen label's index, its score, and the degenerate flag.
+def _decisions(model, ranges):
+    """Per range of CSR rows: its label ids, and each row's pick, score and degenerate flag.
 
-    Each block of n rows is normalized, scored and decided in one pass; it spans at
-    most min(dim, n * longest row) features, and n fits ``_BLOCK_DOUBLES``.
-    Degenerate (empty) documents take the largest-prior class with score 0.
+    A range is ``(label_ids, lengths, indices, values)``, as a
+    ``DocumentReader`` yields it, with every index below the model's
+    dim; the pick is the chosen label's index.  The rows are scored a block
+    at a time (``_block_decisions``); a block spans at most min(dim, n *
+    longest row) features, and its n rows fit ``_BLOCK_DOUBLES``.  The
+    position table of a block of at least dim entries is made once for all
+    the ranges.  Degenerate (empty) documents take the largest-prior class
+    with score 0.
     """
-    if ds.dim > model.dim:
-        raise DimensionMismatchError(f"dataset dim {ds.dim} exceeds model dim {model.dim}")
-    longest = int(np.diff(ds.indptr).max(initial=1))
-    step = max(1, _BLOCK_DOUBLES // ds.dim, math.isqrt(_BLOCK_DOUBLES // longest))
-    picks, values = np.empty(len(ds), dtype=np.int64), np.empty(len(ds))
-    position = np.zeros(ds.dim, dtype=np.int64)
-    for a in range(0, len(ds), step):
-        ptr = ds.indptr[a:a + step + 1]
-        cols, vals = ds.indices[ptr[0]:ptr[-1]], ds.values[ptr[0]:ptr[-1]]
-        used = np.flatnonzero(np.bincount(cols, minlength=ds.dim))
-        position[used] = np.arange(len(used))
-        ptr = ptr - ptr[0]
-        rows = dense_rows(ptr, position[cols], unit_entries(ptr, vals), len(used))
-        picks[a:a + step], values[a:a + step] = model.decisions(
-            born_scores(rows, model.vectors[used]))
-    empty = ds.indptr[1:] == ds.indptr[:-1]
-    picks[empty] = int(np.argmax(model.priors))
-    return picks, values, empty  # an empty row scores 0 in every column
+    dim, fallback, position = model.dim, int(np.argmax(model.priors)), None
+    for ids, lengths, indices, values in ranges:
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        longest = int(lengths.max(initial=1))
+        step = max(1, _BLOCK_DOUBLES // dim, math.isqrt(_BLOCK_DOUBLES // longest))
+        picks, scores = np.empty(len(lengths), dtype=np.int64), np.empty(len(lengths))
+        for a in range(0, len(lengths), step):
+            ptr = indptr[a:a + step + 1]
+            if position is None and ptr[-1] - ptr[0] >= dim:
+                position = np.zeros(dim, dtype=np.int64)
+            picks[a:a + step], scores[a:a + step] = _block_decisions(
+                model, ptr - ptr[0], indices[ptr[0]:ptr[-1]], values[ptr[0]:ptr[-1]], position)
+        empty = lengths == 0
+        picks[empty] = fallback
+        yield ids, picks, scores, empty  # an empty row scores 0 in every column
+
+
+def _block_decisions(model, ptr, cols, vals, position) -> tuple[np.ndarray, np.ndarray]:
+    """Pick and score of each row of a block, normalized, scored and decided in one pass.
+
+    The block's entries are scattered into a dense array with columns only
+    for the features it uses.  A block of fewer entries than dim finds them
+    by sorting its entries, a larger one by counting over all dim features
+    and, unless it uses them all, mapping them through ``position``, a
+    dim-length table.
+    """
+    if len(cols) < model.dim:
+        used, where = np.unique(cols, return_inverse=True)
+    else:
+        used, where = np.flatnonzero(np.bincount(cols, minlength=model.dim)), cols
+        if len(used) < model.dim:  # else each feature's column is its index
+            position[used] = np.arange(len(used))
+            where = position[cols]
+    rows = dense_rows(ptr, where, unit_entries(ptr, vals), len(used))
+    return model.decisions(born_scores(rows, model.vectors[used]))
+
+
+def _check_dim(dim: int, model) -> None:
+    if dim > model.dim:
+        raise DimensionMismatchError(f"dataset dim {dim} exceeds model dim {model.dim}")
+
+
+def _check_labels(classes, model) -> None:
+    unseen = sorted(set(classes) - set(model.labels))
+    if unseen:
+        raise UnseenLabelError(f"test labels not known to the model: {unseen}")
+
+
+def _dataset_decisions(model, ds: LabeledDataset):
+    """``_decisions`` of a dataset's rows, handed over as one range."""
+    _check_dim(ds.dim, model)
+    return _decisions(model, [(ds.label_ids, np.diff(ds.indptr), ds.indices, ds.values)])
+
+
+def _read_decisions(model, reader: DocumentReader, check_labels: bool = False):
+    """``_decisions`` of the ranges of a read, then the read's checks.
+
+    A range is scored while every index read so far is below the model's dim
+    and, with ``check_labels``, every label read so far is the model's.
+    After that the read goes on to its end unscored, so that a parse error
+    on any later line comes first.  Once the last line is read, in this
+    order: no documents, labels the model lacks (all of them, sorted), and
+    the whole file's dim past the model's.
+    """
+    known = set(model.labels)
+
+    def scorable():
+        for item in reader:
+            if reader.largest < model.dim and (not check_labels or known.issuperset(reader.labels)):
+                yield item
+
+    yield from _decisions(model, scorable())
+    dim = reader.width()
+    if check_labels:
+        _check_labels(reader.labels, model)
+    _check_dim(dim, model)
 
 
 def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
@@ -52,9 +116,25 @@ def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
 
     Degenerate documents take the fallback label with score 0.
     """
-    picks, values, empty = _decisions(model, ds)
+    [(_, picks, values, empty)] = _dataset_decisions(model, ds)
     return [(model.labels[k], v, flag)
             for k, v, flag in zip(picks.tolist(), values.tolist(), empty.tolist())]
+
+
+def _tsv(model, decisions) -> list[str]:
+    """The ``doc_index<TAB>label<TAB>score`` lines of ``_decisions`` ranges, in blocks of text."""
+    prefixes = [f"\t{label}\t" for label in model.labels]
+    blocks, first = [], 0
+    for _, picks, values, _ in decisions:
+        for a in range(0, len(picks), _TSV_BLOCK_ROWS):
+            k = picks[a:a + _TSV_BLOCK_ROWS].tolist()
+            fields = [None] * (3 * len(k))
+            fields[0::3] = range(first + a, first + a + len(k))
+            fields[1::3] = map(prefixes.__getitem__, k)
+            fields[2::3] = values[a:a + len(k)].tolist()
+            blocks.append("%d%s%.17g\n" * len(k) % tuple(fields))
+        first += len(picks)
+    return blocks
 
 
 def predictions_tsv(model, ds: LabeledDataset) -> list[str]:
@@ -64,17 +144,16 @@ def predictions_tsv(model, ds: LabeledDataset) -> list[str]:
     digits (``%.17g``), which read back as the same double.  A block holds at
     most ``_TSV_BLOCK_ROWS`` lines, formatted by one ``%`` on a tuple of fields.
     """
-    picks, values, _ = _decisions(model, ds)
-    prefixes = [f"\t{label}\t" for label in model.labels]
-    blocks = []
-    for a in range(0, len(picks), _TSV_BLOCK_ROWS):
-        k = picks[a:a + _TSV_BLOCK_ROWS].tolist()
-        fields = [None] * (3 * len(k))
-        fields[0::3] = range(a, a + len(k))
-        fields[1::3] = map(prefixes.__getitem__, k)
-        fields[2::3] = values[a:a + len(k)].tolist()
-        blocks.append("%d%s%.17g\n" * len(k) % tuple(fields))
-    return blocks
+    return _tsv(model, _dataset_decisions(model, ds))
+
+
+def read_predictions_tsv(model, source) -> list[str]:
+    """``predictions_tsv`` of ``parse_sparse(source)``, formatted a range of the read at a time.
+
+    Only the text is kept, and the errors are those of ``parse_sparse`` and
+    then ``predictions_tsv`` on the whole read.
+    """
+    return _tsv(model, _read_decisions(model, DocumentReader(source)))
 
 
 @dataclass(frozen=True)
@@ -180,19 +259,45 @@ def report_from_confusion(
     )
 
 
+def _tally(model, decisions) -> tuple[np.ndarray, int]:
+    """The N x N counts of (label id, pick) over ``_decisions`` ranges, and the degenerate count.
+
+    Every label id must be below N, the model's label count.
+    """
+    n = len(model.labels)
+    pairs, degenerate = np.zeros(n * n, dtype=np.int64), 0
+    for ids, picks, _, empty in decisions:
+        pairs += np.bincount(ids * n + picks, minlength=n * n)
+        degenerate += int(np.count_nonzero(empty))
+    return pairs.reshape(n, n), degenerate
+
+
+def _report(model, classes, tally, cost) -> EvalReport:
+    """The report of a ``_tally`` whose label ids index ``classes``, all of them model labels."""
+    pairs, degenerate = tally
+    index = {label: k for k, label in enumerate(model.labels)}
+    rows = [index[label] for label in classes]
+    confusion = np.zeros_like(pairs)
+    confusion[rows] = pairs[:len(rows)]
+    return report_from_confusion(model.labels, confusion, cost, degenerate)
+
+
 def evaluate(model, test: LabeledDataset, cost=None) -> EvalReport:
     """Score a model on labeled data; rows of the confusion are true classes.
 
     ``cost`` defaults to the zero-one matrix, making the empirical cost the
     error rate; passing another matrix reweights mistakes per class pair.
     """
-    labels = list(model.labels)
-    index = {label: k for k, label in enumerate(labels)}
-    unseen = sorted(set(test.classes) - set(labels))
-    if unseen:
-        raise UnseenLabelError(f"test labels not known to the model: {unseen}")
-    picks, _, empty = _decisions(model, test)
-    truth = np.array([index[label] for label in test.classes], dtype=np.int64)[test.label_ids]
-    n = len(labels)
-    confusion = np.bincount(truth * n + picks, minlength=n * n).reshape(n, n)
-    return report_from_confusion(labels, confusion, cost, int(np.sum(empty)))
+    _check_labels(test.classes, model)
+    return _report(model, test.classes, _tally(model, _dataset_decisions(model, test)), cost)
+
+
+def read_evaluate(model, source, cost=None) -> EvalReport:
+    """``evaluate`` of ``parse_sparse(source)``, counted a range of the read at a time.
+
+    Memory does not grow with the number of documents, and the errors are
+    those of ``parse_sparse`` and then ``evaluate`` on the whole read.
+    """
+    reader = DocumentReader(source)
+    tally = _tally(model, _read_decisions(model, reader, check_labels=True))
+    return _report(model, reader.labels, tally, cost)
