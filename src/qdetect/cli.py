@@ -16,16 +16,16 @@ import numpy as np
 
 from qdetect.binary import binary_bayes_cost, binary_from_statistics, detector_from_densities
 from qdetect.dataio import (
+    DocumentReader,
     SplitSpec,
     dumps_canonical,
     load_cost_matrix,
     load_model,
-    read_class_statistics,
     save_model,
     split,
 )
 from qdetect.errors import DegenerateCorpusError, QdetectError
-from qdetect.metrics import evaluate, read_evaluate, read_predictions_tsv
+from qdetect.metrics import evaluate, predictions_tsv
 from qdetect.multiclass import (
     HypothesisSet,
     average_cost,
@@ -37,6 +37,7 @@ from qdetect.multiclass import (
     zero_one_cost,
 )
 from qdetect.oracles import grid_oracle_dim2, helstrom_oracle
+from qdetect.states import class_statistics
 from qdetect.synth import synth_corpus
 
 
@@ -58,7 +59,7 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--threshold must lie in [0, 1], got {threshold}")
     # the trainers read only the class counts, so the file is counted a batch at a time
     with _open_data(args.data) as fh:
-        labels, priors, counts = read_class_statistics(fh, args.dim)
+        labels, priors, counts = class_statistics(DocumentReader(fh), args.dim)
     if args.strategy == "binary":
         if len(labels) != 2:
             raise DegenerateCorpusError(
@@ -78,7 +79,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     # each parse range is scored and formatted as it is read; only the text is kept
     with _open_data(args.data) as fh:
-        blocks = read_predictions_tsv(model, fh)
+        blocks = predictions_tsv(model, DocumentReader(fh))
     with open(args.out, "w", encoding="utf-8") as fh:  # opened once scoring succeeded
         fh.writelines(blocks)
     return 0
@@ -90,7 +91,7 @@ def _cmd_evaluate(args) -> int:
     cost = None if args.cost == "zero-one" else load_cost_matrix(args.cost, len(model.labels))
     # each parse range is scored and counted as it is read
     with _open_data(args.data) as fh:
-        report = read_evaluate(model, fh, cost)
+        report = evaluate(model, DocumentReader(fh), cost)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(report.to_dict()))
     return 0

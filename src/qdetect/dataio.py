@@ -30,7 +30,7 @@ from qdetect.errors import (
     UnsupportedVersionError,
 )
 from qdetect.multiclass import MulticlassModel, check_cost_matrix
-from qdetect.states import LabeledDataset, count_entries, counted_statistics, widened
+from qdetect.states import LabeledDataset
 
 
 # the largest feature index an int64 index array holds
@@ -201,8 +201,8 @@ def _document_lines(fields: list[list[str]], linenos: Sequence[int]
     return kept, numbers, None
 
 
-def _documents(source: Iterable[str] | IO[str], labels: dict[str, int]):
-    """The ranges that ``DocumentReader`` yields; ``labels`` gains each new label."""
+def _documents(source: Iterable[str] | IO[str], classes: dict[str, int]):
+    """The ranges that ``DocumentReader`` yields; ``classes`` gains each new label."""
     first = 1
     for lines in _batches(source):
         fields = [line.split(None, 1) for line in lines]
@@ -210,7 +210,7 @@ def _documents(source: Iterable[str] | IO[str], labels: dict[str, int]):
         if not _regular(fields):
             fields, linenos, error = _document_lines(fields, linenos)
         if fields:
-            ids = np.array([labels.setdefault(label, len(labels)) for label, _ in fields],
+            ids = np.array([classes.setdefault(label, len(classes)) for label, _ in fields],
                            dtype=np.int64)
             texts = [text for _, text in fields]
             yield from _ranges(ids, texts, linenos, 0, len(texts), _convert_chunk(texts))
@@ -251,16 +251,18 @@ class DocumentReader:
     """A source's documents, a converted range of a batch of lines at a time.
 
     Iterating yields ``_documents`` items: each range's label ids (positions
-    in ``labels``, which gains each new label in first-appearance order), the
+    in ``classes``, which gains each new label in first-appearance order), the
     entry count of each of its documents, and their indices and values.
     ``count`` and ``largest`` hold the documents and the largest index read
     so far.  The first bad line raises, after every range before it.
+    ``states.class_statistics`` and the scorers of ``metrics`` read a reader
+    as they read a ``LabeledDataset``.
     """
 
     def __init__(self, source: Iterable[str] | IO[str]):
-        self.labels: dict[str, int] = {}
+        self.classes: dict[str, int] = {}
         self.count, self.largest = 0, -1
-        self._ranges = _documents(source, self.labels)
+        self._ranges = _documents(source, self.classes)
 
     def __iter__(self):
         return self
@@ -304,34 +306,10 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
         indices.frombytes(idx.tobytes())
         values.frombytes(vals.tobytes())
     return LabeledDataset.from_arrays(
-        reader.width(dim), tuple(reader.labels),
+        reader.width(dim), tuple(reader.classes),
         *(np.frombuffer(buffer, dtype=buffer.typecode)
           for buffer in (label_ids, indptr, indices, values)),
     )
-
-
-def read_class_statistics(source: Iterable[str] | IO[str], dim: int | None = None
-                          ) -> tuple[tuple[str, ...], list[float], np.ndarray]:
-    """The classes of ``parse_sparse(source, dim)`` and their ``class_statistics``.
-
-    Each converted range of a batch is counted into the N x width table and
-    dropped, so memory does not grow with the number of documents.  The
-    table widens as new labels and larger indices arrive.  As in the parse,
-    ``dim`` and the no-documents rule are checked after the last line, so an
-    error on any line comes first; past ``dim`` nothing more is counted.
-    """
-    reader = DocumentReader(source)
-    sizes, counts = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
-    for ids, lengths, indices, _ in reader:
-        batch = np.bincount(ids, minlength=len(reader.labels))
-        batch[:len(sizes)] += sizes
-        sizes = batch
-        if dim is None or reader.largest < dim:  # past dim the read ends in an error
-            counts = widened(counts, len(reader.labels), reader.largest + 1)
-            count_entries(counts, ids, lengths, indices)
-    classes = tuple(reader.labels)
-    dim = reader.width(dim)
-    return (classes, *counted_statistics(classes, sizes, counts, dim))
 
 
 def serialize_sparse(ds: LabeledDataset) -> str:
@@ -341,9 +319,18 @@ def serialize_sparse(ds: LabeledDataset) -> str:
     as the shortest digits that round-trip it, positionally (``2``,
     ``0.00001`` and ``300000000000000000000``, not ``2.0``, ``1e-05`` and
     ``3e+20``), so every value of at most 15 digits stays a plain decimal
-    that the chunk conversion reads.
+    that the chunk conversion reads.  A row with no entries, or with a label
+    that ``_is_label`` refuses, has no such line: the first raises ValueError.
     """
-    rows = np.repeat(np.arange(len(ds)), np.diff(ds.indptr))
+    lengths = np.diff(ds.indptr)
+    unwritable = [k for k, label in enumerate(ds.classes) if not _is_label(label)]
+    bad = np.flatnonzero((lengths == 0) | np.isin(ds.label_ids, unwritable))
+    if len(bad):
+        row = int(bad[0])
+        raise ValueError(f"row {row} cannot be written: label {ds.classes[ds.label_ids[row]]!r}"
+                         f", {lengths[row]} entries; a line needs a label of nonempty UTF-8 "
+                         "with no whitespace and no leading '#', and at least one pair")
+    rows = np.repeat(np.arange(len(ds)), lengths)
     order = np.lexsort((ds.indices, rows))
     pairs = [f"{idx}:{np.format_float_positional(value, unique=True, trim='-')}"
              for idx, value in zip(ds.indices[order].tolist(), ds.values[order].tolist())]
@@ -451,14 +438,20 @@ _DETECTOR_FIELDS = ("eta", "beta")
 
 
 def _is_label(label) -> bool:
-    """Whether a dataset line's first field can be ``label``: nonempty UTF-8, no whitespace."""
-    return isinstance(label, str) and label.split() == [label] and not _SURROGATE.search(label)
+    """Whether a dataset line's first field can be ``label``.
+
+    It must be nonempty UTF-8 with no whitespace, and not start with ``#``,
+    which would make the line a comment.
+    """
+    return (isinstance(label, str) and label.split() == [label] and not label.startswith("#")
+            and not _SURROGATE.search(label))
 
 
 def model_to_dict(model) -> dict:
     """The model file's JSON object; ValueError for a label no dataset line can hold."""
     if not all(map(_is_label, model.labels)):
-        raise ValueError(f"model labels must be nonempty UTF-8, no whitespace: {model.labels!r}")
+        raise ValueError("model labels must be nonempty UTF-8, no whitespace, no leading '#': "
+                         f"{model.labels!r}")
     if model.strategy == "binary":
         fields = {key: getattr(model, key) for key in _FIELDS["binary"]}
     else:
@@ -588,7 +581,7 @@ def model_from_dict(doc: dict):
     labels = tuple(_require(doc, "labels", list))
     if not all(map(_is_label, labels)):  # JSON can escape a lone surrogate, which is no UTF-8
         raise FormatError("model field 'labels' must hold strings, nonempty UTF-8 with no "
-                          f"whitespace: {labels!r}")
+                          f"whitespace and no leading '#': {labels!r}")
     try:
         # the models check the label count, the detector count and the vector columns
         fields = {}

@@ -11,30 +11,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdetect.dataio import DocumentReader
 from qdetect.errors import DimensionMismatchError, UnseenLabelError
 from qdetect.linalg import born_scores
 from qdetect.multiclass import _BLOCK_DOUBLES, check_cost_matrix, zero_one_cost
-from qdetect.states import LabeledDataset, dense_rows, unit_entries
+from qdetect.states import dense_rows, unit_entries
 
 # Lines of predictions formatted by one string operation.
 _TSV_BLOCK_ROWS = 1 << 16
 
 
-def _decisions(model, ranges):
-    """Per range of CSR rows: its label ids, and each row's pick, score and degenerate flag.
+def _decisions(model, documents, check_labels: bool = False):
+    """Per range of ``documents``: its label ids, and each row's pick, score and degenerate flag.
 
-    A range is ``(label_ids, lengths, indices, values)``, as a
-    ``DocumentReader`` yields it, with every index below the model's
-    dim; the pick is the chosen label's index.  The rows are scored a block
-    at a time (``_block_decisions``); a block spans at most min(dim, n *
-    longest row) features, and its n rows fit ``_BLOCK_DOUBLES``.  The
-    position table of a block of at least dim entries is made once for all
-    the ranges.  Degenerate (empty) documents take the largest-prior class
-    with score 0.
+    ``documents`` is read as ``class_statistics`` reads it, a ``LabeledDataset``
+    or a ``DocumentReader``; the pick is the chosen label's index.  A range is
+    scored while every index read so far is below the model's dim and, with
+    ``check_labels``, every class read so far is the model's.  After that the
+    read goes on to its end unscored, so that a parse error on any later line
+    comes first.  Once the last line is read, in this order: the errors of
+    ``width()`` (no documents), classes the model lacks (all of them,
+    sorted), and a width past the model's dim.
+
+    The rows are scored a block at a time (``_block_decisions``); a block
+    spans at most min(dim, n * longest row) features, and its n rows fit
+    ``_BLOCK_DOUBLES``.  The position table of a block of at least dim
+    entries is made once for all the ranges.  Degenerate (empty) documents
+    take the largest-prior class with score 0.
     """
     dim, fallback, position = model.dim, int(np.argmax(model.priors)), None
-    for ids, lengths, indices, values in ranges:
+    known = set(model.labels)
+    for ids, lengths, indices, values in documents:
+        if documents.largest >= dim or check_labels and not known.issuperset(documents.classes):
+            continue
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         longest = int(lengths.max(initial=1))
         step = max(1, _BLOCK_DOUBLES // dim, math.isqrt(_BLOCK_DOUBLES // longest))
@@ -48,6 +56,12 @@ def _decisions(model, ranges):
         empty = lengths == 0
         picks[empty] = fallback
         yield ids, picks, scores, empty  # an empty row scores 0 in every column
+    width = documents.width()
+    unseen = sorted(set(documents.classes) - known) if check_labels else []
+    if unseen:
+        raise UnseenLabelError(f"test labels not known to the model: {unseen}")
+    if width > dim:
+        raise DimensionMismatchError(f"dataset dim {width} exceeds model dim {dim}")
 
 
 def _block_decisions(model, ptr, cols, vals, position) -> tuple[np.ndarray, np.ndarray]:
@@ -70,62 +84,26 @@ def _block_decisions(model, ptr, cols, vals, position) -> tuple[np.ndarray, np.n
     return model.decisions(born_scores(rows, model.vectors[used]))
 
 
-def _check_dim(dim: int, model) -> None:
-    if dim > model.dim:
-        raise DimensionMismatchError(f"dataset dim {dim} exceeds model dim {model.dim}")
-
-
-def _check_labels(classes, model) -> None:
-    unseen = sorted(set(classes) - set(model.labels))
-    if unseen:
-        raise UnseenLabelError(f"test labels not known to the model: {unseen}")
-
-
-def _dataset_decisions(model, ds: LabeledDataset):
-    """``_decisions`` of a dataset's rows, handed over as one range."""
-    _check_dim(ds.dim, model)
-    return _decisions(model, [(ds.label_ids, np.diff(ds.indptr), ds.indices, ds.values)])
-
-
-def _read_decisions(model, reader: DocumentReader, check_labels: bool = False):
-    """``_decisions`` of the ranges of a read, then the read's checks.
-
-    A range is scored while every index read so far is below the model's dim
-    and, with ``check_labels``, every label read so far is the model's.
-    After that the read goes on to its end unscored, so that a parse error
-    on any later line comes first.  Once the last line is read, in this
-    order: no documents, labels the model lacks (all of them, sorted), and
-    the whole file's dim past the model's.
-    """
-    known = set(model.labels)
-
-    def scorable():
-        for item in reader:
-            if reader.largest < model.dim and (not check_labels or known.issuperset(reader.labels)):
-                yield item
-
-    yield from _decisions(model, scorable())
-    dim = reader.width()
-    if check_labels:
-        _check_labels(reader.labels, model)
-    _check_dim(dim, model)
-
-
-def predict_dataset(model, ds: LabeledDataset) -> list[tuple[str, float, bool]]:
+def predict_dataset(model, documents) -> list[tuple[str, float, bool]]:
     """(label, score, degenerate_flag) per document, decided by the model's rule.
 
     Degenerate documents take the fallback label with score 0.
     """
-    [(_, picks, values, empty)] = _dataset_decisions(model, ds)
-    return [(model.labels[k], v, flag)
+    return [(model.labels[k], v, flag) for _, picks, values, empty in _decisions(model, documents)
             for k, v, flag in zip(picks.tolist(), values.tolist(), empty.tolist())]
 
 
-def _tsv(model, decisions) -> list[str]:
-    """The ``doc_index<TAB>label<TAB>score`` lines of ``_decisions`` ranges, in blocks of text."""
+def predictions_tsv(model, documents) -> list[str]:
+    """The ``doc_index<TAB>label<TAB>score`` lines of ``predict_dataset``, in blocks of text.
+
+    Documents are numbered from 0 and scores written with 17 significant
+    digits (``%.17g``), which read back as the same double.  A block holds at
+    most ``_TSV_BLOCK_ROWS`` lines, formatted by one ``%`` on a tuple of
+    fields; only the text of each range of a read is kept.
+    """
     prefixes = [f"\t{label}\t" for label in model.labels]
     blocks, first = [], 0
-    for _, picks, values, _ in decisions:
+    for _, picks, values, _ in _decisions(model, documents):
         for a in range(0, len(picks), _TSV_BLOCK_ROWS):
             k = picks[a:a + _TSV_BLOCK_ROWS].tolist()
             fields = [None] * (3 * len(k))
@@ -135,25 +113,6 @@ def _tsv(model, decisions) -> list[str]:
             blocks.append("%d%s%.17g\n" * len(k) % tuple(fields))
         first += len(picks)
     return blocks
-
-
-def predictions_tsv(model, ds: LabeledDataset) -> list[str]:
-    """The ``doc_index<TAB>label<TAB>score`` lines of ``predict_dataset``, in blocks of text.
-
-    Documents are numbered from 0 and scores written with 17 significant
-    digits (``%.17g``), which read back as the same double.  A block holds at
-    most ``_TSV_BLOCK_ROWS`` lines, formatted by one ``%`` on a tuple of fields.
-    """
-    return _tsv(model, _dataset_decisions(model, ds))
-
-
-def read_predictions_tsv(model, source) -> list[str]:
-    """``predictions_tsv`` of ``parse_sparse(source)``, formatted a range of the read at a time.
-
-    Only the text is kept, and the errors are those of ``parse_sparse`` and
-    then ``predictions_tsv`` on the whole read.
-    """
-    return _tsv(model, _read_decisions(model, DocumentReader(source)))
 
 
 @dataclass(frozen=True)
@@ -259,45 +218,22 @@ def report_from_confusion(
     )
 
 
-def _tally(model, decisions) -> tuple[np.ndarray, int]:
-    """The N x N counts of (label id, pick) over ``_decisions`` ranges, and the degenerate count.
+def evaluate(model, documents, cost=None) -> EvalReport:
+    """Score a model on labeled documents; rows of the confusion are true classes.
 
-    Every label id must be below N, the model's label count.
-    """
-    n = len(model.labels)
-    pairs, degenerate = np.zeros(n * n, dtype=np.int64), 0
-    for ids, picks, _, empty in decisions:
-        pairs += np.bincount(ids * n + picks, minlength=n * n)
-        degenerate += int(np.count_nonzero(empty))
-    return pairs.reshape(n, n), degenerate
-
-
-def _report(model, classes, tally, cost) -> EvalReport:
-    """The report of a ``_tally`` whose label ids index ``classes``, all of them model labels."""
-    pairs, degenerate = tally
-    index = {label: k for k, label in enumerate(model.labels)}
-    rows = [index[label] for label in classes]
-    confusion = np.zeros_like(pairs)
-    confusion[rows] = pairs[:len(rows)]
-    return report_from_confusion(model.labels, confusion, cost, degenerate)
-
-
-def evaluate(model, test: LabeledDataset, cost=None) -> EvalReport:
-    """Score a model on labeled data; rows of the confusion are true classes.
-
+    ``documents`` is a ``LabeledDataset`` or a ``DocumentReader``, counted a
+    range at a time, so a read's memory does not grow with its documents.
     ``cost`` defaults to the zero-one matrix, making the empirical cost the
     error rate; passing another matrix reweights mistakes per class pair.
     """
-    _check_labels(test.classes, model)
-    return _report(model, test.classes, _tally(model, _dataset_decisions(model, test)), cost)
-
-
-def read_evaluate(model, source, cost=None) -> EvalReport:
-    """``evaluate`` of ``parse_sparse(source)``, counted a range of the read at a time.
-
-    Memory does not grow with the number of documents, and the errors are
-    those of ``parse_sparse`` and then ``evaluate`` on the whole read.
-    """
-    reader = DocumentReader(source)
-    tally = _tally(model, _read_decisions(model, reader, check_labels=True))
-    return _report(model, reader.labels, tally, cost)
+    n = len(model.labels)
+    pairs, degenerate = np.zeros(n * n, dtype=np.int64), 0
+    for ids, picks, _, empty in _decisions(model, documents, check_labels=True):
+        pairs += np.bincount(ids * n + picks, minlength=n * n)
+        degenerate += int(np.count_nonzero(empty))
+    # the label ids index the read's classes, each of them a model label
+    index = {label: k for k, label in enumerate(model.labels)}
+    rows = [index[label] for label in documents.classes]
+    confusion = np.zeros((n, n), dtype=np.int64)
+    confusion[rows] = pairs.reshape(n, n)[:len(rows)]
+    return report_from_confusion(model.labels, confusion, cost, degenerate)

@@ -174,8 +174,7 @@ Corpus = Union[LabeledDataset, Sequence[tuple[str, FeatureVector]]]
 
 def _class_statistics(corpus: Corpus, dim: int) -> tuple[tuple[str, ...], list[float], np.ndarray]:
     """Labels in first-appearance order, document-frequency priors, one count row per label."""
-    ds = as_dataset(corpus, dim)
-    return (ds.classes, *class_statistics(ds, dim))
+    return class_statistics(as_dataset(corpus, dim), dim)
 
 
 def _check_classes(labels: Sequence[str], training: str) -> None:

@@ -85,7 +85,9 @@ class LabeledDataset:
     label ``classes[label_ids[i]]`` and holds the features
     ``indices[indptr[i]:indptr[i + 1]]`` with their ``values`` (int64 and
     float64, read-only).  ``documents`` holds the same rows as
-    ``(label, FeatureVector)`` pairs, built on first use.
+    ``(label, FeatureVector)`` pairs, built on first use.  Iterating yields
+    all the rows as one CSR range, so ``class_statistics`` and the scorers
+    of ``metrics`` read a dataset as they read a ``dataio.DocumentReader``.
     """
 
     def __init__(self, dim: int, documents: Iterable[tuple[str, FeatureVector]]):
@@ -155,6 +157,23 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.label_ids)
 
+    def __iter__(self):
+        """All rows as one range ``(label_ids, lengths, indices, values)``, as a reader's are."""
+        yield self.label_ids, np.diff(self.indptr), self.indices, self.values
+
+    @property
+    def largest(self) -> int:
+        """The largest feature index this dataset's dim allows."""
+        return self.dim - 1
+
+    def width(self, dim: int | None = None) -> int:
+        """The feature count to read the rows at: ``dim``, or this dataset's own without it."""
+        if dim is None:
+            return self.dim
+        if self.dim > dim:
+            raise ValueError(f"document dim {self.dim} exceeds corpus dim {dim}")
+        return dim
+
 
 def _label_ids(labels: Iterable[str]) -> tuple[tuple[str, ...], list[int]]:
     """Distinct labels in first-appearance order, and each label's position there."""
@@ -172,54 +191,37 @@ def as_dataset(corpus, dim: int) -> LabeledDataset:
     return LabeledDataset.from_arrays(dim, *_label_ids(label for label, _ in pairs), *columns)
 
 
-def class_statistics(ds: LabeledDataset, dim: int) -> tuple[list[float], np.ndarray]:
-    """Document-frequency priors and the N x dim class counts, rows aligned with ``ds.classes``.
+def class_statistics(documents, dim: int | None = None
+                     ) -> tuple[tuple[str, ...], list[float], np.ndarray]:
+    """The classes of labeled documents, their document-frequency priors and N x dim counts.
 
-    The entries are counted by ``count_entries`` and finished by
-    ``counted_statistics``, as a batch-by-batch read counts and finishes them.
+    ``documents`` yields CSR ranges ``(label_ids, lengths, indices, values)``
+    and has ``classes``, ``largest`` and ``width(dim)``, as a
+    ``LabeledDataset`` and a ``dataio.DocumentReader`` have.  Each range is
+    counted into an N x width table and dropped, so a read's memory does not
+    grow with its documents.  The table widens as new classes and larger
+    indices arrive; its entries are counted by ``np.add.at``, whose cost is
+    the entries' and not the table's.  ``width(dim)`` is checked after the
+    last range, so an error on any line comes first; past ``dim`` nothing
+    more is counted.  A class whose row is all zero raises
+    DegenerateClassError, naming the first.
     """
-    if ds.dim > dim:
-        raise ValueError(f"document dim {ds.dim} exceeds corpus dim {dim}")
-    n = len(ds.classes)
-    _check_size(n, dim)
-    counts = np.zeros((n, dim), dtype=np.int64)
-    count_entries(counts, ds.label_ids, np.diff(ds.indptr), ds.indices)
-    return counted_statistics(ds.classes, np.bincount(ds.label_ids, minlength=n), counts, dim)
-
-
-def widened(counts: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``counts`` itself when it is ``rows`` x ``cols``, else a zero-padded copy of that shape.
-
-    The size is checked before anything is allocated, so that no key
-    ``label_id * cols + index`` of ``count_entries`` can overflow.
-    """
-    if counts.shape == (rows, cols):
-        return counts
-    _check_size(rows, cols)
-    grown = np.zeros((rows, cols), dtype=counts.dtype)
-    grown[:counts.shape[0], :counts.shape[1]] = counts
-    return grown
-
-
-def count_entries(counts: np.ndarray, label_ids, lengths, indices) -> None:
-    """Add one to ``counts[label_id, index]`` for each entry of CSR rows, in place.
-
-    ``counts`` is a C-contiguous N x width table.  The keys ``label_id *
-    width + index`` are counted with ``np.add.at``, whose cost is the
-    entries' and not the table's, so counting a batch at a time stays cheap.
-    """
-    keys = np.repeat(label_ids * counts.shape[1], lengths) + indices
-    np.add.at(counts.reshape(-1), keys, 1)
-
-
-def counted_statistics(classes: Sequence[str], sizes, counts: np.ndarray,
-                       dim: int) -> tuple[list[float], np.ndarray]:
-    """Priors ``size / total`` and the counts as floats, widened to ``dim`` columns.
-
-    ``sizes`` holds each class's document count and ``counts`` its N x width
-    entry counts, width at most ``dim``.  A class whose row is all zero
-    raises DegenerateClassError, naming the first.
-    """
+    sizes, counts = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+    for ids, lengths, indices, _ in documents:
+        n, width = len(documents.classes), documents.largest + 1
+        batch = np.bincount(ids, minlength=n)
+        batch[:len(sizes)] += sizes
+        sizes = batch
+        if dim is not None and width > dim:  # past dim the read ends in an error
+            continue
+        if counts.shape != (n, width):
+            _check_size(n, width)  # before any key ``id * width + index`` can overflow
+            grown = np.zeros((n, width), dtype=np.int64)
+            grown[:counts.shape[0], :counts.shape[1]] = counts
+            counts = grown
+        np.add.at(counts.reshape(-1), np.repeat(ids * width, lengths) + indices, 1)
+    classes = tuple(documents.classes)
+    dim = documents.width(dim)
     _check_size(len(classes), dim)
     table = np.zeros((len(classes), dim))
     table[:, :counts.shape[1]] = counts
@@ -230,7 +232,7 @@ def counted_statistics(classes: Sequence[str], sizes, counts: np.ndarray,
     if empty.any():
         label = classes[int(np.argmax(empty))]
         raise DegenerateClassError(f"class {label!r} has an all-zero statistics vector")
-    return priors, table
+    return classes, priors, table
 
 
 def feature_statistics(
@@ -243,7 +245,7 @@ def feature_statistics(
     """
     if not docs:
         raise DegenerateClassError(f"class {label!r} has no documents")
-    _, counts = class_statistics(as_dataset([(label, doc) for doc in docs], dim), dim)
+    _, _, counts = class_statistics(as_dataset([(label, doc) for doc in docs], dim), dim)
     return counts[0]
 
 

@@ -174,6 +174,14 @@ class TestParseSparse:
             assert l1 == l2
             assert d1.entries == d2.entries
 
+    # a comment line, a label-only line, and a line whose label is two fields
+    @pytest.mark.parametrize("label, entries", [("#a", {0: 1}), ("b", {}), ("a b", {0: 1})])
+    def test_serialize_refuses_a_row_it_cannot_write(self, label, entries):
+        ds = LabeledDataset(dim=2, documents=[("b", fv(2, {1: 1})), (label, fv(2, entries)),
+                                              ("c", fv(2, {0: 1}))])
+        with pytest.raises(ValueError, match=r"^row 1 cannot be written: label "):
+            serialize_sparse(ds)
+
 
 # Values serialize_sparse must write so that parse reads them back bit for bit.
 SUBNORMALS = st.floats(min_value=5e-324, max_value=2.225073858507201e-308)
@@ -650,7 +658,7 @@ class TestModelValidation:
 
     # labels that no dataset line's first field can be: predictions would
     # write them as broken TSV rows
-    UNWRITABLE_LABELS = ["", "a b", "a\tb", "a\nb", "a\u2028b"]
+    UNWRITABLE_LABELS = ["", "a b", "a\tb", "a\nb", "a\u2028b", "#a"]
 
     @pytest.mark.parametrize("label", UNWRITABLE_LABELS)
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])

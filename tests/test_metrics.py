@@ -178,6 +178,12 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(model, wide)
 
+    def test_unseen_label_is_reported_before_a_dim_past_the_model(self):
+        model = train_pgm(orthogonal_corpus(dim=2), 2)
+        bad = LabeledDataset(dim=4, documents=(("c0", fv(4, {0: 1})), ("mystery", fv(4, {3: 1}))))
+        with pytest.raises(UnseenLabelError, match="mystery"):
+            evaluate(model, bad)
+
 
 class TestPredictDataset:
     def test_rows_align_with_documents(self):
@@ -190,6 +196,14 @@ class TestPredictDataset:
             assert pred == label
             assert 0.0 <= value <= 1.0 + 1e-10
             assert not flagged
+
+    def test_zero_rows_give_no_lines_and_no_report(self):
+        model = train_pgm(orthogonal_corpus(), 3)
+        empty = LabeledDataset.from_arrays(3, (), [], [0], [], [])
+        assert predict_dataset(model, empty) == []
+        assert predictions_tsv(model, empty) == []
+        with pytest.raises(ValueError, match="^cannot report on zero evaluated documents$"):
+            evaluate(model, empty)
 
 
 # strategy -> a model trained on a tiny corpus, relabelled by the tests

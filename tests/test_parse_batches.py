@@ -3,8 +3,9 @@
 A file or ``StringIO`` is read with ``readlines(_CHUNK_CHARS)``; a list or a
 generator is cut by character count.  Whatever the source and the batch
 size, ``parse_sparse`` must give what the per-token ``reference_parse`` gives,
-or raise a ParseError with the same message, and ``read_class_statistics``
-must give the ``class_statistics`` of that parse, or the same message.
+or raise a ParseError with the same message, and ``class_statistics`` of a
+``DocumentReader`` must give the ``class_statistics`` of that parse, or the
+same message.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdetect import dataio
-from qdetect.dataio import parse_sparse, read_class_statistics
+from qdetect.dataio import DocumentReader, parse_sparse
 from qdetect.errors import ParseError
 from qdetect.states import class_statistics
 from test_parse_reference import LINES, document_lines, reference_parse
@@ -116,9 +117,9 @@ def test_a_clean_corpus_stays_on_the_batch_path(kind):
 
 
 def parsed_statistics(source, dim=None):
-    """The reference for ``read_class_statistics``: the whole parse, then its statistics."""
+    """The reference for a read's ``class_statistics``: the whole parse, then its statistics."""
     ds = parse_sparse(source, dim)
-    return (ds.classes, *class_statistics(ds, ds.dim))
+    return class_statistics(ds, ds.dim)
 
 
 def statistics(reader, kind, text, chunk_chars, dim):
@@ -144,5 +145,6 @@ SMALL_INDEX_LINES = document_lines().filter(lambda line: "12345678901234567" not
        dim=st.one_of(st.none(), st.integers(0, 45)))
 def test_statistics_read_counts_like_the_parse(lines, kind, chunk_chars, dim):
     text = "\n".join(lines) + "\n"
-    assert (statistics(read_class_statistics, kind, text, chunk_chars, dim)
+    assert (statistics(lambda source, dim: class_statistics(DocumentReader(source), dim),
+                       kind, text, chunk_chars, dim)
             == statistics(parsed_statistics, kind, text, chunk_chars, dim))

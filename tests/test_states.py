@@ -65,6 +65,11 @@ class TestFeatureStatistics:
                            match=r"^class 'b' has an all-zero statistics vector$"):
             class_statistics(ds, 3)
 
+    def test_dim_below_the_dataset_dim_is_refused(self):
+        ds = LabeledDataset(3, [("a", fv(3, {2: 1})), ("b", fv(3, {0: 1}))])
+        with pytest.raises(ValueError, match="exceeds corpus dim"):
+            class_statistics(ds, 2)
+
     def test_order_invariant(self):
         rng = np.random.default_rng(5)
         docs = [

@@ -1,10 +1,10 @@
 """``qdetect train`` counts its file a batch at a time: bytes, errors and memory.
 
 The trainers read only the class counts, so ``train`` folds each batch of
-lines into them (``dataio.read_class_statistics``) and never holds the
-parsed file.  The model it writes must be the one the library trains from
-the whole parse, its errors must name the same first bad line, and its
-memory must not grow with the number of documents.
+lines into them (``class_statistics`` of a ``dataio.DocumentReader``) and
+never holds the parsed file.  The model it writes must be the one the
+library trains from the whole parse, its errors must name the same first
+bad line, and its memory must not grow with the number of documents.
 """
 
 import io
@@ -16,8 +16,9 @@ import pytest
 from qdetect import dataio
 from qdetect.binary import train_binary
 from qdetect.cli import main
-from qdetect.dataio import parse_sparse, read_class_statistics, save_model
+from qdetect.dataio import DocumentReader, parse_sparse, save_model
 from qdetect.multiclass import train_one_vs_rest, train_pgm
+from qdetect.states import class_statistics
 
 STRATEGIES = ("binary", "pgm", "ovr")
 
@@ -147,7 +148,7 @@ def test_statistics_read_peak_does_not_grow_with_the_documents(tmp_path):
         with open(path, encoding="utf-8") as fh:
             tracemalloc.start()
             try:
-                results.append(read_class_statistics(fh))
+                results.append(class_statistics(DocumentReader(fh)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
