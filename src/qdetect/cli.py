@@ -8,6 +8,7 @@ files byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
@@ -301,7 +302,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Start glibc's malloc at the thresholds its dynamic rule ends at: each batch reuses
+    the last one's freed temporaries, and blocks of 32 MiB or more are still mapped."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform != "win32" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 64-bit DEFAULT_MMAP_THRESHOLD_MAX
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as the dynamic rule sets it
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)

@@ -313,14 +313,14 @@ def parse_sparse(source: Iterable[str] | IO[str], dim: int | None = None) -> Lab
 
 
 def serialize_sparse(ds: LabeledDataset) -> str:
-    """Render a dataset back to the sparse text format (parse round-trips it).
+    """Render a dataset's rows as sparse text, which holds no dim.
 
-    Each row's pairs are written in increasing index order, and each value
-    as the shortest digits that round-trip it, positionally (``2``,
-    ``0.00001`` and ``300000000000000000000``, not ``2.0``, ``1e-05`` and
-    ``3e+20``), so every value of at most 15 digits stays a plain decimal
-    that the chunk conversion reads.  A row with no entries, or with a label
-    that ``_is_label`` refuses, has no such line: the first raises ValueError.
+    A parse infers the largest used index + 1, and ``parse_sparse(text, dim=ds.dim)``
+    restores the dim.  Pairs are written in increasing index order, each value as the
+    shortest digits that round-trip it, positionally (``2``, ``0.00001`` and
+    ``300000000000000000000``, not ``2.0``, ``1e-05`` and ``3e+20``), so a value of at
+    most 15 digits stays a plain decimal that the chunk conversion reads.  A row with
+    no entries, or a label ``_is_label`` refuses, has no line: the first raises ValueError.
     """
     lengths = np.diff(ds.indptr)
     unwritable = [k for k, label in enumerate(ds.classes) if not _is_label(label)]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from qdetect.errors import DegenerateClassError, DegenerateDocumentError
+from qdetect.errors import DegenerateClassError, DegenerateCorpusError, DegenerateDocumentError
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def class_statistics(documents, dim: int | None = None
     indices arrive; its entries are counted by ``np.add.at``, whose cost is
     the entries' and not the table's.  ``width(dim)`` is checked after the
     last range, so an error on any line comes first; past ``dim`` nothing
-    more is counted.  A class whose row is all zero raises
-    DegenerateClassError, naming the first.
+    more is counted.  No documents raise DegenerateCorpusError, and a class
+    whose row is all zero DegenerateClassError, naming the first.
     """
     sizes, counts = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
     for ids, lengths, indices, _ in documents:
@@ -227,6 +227,8 @@ def class_statistics(documents, dim: int | None = None
     table[:, :counts.shape[1]] = counts
     sizes = list(map(int, sizes))
     total = sum(sizes)
+    if not total:  # a read with no documents has failed in width() already
+        raise DegenerateCorpusError("dataset contains no documents")
     priors = [size / total for size in sizes]
     empty = ~table.any(axis=1)
     if empty.any():

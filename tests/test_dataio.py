@@ -174,6 +174,14 @@ class TestParseSparse:
             assert l1 == l2
             assert d1.entries == d2.entries
 
+    def test_serialized_text_holds_no_dim(self):
+        ds = LabeledDataset(dim=10, documents=[("a", fv(10, {1: 2})), ("b", fv(10, {3: 1}))])
+        text = serialize_sparse(ds)
+        assert parse_sparse(io.StringIO(text)).dim == 4  # the largest used index + 1
+        again = parse_sparse(io.StringIO(text), dim=ds.dim)
+        assert again.dim == 10
+        assert again.documents == ds.documents
+
     # a comment line, a label-only line, and a line whose label is two fields
     @pytest.mark.parametrize("label, entries", [("#a", {0: 1}), ("b", {}), ("a b", {0: 1})])
     def test_serialize_refuses_a_row_it_cannot_write(self, label, entries):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qdetect.errors import DegenerateClassError, DegenerateDocumentError
+from qdetect.errors import DegenerateClassError, DegenerateCorpusError, DegenerateDocumentError
 from qdetect.states import (
     FeatureVector,
     LabeledDataset,
@@ -64,6 +64,13 @@ class TestFeatureStatistics:
         with pytest.raises(DegenerateClassError,
                            match=r"^class 'b' has an all-zero statistics vector$"):
             class_statistics(ds, 3)
+
+    @pytest.mark.parametrize("classes", [("a",), ()])
+    def test_a_dataset_with_no_rows_is_a_degenerate_corpus(self, classes):
+        # no prior can be counted; a read with no documents fails in width() instead
+        ds = LabeledDataset.from_arrays(3, classes, [], [0], [], [])
+        with pytest.raises(DegenerateCorpusError, match="^dataset contains no documents$"):
+            class_statistics(ds)
 
     def test_dim_below_the_dataset_dim_is_refused(self):
         ds = LabeledDataset(3, [("a", fv(3, {2: 1})), ("b", fv(3, {0: 1}))])

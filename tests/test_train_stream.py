@@ -8,11 +8,16 @@ bad line, and its memory must not grow with the number of documents.
 """
 
 import io
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qdetect
 from qdetect import dataio
 from qdetect.binary import train_binary
 from qdetect.cli import main
@@ -126,15 +131,19 @@ class TestErrors:
         return capsys.readouterr().err
 
 
-def many_docs_text(copies):
-    """About 690 KB in 6000 lines, like the benchmark's many-docs train file, repeated."""
+def many_docs_lines():
+    """About 690 KB in 6000 lines, like the benchmark's many-docs train file."""
     rng = np.random.default_rng(0)
     lines = []
     for i in range(6000):
         indices = np.flatnonzero(rng.random(64) < 0.36).tolist()
         counts = rng.integers(1, 4, len(indices)).tolist()
-        lines.append(f"c{i % 8:02d} " + " ".join(f"{k}:{c}" for k, c in zip(indices, counts)))
-    return ("\n".join(lines) + "\n") * copies
+        lines.append(f"c{i % 8:02d} " + " ".join(f"{k}:{c}" for k, c in zip(indices, counts)) + "\n")
+    return lines
+
+
+def many_docs_text(copies):
+    return "".join(many_docs_lines()) * copies
 
 
 def test_statistics_read_peak_does_not_grow_with_the_documents(tmp_path):
@@ -156,3 +165,42 @@ def test_statistics_read_peak_does_not_grow_with_the_documents(tmp_path):
     assert (classes10, priors10) == (classes, priors)
     np.testing.assert_array_equal(counts10, 10 * counts)
     assert peaks[1] <= 1.25 * peaks[0], f"peaks {[p / 2**20 for p in peaks]} MiB"
+
+
+# The interpreter writes four copies of many_docs_lines(), about 42 batches of
+# 64K characters, a line at a time: a freed block of a MB or more, such as the
+# joined text, would raise glibc's thresholds by itself.  It trains twice.
+_FAULTS_OF_A_SECOND_TRAIN = """
+import resource, sys
+from test_train_stream import many_docs_lines
+from qdetect.cli import main
+path, out = sys.argv[1:]
+lines = many_docs_lines()
+with open(path, "w", encoding="utf-8") as fh:
+    for _ in range(4):
+        fh.writelines(lines)
+argv = ["train", "--data", path, "--strategy", "pgm", "--out", out]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_a_second_train_faults_in_no_batch_memory(tmp_path):
+    # Without the CLI's malloc thresholds glibc maps each batch's temporaries
+    # of 100-400 KB afresh or trims them off the heap, about 60 faults a batch.
+    path = tmp_path / "train.txt"
+    search = [os.path.dirname(os.path.dirname(qdetect.__file__)), os.path.dirname(__file__),
+              os.environ.get("PYTHONPATH")]
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULTS_OF_A_SECOND_TRAIN, str(path), str(tmp_path / "m.json")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    batches = path.stat().st_size / dataio._CHUNK_CHARS
+    assert batches >= 30
+    faults = int(result.stdout)
+    assert faults <= 4 * batches, f"{faults} minor faults over {batches:.0f} batches"
