@@ -487,6 +487,11 @@ def save_model(model, path) -> None:
 _NUMBER = (int, float)
 
 
+def _is_number(value) -> bool:
+    """An int or a float: bool is a subclass of int but never a number of a model or cost file."""
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str, kinds) -> object:
     if key not in doc:
         raise FormatError(f"model file is missing field {key!r}")
@@ -510,19 +515,6 @@ def _check_keys(doc, keys: tuple[str, ...], what: str) -> None:
         if key not in keys:
             raise FormatError(f"{what} holds field {key!r}, which format {FORMAT_VERSION} "
                               "does not write")
-
-
-def _float_array(value) -> np.ndarray:
-    """A cost file's float array from nested lists of numbers.
-
-    ``np.array(value, dtype=float)`` alone would also turn numeric strings and
-    booleans into numbers, so the type of every item is checked first.
-    """
-    items = np.array(value, dtype=object)
-    if not all(issubclass(kind, _NUMBER) and not issubclass(kind, bool)
-               for kind in set(map(type, items.flat))):
-        raise FormatError("cost arrays must hold only numbers")
-    return items.astype(float)
 
 
 def _vector_columns(text: str, dim: int) -> np.ndarray:
@@ -597,7 +589,7 @@ def model_from_dict(doc: dict):
         if strategy == "binary":
             return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
         priors = _require(doc, "priors", list)
-        if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in priors):
+        if not all(map(_is_number, priors)):
             raise FormatError("model field 'priors' must hold numbers")
         return MulticlassModel(
             strategy=strategy, dim=dim, labels=labels, priors=tuple(float(x) for x in priors),
@@ -605,8 +597,9 @@ def model_from_dict(doc: dict):
         )
     except FormatError:
         raise
-    except (ValueError, TypeError, QdetectError) as exc:
-        # an inconsistent array: a shape, norm or spectrum the model rejects
+    except (ValueError, TypeError, OverflowError, QdetectError) as exc:
+        # an inconsistent array: a shape, norm or spectrum the model rejects, or an
+        # integer too large for a double
         raise FormatError(f"model file is inconsistent: {exc}") from exc
 
 
@@ -618,7 +611,7 @@ def _read_json(path, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except ValueError as exc:  # invalid JSON or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # invalid, undecodable or too deeply nested
         raise FormatError(f"{what} file is not valid: {exc}") from exc
 
 
@@ -630,9 +623,12 @@ def load_model(path):
 def load_cost_matrix(path, n: int) -> np.ndarray:
     """Read an N x N finite nonnegative cost matrix from a JSON file."""
     doc = _read_json(path, "cost")
-    try:
-        if isinstance(doc, list):
-            return check_cost_matrix(_float_array(doc), n)
-    except (ValueError, QdetectError):  # ragged, non-numeric, misshapen or negative arrays
-        pass
+    # checked in Python first: numpy would also read numeric strings and booleans
+    # as numbers, and fail on lists nested past its 32 dimensions
+    if isinstance(doc, list) and all(isinstance(row, list) and all(map(_is_number, row))
+                                     for row in doc):
+        try:
+            return check_cost_matrix(np.array(doc, dtype=float), n)
+        except (ValueError, OverflowError, QdetectError):  # ragged, huge, misshapen or negative
+            pass
     raise FormatError(f"cost file must hold a finite nonnegative {n}x{n} JSON array")

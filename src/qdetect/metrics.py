@@ -16,12 +16,9 @@ from qdetect.linalg import born_scores
 from qdetect.multiclass import _BLOCK_DOUBLES, check_cost_matrix, zero_one_cost
 from qdetect.states import dense_rows, unit_entries
 
-# Lines of predictions formatted by one string operation.
-_TSV_BLOCK_ROWS = 1 << 16
-
 
 def _decisions(model, documents, check_labels: bool = False):
-    """Per range of ``documents``: its label ids, and each row's pick, score and degenerate flag.
+    """Per scorer block of ``documents``: its label ids, and each row's pick, score and empty flag.
 
     ``documents`` is read as ``class_statistics`` reads it, a ``LabeledDataset``
     or a ``DocumentReader``; the pick is the chosen label's index.  A range is
@@ -32,13 +29,12 @@ def _decisions(model, documents, check_labels: bool = False):
     ``width()`` (no documents), classes the model lacks (all of them,
     sorted), and a width past the model's dim.
 
-    The rows are scored a block at a time (``_block_decisions``); a block
-    spans at most min(dim, n * longest row) features, and its n rows fit
-    ``_BLOCK_DOUBLES``.  The position table of a block of at least dim
-    entries is made once for all the ranges.  Degenerate (empty) documents
+    Each range is scored a block of rows at a time (``_block_decisions``),
+    and each block is one item; its n rows fit ``_BLOCK_DOUBLES``, so a block
+    holds at most 65,536 rows for dim >= 2.  Degenerate (empty) documents
     take the largest-prior class with score 0.
     """
-    dim, fallback, position = model.dim, int(np.argmax(model.priors)), None
+    dim, fallback = model.dim, int(np.argmax(model.priors))
     known = set(model.labels)
     for ids, lengths, indices, values in documents:
         if documents.largest >= dim or check_labels and not known.issuperset(documents.classes):
@@ -46,16 +42,13 @@ def _decisions(model, documents, check_labels: bool = False):
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         longest = int(lengths.max(initial=1))
         step = max(1, _BLOCK_DOUBLES // dim, math.isqrt(_BLOCK_DOUBLES // longest))
-        picks, scores = np.empty(len(lengths), dtype=np.int64), np.empty(len(lengths))
         for a in range(0, len(lengths), step):
             ptr = indptr[a:a + step + 1]
-            if position is None and ptr[-1] - ptr[0] >= dim:
-                position = np.zeros(dim, dtype=np.int64)
-            picks[a:a + step], scores[a:a + step] = _block_decisions(
-                model, ptr - ptr[0], indices[ptr[0]:ptr[-1]], values[ptr[0]:ptr[-1]], position)
-        empty = lengths == 0
-        picks[empty] = fallback
-        yield ids, picks, scores, empty  # an empty row scores 0 in every column
+            picks, scores = _block_decisions(
+                model, ptr - ptr[0], indices[ptr[0]:ptr[-1]], values[ptr[0]:ptr[-1]])
+            empty = lengths[a:a + step] == 0
+            picks[empty] = fallback
+            yield ids[a:a + step], picks, scores, empty  # an empty row scores 0 in every column
     width = documents.width()
     unseen = sorted(set(documents.classes) - known) if check_labels else []
     if unseen:
@@ -64,24 +57,23 @@ def _decisions(model, documents, check_labels: bool = False):
         raise DimensionMismatchError(f"dataset dim {width} exceeds model dim {dim}")
 
 
-def _block_decisions(model, ptr, cols, vals, position) -> tuple[np.ndarray, np.ndarray]:
+def _block_decisions(model, ptr, cols, vals) -> tuple[np.ndarray, np.ndarray]:
     """Pick and score of each row of a block, normalized, scored and decided in one pass.
 
-    The block's entries are scattered into a dense array with columns only
-    for the features it uses.  A block of fewer entries than dim finds them
-    by sorting its entries, a larger one by counting over all dim features
-    and, unless it uses them all, mapping them through ``position``, a
-    dim-length table.
+    The block's entries are scattered into a dense array.  A block of fewer
+    entries than dim has a column only for each feature it uses, found by
+    sorting its entries; a larger one has all dim columns, each feature's at
+    its own index, and is scored against the model's vectors as they are.
     """
+    # n x dim fits _BLOCK_DOUBLES for a block of at least dim entries: dim <= entries <=
+    # n * longest gives n * dim <= n^2 * longest under the isqrt step of _decisions, and
+    # its dim step bounds n * dim itself
+    vectors = model.vectors
     if len(cols) < model.dim:
-        used, where = np.unique(cols, return_inverse=True)
-    else:
-        used, where = np.flatnonzero(np.bincount(cols, minlength=model.dim)), cols
-        if len(used) < model.dim:  # else each feature's column is its index
-            position[used] = np.arange(len(used))
-            where = position[cols]
-    rows = dense_rows(ptr, where, unit_entries(ptr, vals), len(used))
-    return model.decisions(born_scores(rows, model.vectors[used]))
+        used, cols = np.unique(cols, return_inverse=True)
+        vectors = vectors[used]
+    rows = dense_rows(ptr, cols, unit_entries(ptr, vals), len(vectors))
+    return model.decisions(born_scores(rows, vectors))
 
 
 def predict_dataset(model, documents) -> list[tuple[str, float, bool]]:
@@ -97,20 +89,18 @@ def predictions_tsv(model, documents) -> list[str]:
     """The ``doc_index<TAB>label<TAB>score`` lines of ``predict_dataset``, in blocks of text.
 
     Documents are numbered from 0 and scores written with 17 significant
-    digits (``%.17g``), which read back as the same double.  A block holds at
-    most ``_TSV_BLOCK_ROWS`` lines, formatted by one ``%`` on a tuple of
-    fields; only the text of each range of a read is kept.
+    digits (``%.17g``), which read back as the same double.  Each scorer
+    block of ``_decisions`` is one block of text, formatted by one ``%`` on a
+    tuple of fields; of a read, only the text is kept.
     """
     prefixes = [f"\t{label}\t" for label in model.labels]
     blocks, first = [], 0
     for _, picks, values, _ in _decisions(model, documents):
-        for a in range(0, len(picks), _TSV_BLOCK_ROWS):
-            k = picks[a:a + _TSV_BLOCK_ROWS].tolist()
-            fields = [None] * (3 * len(k))
-            fields[0::3] = range(first + a, first + a + len(k))
-            fields[1::3] = map(prefixes.__getitem__, k)
-            fields[2::3] = values[a:a + len(k)].tolist()
-            blocks.append("%d%s%.17g\n" * len(k) % tuple(fields))
+        fields = [None] * (3 * len(picks))
+        fields[0::3] = range(first, first + len(picks))
+        fields[1::3] = map(prefixes.__getitem__, picks.tolist())
+        fields[2::3] = values.tolist()
+        blocks.append("%d%s%.17g\n" * len(picks) % tuple(fields))
         first += len(picks)
     return blocks
 
@@ -222,18 +212,18 @@ def evaluate(model, documents, cost=None) -> EvalReport:
     """Score a model on labeled documents; rows of the confusion are true classes.
 
     ``documents`` is a ``LabeledDataset`` or a ``DocumentReader``, counted a
-    range at a time, so a read's memory does not grow with its documents.
+    scorer block at a time, so a read's memory does not grow with its documents.
     ``cost`` defaults to the zero-one matrix, making the empirical cost the
     error rate; passing another matrix reweights mistakes per class pair.
     """
     n = len(model.labels)
-    pairs, degenerate = np.zeros(n * n, dtype=np.int64), 0
+    pairs, degenerate = np.zeros((n, n), dtype=np.int64), 0
     for ids, picks, _, empty in _decisions(model, documents, check_labels=True):
-        pairs += np.bincount(ids * n + picks, minlength=n * n)
+        np.add.at(pairs, (ids, picks), 1)
         degenerate += int(np.count_nonzero(empty))
     # the label ids index the read's classes, each of them a model label
     index = {label: k for k, label in enumerate(model.labels)}
     rows = [index[label] for label in documents.classes]
     confusion = np.zeros((n, n), dtype=np.int64)
-    confusion[rows] = pairs.reshape(n, n)[:len(rows)]
+    confusion[rows] = pairs[:len(rows)]
     return report_from_confusion(model.labels, confusion, cost, degenerate)

@@ -152,8 +152,10 @@ class TestPredictEvaluate:
         doc = json.loads(report.read_text())
         assert doc["empirical_cost"] == pytest.approx((1.0 - doc["accuracy"]) * 1e308, rel=1e-15)
 
+    # numpy reads at most 32 nested lists
     @pytest.mark.parametrize("text", ["[[0,1e999,2],[2,0,2],[2,2,0]]",
-                                      "[[0,-1,2],[2,0,2],[2,2,0]]", "[[0,1],[1,0]]"])
+                                      "[[0,-1,2],[2,0,2],[2,2,0]]", "[[0,1],[1,0]]",
+                                      "[" * 40 + "0" + "]" * 40])
     def test_bad_cost_file(self, tmp_path, capsys, text):
         data, model, _, _ = self.run_pipeline(tmp_path)
         cost = write(tmp_path, "cost.json", text)
@@ -268,6 +270,34 @@ class TestPredictEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR format:")
         assert not out.exists()
+
+    def format_errors(self, tmp_path, capsys, model, cost):
+        """The stderr of ``predict --model model`` and of ``evaluate --cost cost``, each exit 1."""
+        errs = []
+        for argv in (["predict", "--model", model],
+                     ["evaluate", "--model", str(GOLDEN / "pgm.json"), "--cost", cost]):
+            assert main([*argv, "--data", str(GOLDEN / "test.txt"),
+                         "--out", str(tmp_path / "out")]) == 1
+            errs.append(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+        return errs
+
+    def test_nested_model_or_cost_file(self, tmp_path, capsys):
+        # json.load recurses once per "[", past Python's recursion limit
+        nested = write(tmp_path, "nested.json", "[" * 200_000)
+        for err in self.format_errors(tmp_path, capsys, nested, nested):
+            assert err.startswith("ERROR format: ") and err.count("\n") == 1
+
+    def test_integer_too_large_for_a_double(self, tmp_path, capsys):
+        huge = "9" * 400  # json.load reads it as an int, which float() and numpy refuse
+        text, count = re.subn(r'"priors":\[[^,]+', f'"priors":[{huge}',
+                              (GOLDEN / "pgm.json").read_text(encoding="utf-8"))
+        assert count == 1
+        model = write(tmp_path, "model.json", text)
+        cost = write(tmp_path, "cost.json", json.dumps([[int(huge)] * 4] * 4))
+        assert self.format_errors(tmp_path, capsys, model, cost) == [
+            "ERROR format: model file is inconsistent: int too large to convert to float\n",
+            "ERROR format: cost file must hold a finite nonnegative 4x4 JSON array\n"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         corpus = synth_corpus("orthogonal", 5, 0.1, seed=23, n_classes=2)

@@ -968,7 +968,7 @@ class TestCostMatrixFile:
 
     @pytest.mark.parametrize(
         "text", ["[[0.0, NaN], [1.0, 0.0]]", "[[0.0, 1e999], [1.0, 0.0]]", "[[0.0, 1.0], [1.0]]",
-                 '[["a", "b"], [1.0, 0.0]]'])
+                 '[["a", "b"], [1.0, 0.0]]', "[" * 40 + "0" + "]" * 40])
     def test_non_finite_or_ragged(self, tmp_path, text):
         path = tmp_path / "cost.json"
         path.write_text(text)

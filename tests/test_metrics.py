@@ -1,6 +1,7 @@
 """Evaluation metric tests against hand-computed confusion matrices."""
 
 import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -236,9 +237,15 @@ def drawn_predictions(draw):
 def test_tsv_blocks_are_the_per_row_lines(drawn):
     model, scores = drawn
     ds = LabeledDataset(dim=3, documents=(("x", fv(3, {0: 1.0})),) * len(scores))
-    # blocks of 4 lines, so 1 to 13 rows fall on both sides of a block boundary
-    with mock.patch.object(metrics, "born_scores", lambda rows, vectors: scores), \
-            mock.patch.object(metrics, "_TSV_BLOCK_ROWS", 4):
+    drawn_rows = itertools.cycle(scores)  # each of the two reads takes every row once
+
+    def block_scores(rows, vectors):
+        """The drawn scores of a block's own rows, in order."""
+        return np.array([next(drawn_rows) for _ in rows])
+
+    # scorer blocks of 4 rows at dim 3, so 1 to 13 rows fall on both sides of a block boundary
+    with mock.patch.object(metrics, "born_scores", block_scores), \
+            mock.patch.object(metrics, "_BLOCK_DOUBLES", 12):
         blocks = predictions_tsv(model, ds)
         rows = predict_dataset(model, ds)
     want = [f"{i}\t{label}\t{format(value, '.17g')}\n" for i, (label, value, _) in enumerate(rows)]
