@@ -24,6 +24,7 @@ from qdetect.dataio import (
     load_model,
     save_model,
     split,
+    write_text,
 )
 from qdetect.errors import DegenerateCorpusError, QdetectError
 from qdetect.metrics import evaluate, predictions_tsv
@@ -81,8 +82,7 @@ def _cmd_predict(args) -> int:
     # each parse range is scored and formatted as it is read; only the text is kept
     with _open_data(args.data) as fh:
         blocks = predictions_tsv(model, DocumentReader(fh))
-    with open(args.out, "w", encoding="utf-8") as fh:  # opened once scoring succeeded
-        fh.writelines(blocks)
+    write_text(args.out, blocks)  # opened once scoring succeeded
     return 0
 
 
@@ -93,8 +93,7 @@ def _cmd_evaluate(args) -> int:
     # each parse range is scored and counted as it is read
     with _open_data(args.data) as fh:
         report = evaluate(model, DocumentReader(fh), cost)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(report.to_dict()))
+    write_text(args.out, (dumps_canonical(report.to_dict()),))
     return 0
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import binascii
 import json
 import math
+import os
 import re
+import stat
 from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
@@ -478,10 +480,31 @@ def _vector_text(vectors: np.ndarray) -> str:
                                newline=False).decode("ascii")
 
 
+def write_text(path, blocks: Iterable[str]) -> None:
+    """Write ``blocks`` to ``path`` as UTF-8 text: the bytes of mode ``"w"``, over the old ones.
+
+    The file is opened without ``O_TRUNC``: the same inode, through symlinks and
+    hard links, an existing file's mode kept and a new one's ``0o666 & ~umask``.
+    A regular file is then cut at the end of what was written, also when a write
+    raises, so no old byte follows a new one; a device or a pipe is never cut.
+    Truncating to zero first would make ext4 free the blocks and write them back
+    at close (``auto_da_alloc``).
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wt", encoding="utf-8") as fh:  # a text wrapper of ``fd``: it truncates nothing
+        try:
+            fh.writelines(blocks)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                try:
+                    fh.flush()
+                finally:  # at what reached the file, if the flush fails too
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def save_model(model, path) -> None:
     text = dumps_canonical(model_to_dict(model))  # before the file is opened, as it may raise
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, (text,))
 
 
 _NUMBER = (int, float)

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import os
 import re
 from pathlib import Path
 from unittest import mock
@@ -312,6 +313,46 @@ class TestPredictEvaluate:
                          "--out", str(preds)]) == 0
             outs.append((model.read_bytes(), preds.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestOutFile:
+    """Each command writes ``--out`` over its old bytes: what a fresh path gets, nothing more."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        """The pgm golden run's arguments of each command, but for ``--out``."""
+        train, extra, test = GOLDEN_RUNS["pgm"]
+        train_args = ["train", "--data", str(GOLDEN / train), "--strategy", "pgm", *extra]
+        model = str(tmp_path / "model.json")
+        assert main(train_args + ["--out", model]) == 0
+        return {"train": train_args,
+                "predict": ["predict", "--model", model, "--data", str(GOLDEN / test)],
+                "evaluate": ["evaluate", "--model", model, "--data", str(GOLDEN / test)]}
+
+    @pytest.mark.parametrize("old", ["x" * 200_000, "x"], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_an_existing_file_gets_the_bytes_of_a_fresh_one(self, tmp_path, commands, command,
+                                                            old):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        out.write_text(old, encoding="utf-8")
+        for path in (fresh, out):
+            assert main(commands[command] + ["--out", str(path)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_a_symlink_is_written_through(self, tmp_path, commands, command):
+        fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+        target.write_text("x" * 200_000, encoding="utf-8")
+        link.symlink_to(target)
+        for path in (fresh, link):
+            assert main(commands[command] + ["--out", str(path)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_devnull(self, commands, command, capsys):
+        assert main(commands[command] + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestModelScalars:

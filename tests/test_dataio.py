@@ -3,9 +3,14 @@
 import base64
 import copy
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -31,6 +36,7 @@ from qdetect.dataio import (
     save_model,
     serialize_sparse,
     split,
+    write_text,
 )
 from qdetect.errors import (
     FormatError,
@@ -686,6 +692,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="labels"):
             save_model(model, path)
         assert not path.exists()
+        # nor is an existing file opened
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match="labels"):
+            save_model(model, path)
+        assert path.read_bytes() == b"kept\n"
 
 
 class TestFormatFourVectors:
@@ -933,6 +944,87 @@ class TestRetiredFormats:
     def test_document_is_refused(self, version):
         with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 5\)"):
             model_from_dict(RETIRED_DOCUMENTS[version])
+
+
+class TestWriteText:
+    """``write_text`` writes over the old bytes and cuts a regular file where it stopped."""
+
+    @pytest.mark.parametrize("old", ["x" * 200_000, "x"], ids=["longer", "shorter"])
+    def test_old_bytes_are_replaced(self, tmp_path, old):
+        path = tmp_path / "out.txt"
+        path.write_text(old, encoding="utf-8")
+        write_text(path, ["a\n", "é\n"])
+        assert path.read_bytes() == "a\né\n".encode("utf-8")
+
+    def test_a_failed_write_leaves_no_old_byte_after_a_new_one(self, tmp_path):
+        def blocks():
+            yield "first\n"
+            raise OSError("disk gone")
+
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 200_000, encoding="utf-8")
+        with pytest.raises(OSError, match="disk gone"):
+            write_text(path, blocks())
+        assert path.read_bytes() == b"first\n"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit")
+    @pytest.mark.parametrize("size", [3000, 20_000], ids=["last-flush", "write"])
+    def test_a_file_that_cannot_grow_is_cut_where_the_writes_stopped(self, tmp_path, size):
+        # past a 1000-byte size limit, the write of a large block or the last
+        # flush of a small one fails with EFBIG after 1000 new bytes
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 5000, encoding="utf-8")
+        script = (
+            "import resource, signal\n"
+            "from qdetect.dataio import write_text\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))\n"
+            "try:\n"
+            f"    write_text({str(path)!r}, ['a' * {size}])\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+        )
+        search = [str(Path(dataio.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search))),
+                                timeout=60, check=True)
+        assert result.stdout == f"{errno.EFBIG}\n"
+        assert path.read_bytes() == b"a" * 1000
+
+    def test_same_inode_hard_links_and_mode(self, tmp_path):
+        path, link = tmp_path / "out.txt", tmp_path / "hard.txt"
+        path.write_text("x" * 1000, encoding="utf-8")
+        os.link(path, link)
+        path.chmod(0o600)
+        inode = path.stat().st_ino
+        write_text(path, ["new\n"])
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == b"new\n"
+        assert path.stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_has_the_mode_of_mode_w(self, tmp_path, umask):
+        old_umask = os.umask(umask)
+        try:
+            write_text(tmp_path / "new.txt", ["a"])
+            with open(tmp_path / "w.txt", "w", encoding="utf-8") as fh:
+                fh.write("a")
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "w.txt").stat().st_mode
+
+    def test_a_pipe_is_written_and_not_cut(self):
+        read_end, write_end = os.pipe()
+        try:
+            path = f"/dev/fd/{write_end}"
+            if not os.path.exists(path):
+                pytest.skip("no /dev/fd")
+            write_text(path, ["through ", "a pipe\n"])
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read() == b"through a pipe\n"
 
 
 class TestCanonicalJson:

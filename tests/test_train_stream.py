@@ -120,14 +120,27 @@ class TestErrors:
         err = self.train(tmp_path, capsys, strategy, head + "a 0:x\nlabel-only\nb 1:1\n")
         assert err == f"ERROR parse: line {lineno - 1}: malformed pair '0:x'\n"
 
+    @pytest.mark.parametrize("case", ["bad line", "small dim", "one class"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_an_existing_model_is_kept(self, tmp_path, capsys, strategy, case):
+        text, extra, code = {
+            "bad line": (self.WIDE + "b 1:1 x:2\n", (), "parse"),
+            "small dim": (self.WIDE, ("--dim", "50"), "parse"),
+            "one class": ("a 0:1\na 1:2\n", (), "degenerate-corpus"),
+        }[case]
+        err = self.train(tmp_path, capsys, strategy, text, *extra, out_exists=True)
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1
+
     @staticmethod
-    def train(tmp_path, capsys, strategy, text, *extra):
-        """The one stderr line of a failed ``train``, which writes no model."""
+    def train(tmp_path, capsys, strategy, text, *extra, out_exists=False):
+        """The one stderr line of a failed ``train``, which leaves ``--out`` as it was."""
         out = tmp_path / "m.json"
+        if out_exists:
+            out.write_text("kept\n", encoding="utf-8")
         rc = main(["train", "--data", written(tmp_path, "data.txt", text),
                    "--strategy", strategy, "--out", str(out), *extra])
         assert rc == 1
-        assert not out.exists()
+        assert (out.read_text(encoding="utf-8") == "kept\n") if out_exists else not out.exists()
         return capsys.readouterr().err
 
 
