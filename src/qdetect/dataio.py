@@ -120,8 +120,6 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     counts = np.diff(np.searchsorted(bounds, line_ends) // 4, prepend=0)  # four bounds a pair
     starts, ends = bounds[0::2], bounds[1::2]  # of each number: index 0, value 0, ...
     digits = ends - starts
-    if digits.max() > _DIGITS + 1:
-        return None  # longer than 15 digits and a dot, before any digit is read
     # Horner's rule below reads each number's digits at ``packed[firsts]``: the
     # text itself, or, when it holds dots, the text without them
     packed, dotted = raw, None
@@ -140,7 +138,7 @@ def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     del bounds, starts, ends
     longest = int(digits.max())
     if digits.min() < 1 or longest > _DIGITS:
-        return None  # a value without digits, or too many
+        return None  # a value without digits, or too many, before any digit is read
     # one digit column at a time over the numbers that reach it
     numbers = packed[firsts].astype(np.int64) - _ZERO
     for j in range(1, longest):
@@ -203,27 +201,9 @@ def _document_lines(fields: list[list[str]], linenos: Sequence[int]
     return kept, numbers, None
 
 
-def _documents(source: Iterable[str] | IO[str], classes: dict[str, int]):
-    """The ranges that ``DocumentReader`` yields; ``classes`` gains each new label."""
-    first = 1
-    for lines in _batches(source):
-        fields = [line.split(None, 1) for line in lines]
-        linenos, error = range(first, first + len(lines)), None
-        if not _regular(fields):
-            fields, linenos, error = _document_lines(fields, linenos)
-        if fields:
-            ids = np.array([classes.setdefault(label, len(classes)) for label, _ in fields],
-                           dtype=np.int64)
-            texts = [text for _, text in fields]
-            yield from _ranges(ids, texts, linenos, 0, len(texts), _convert_chunk(texts))
-        if error is not None:
-            raise error
-        first += len(lines)
-
-
 def _ranges(ids: np.ndarray, texts: list[str], linenos: Sequence[int], lo: int, hi: int,
             converted: tuple[np.ndarray, np.ndarray, np.ndarray] | None):
-    """Lines ``lo`` to ``hi - 1`` of a batch, given their chunk conversion, as ``_documents`` items.
+    """Lines ``lo`` to ``hi - 1`` of a batch, given their chunk conversion, as reader items.
 
     A rejected range is split in halves.  While one half converts, the
     other is split again, so a lone line the array path cannot take goes
@@ -250,37 +230,49 @@ def _ranges(ids: np.ndarray, texts: list[str], linenos: Sequence[int], lo: int, 
 
 
 class DocumentReader:
-    """A source's documents, a converted range of a batch of lines at a time.
+    """A source's documents in one pass, a converted range of a batch of lines at a time.
 
-    Iterating yields ``_documents`` items: each range's label ids (positions
-    in ``classes``, which gains each new label in first-appearance order), the
-    entry count of each of its documents, and their indices and values.
-    ``count`` and ``largest`` hold the documents and the largest index read
-    so far.  The first bad line raises, after every range before it.
+    Iterating yields each range's label ids (positions in ``classes``, which
+    gains each new label in first-appearance order), the entry count of each
+    of its documents, and their indices and values; iterating again goes on
+    where the pass stopped.  ``largest`` is the largest index read so far,
+    -1 before any.  The first bad line raises, after every range before it.
     ``states.class_statistics`` and the scorers of ``metrics`` read a reader
     as they read a ``LabeledDataset``.
     """
 
     def __init__(self, source: Iterable[str] | IO[str]):
         self.classes: dict[str, int] = {}
-        self.count, self.largest = 0, -1
-        self._ranges = _documents(source, self.classes)
+        self.largest = -1
+        self._pass = self._read(source)
 
     def __iter__(self):
-        return self
+        return self._pass
 
-    def __next__(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        item = next(self._ranges)
-        self.count += len(item[0])
-        self.largest = max(self.largest, int(item[2].max()))
-        return item
+    def _read(self, source: Iterable[str] | IO[str]):
+        first = 1
+        for lines in _batches(source):
+            fields = [line.split(None, 1) for line in lines]
+            linenos, error = range(first, first + len(lines)), None
+            if not _regular(fields):
+                fields, linenos, error = _document_lines(fields, linenos)
+            if fields:
+                ids = np.array([self.classes.setdefault(label, len(self.classes))
+                                for label, _ in fields], dtype=np.int64)
+                texts = [text for _, text in fields]
+                for item in _ranges(ids, texts, linenos, 0, len(texts), _convert_chunk(texts)):
+                    self.largest = max(self.largest, int(item[2].max()))
+                    yield item
+            if error is not None:
+                raise error
+            first += len(lines)
 
     def width(self, dim: int | None = None) -> int:
         """The feature count of the whole read: ``dim``, or the largest index + 1 without it.
 
         Checked once the last line is read, so that any bad line comes first.
         """
-        if not self.count:
+        if self.largest < 0:  # every document holds a pair
             raise ParseError("dataset contains no documents")
         inferred = self.largest + 1
         if dim is None:

@@ -34,14 +34,12 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     ``1e-12 * max |component|`` of its column.
     """
     vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        cutoff = 1e-12 * np.max(np.abs(col))
-        for value in col:
-            if abs(value) > cutoff:
-                if value < 0:
-                    vectors[:, j] = -col
-                break
+    if not vectors.size:  # argmax refuses an empty axis
+        return vectors
+    above = np.abs(vectors) > 1e-12 * np.max(np.abs(vectors), axis=0)
+    first = vectors[np.argmax(above, axis=0), np.arange(vectors.shape[1])]
+    # argmax is 0 in a column with no such component, which then keeps its sign
+    np.negative(vectors, out=vectors, where=above.any(axis=0) & (first < 0))
     return vectors
 
 

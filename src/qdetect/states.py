@@ -201,28 +201,37 @@ def class_statistics(documents, dim: int | None = None
     counted into an N x width table and dropped, so a read's memory does not
     grow with its documents.  The table widens as new classes and larger
     indices arrive; its entries are counted by ``np.add.at``, whose cost is
-    the entries' and not the table's.  ``width(dim)`` is checked after the
-    last range, so an error on any line comes first; past ``dim`` nothing
-    more is counted.  No documents raise DegenerateCorpusError, and a class
+    the entries' and not the table's.  Past ``dim``, or once the table
+    cannot exist, nothing more is counted: the errors of ``width(dim)`` and
+    the table's MemoryError wait for the last range, so an error on any line
+    comes first.  No documents raise DegenerateCorpusError, and a class
     whose row is all zero DegenerateClassError, naming the first.
     """
     sizes, counts = np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+    unallocated = None  # the MemoryError of a table that memory cannot hold
     for ids, lengths, indices, _ in documents:
         n, width = len(documents.classes), documents.largest + 1
         batch = np.bincount(ids, minlength=n)
         batch[:len(sizes)] += sizes
         sizes = batch
-        if dim is not None and width > dim:  # past dim the read ends in an error
+        # past dim, the address space or memory the read ends in an error; the
+        # size check also comes before any key ``id * width + index`` can overflow
+        if dim is not None and width > dim or n * width > _MAX_ITEMS or unallocated:
             continue
         if counts.shape != (n, width):
-            _check_size(n, width)  # before any key ``id * width + index`` can overflow
-            grown = np.zeros((n, width), dtype=np.int64)
+            try:
+                grown = np.zeros((n, width), dtype=np.int64)
+            except MemoryError as exc:
+                unallocated = exc
+                continue
             grown[:counts.shape[0], :counts.shape[1]] = counts
             counts = grown
         np.add.at(counts.reshape(-1), np.repeat(ids * width, lengths) + indices, 1)
     classes = tuple(documents.classes)
     dim = documents.width(dim)
     _check_size(len(classes), dim)
+    if unallocated is not None:
+        raise unallocated
     table = np.zeros((len(classes), dim))
     table[:, :counts.shape[1]] = counts
     sizes = list(map(int, sizes))

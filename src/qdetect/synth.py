@@ -21,11 +21,10 @@ KINDS = ("orthogonal", "overlap", "trine-like")
 def _shared_pool_size(block_size: int, angle: float) -> int:
     # Pairwise cosine of class statistics vectors is shared / (own + shared)
     # when every document carries its full block, so size the pool to hit
-    # cos(angle) and cap the blow-up as the angle closes.
+    # cos(angle) and cap the blow-up at 8 blocks as the angle closes.  Past
+    # c = 8/9 the divisor c / 8 gives the cap itself, also once c rounds to 1.
     c = math.cos(angle)
-    if c <= 0.0:
-        return 0
-    return min(8 * block_size, round(block_size * c / (1.0 - c)))
+    return min(8 * block_size, round(block_size * c / max(1.0 - c, c / 8)))
 
 
 def _uniform(rng: Lcg) -> float:

@@ -232,6 +232,10 @@ class TestStatesMustBeDensities:
         with pytest.raises(ValueError, match="rho_neg is not a density operator"):
             binary_bayes_cost(model, np.diag([1.0, 0.0]), rho, 0.5)
 
+    def test_shapes_must_match(self):
+        with pytest.raises(DimensionMismatchError, match="density shapes differ"):
+            detector_from_densities(np.diag([1.0, 0.0]), np.diag([0.0, 0.0, 1.0]), 0.5)
+
     def test_rounding_off_a_density_operator_is_accepted(self):
         rho1 = np.diag([1.0 + 5e-11, 0.0])
         rho0 = np.array([[0.0, 5e-11], [0.0, 1.0 - 5e-11]])

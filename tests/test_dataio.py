@@ -289,6 +289,11 @@ class TestSplit:
         with pytest.raises(SplitError):
             split(ds, SplitSpec(0.99, 3))
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+    def test_fraction_lies_inside_zero_and_one(self, fraction):
+        with pytest.raises(ValueError, match="train_fraction"):
+            SplitSpec(fraction, 0)
+
     def test_stratified_singleton_class_rejected(self):
         ds = parse("a 0:1\na 0:2\nb 1:1\n")
         with pytest.raises(SplitError, match="'b'"):
@@ -629,6 +634,13 @@ class TestModelValidation:
         doc = model_document(strategy)
         edit(doc)
         with pytest.raises(FormatError, match=error):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("detector", [["eta", "beta"], 1.5, None])
+    def test_a_detector_that_is_not_an_object(self, detector):
+        doc = model_document("one_vs_rest")
+        doc["detectors"][0] = detector
+        with pytest.raises(FormatError, match="a detector must be a JSON object"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])

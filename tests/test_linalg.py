@@ -77,6 +77,11 @@ class TestEigh:
         with pytest.raises(ValueError):
             linalg.eigh(np.zeros((2, 3)))
 
+    def test_empty_matrix(self):
+        w, v = linalg.eigh(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
+        assert linalg.inv_sqrt_psd(np.zeros((0, 0))).shape == (0, 0)
+
 
 class TestInvSqrtPsd:
     @pytest.mark.parametrize(
@@ -148,6 +153,32 @@ ENTRIES = st.sampled_from(SPECIAL + [-v for v in SPECIAL]) | st.floats(-2.0, 2.0
               elements=ENTRIES))
 def test_bounded_is_the_abs_check(a):
     assert linalg.bounded(a) is bool(np.all(np.abs(a) <= 1.0 + 1e-10))
+
+
+def fix_signs_by_column(vectors):
+    """The column loop that ``linalg.fix_signs`` replaced, as its reference."""
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        cutoff = 1e-12 * np.max(np.abs(col))
+        for value in col:
+            if abs(value) > cutoff:
+                if value < 0:
+                    vectors[:, j] = -col
+                break
+    return vectors
+
+
+@settings(max_examples=500, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+              elements=ENTRIES | st.sampled_from([1e-13, -1e-13, -0.0])))
+def test_fix_signs_flips_the_columns_the_loop_flips(v):
+    # only signs change, so every bit must match; eigh passes a reversed view, and
+    # the C layout of the copy keeps the bits of the products taken from it
+    assert linalg.fix_signs(v).tobytes() == fix_signs_by_column(v).tobytes()
+    flipped = linalg.fix_signs(v[:, ::-1])
+    assert flipped.tobytes() == fix_signs_by_column(v[:, ::-1]).tobytes()
+    assert flipped.flags.c_contiguous
 
 
 @pytest.mark.parametrize("value, ok", [(-0.0, True), (-EDGE, True), (math.nan, False),

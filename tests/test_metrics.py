@@ -123,6 +123,12 @@ class TestReportFromConfusion:
         report = report_from_confusion(("a", "b", "c"), confusion, cost=cost)
         assert report.empirical_cost == pytest.approx((1.0 - report.accuracy) * huge, rel=1e-15)
 
+    @pytest.mark.parametrize("confusion", [[[1, 2, 3]], [[2, -1], [0, 3]]],
+                             ids=["misshapen", "negative"])
+    def test_confusion_must_be_a_nonnegative_square(self, confusion):
+        with pytest.raises(ValueError, match="nonnegative 2x2 matrix"):
+            report_from_confusion(("a", "b"), confusion)
+
     def test_zero_one_cost_is_exactly_the_error_rate(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

@@ -72,6 +72,18 @@ class TestBuildHypotheses:
         h = build_hypotheses(corpus, 2)
         np.testing.assert_allclose(h.priors, [0.75, 0.25])
 
+    def test_a_document_wider_than_dim_is_rejected(self):
+        # its entry lies inside dim, so only the document's own dim is wrong
+        with pytest.raises(ValueError, match="document dim 4 exceeds corpus dim 3"):
+            train_pgm([("a", fv(3, {0: 1})), ("b", fv(4, {1: 1}))], 3)
+
+    def test_priors_factors_and_labels_must_match(self):
+        e0, e1 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+        with pytest.raises(ValueError, match="priors and factors"):
+            HypothesisSet(priors=np.array([0.5, 0.5]), factors=(e0,), labels=("a",))
+        with pytest.raises(ValueError, match="labels and factors"):
+            HypothesisSet(priors=np.array([0.5, 0.5]), factors=(e0, e1), labels=("a",))
+
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateCorpusError):
             build_hypotheses([("a", fv(2, {0: 1})), ("a", fv(2, {0: 2}))], 2)
@@ -345,6 +357,11 @@ class TestMeasurementVectors:
         with pytest.raises(NotRankOneError):
             measurement_vectors(m)
 
+    def test_zero_element_rejected(self):
+        m = Measurement((np.zeros((2, 1)), np.eye(2)[:, 1:]))
+        with pytest.raises(NotRankOneError, match="element 0 is numerically zero"):
+            measurement_vectors(m)
+
 
 class TestMeasurementInvariants:
     def test_elements_must_resolve_identity(self):
@@ -358,6 +375,18 @@ class TestMeasurementInvariants:
     def test_kind_follows_from_the_elements(self):
         assert Measurement((np.eye(2)[:, :1], np.eye(2)[:, 1:])).kind == "projective"
         assert Measurement(pgm(trine()).factors).kind == "povm"
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            Measurement(())
+
+    def test_factors_share_the_dim(self):
+        with pytest.raises(DimensionMismatchError, match="mixed dimensions"):
+            Measurement((np.eye(2)[:, :1], np.eye(3)[:, 1:2]))
+
+    def test_entries_lie_within_one(self):
+        with pytest.raises(ValueError, match=r"within \[-1, 1\]"):
+            Measurement((np.array([[2.0]]),))
 
 
 class TestAverageCost:
@@ -401,6 +430,12 @@ class TestAverageCost:
         h = pure_hypotheses([0.0, math.pi / 2.0])
         m = Measurement((np.eye(2),))
         with pytest.raises(DimensionMismatchError):
+            average_cost(m, h, zero_one_cost(2))
+
+    def test_dim_mismatch(self):
+        h = pure_hypotheses([0.0, math.pi / 2.0])
+        m = Measurement((np.eye(3)[:, :1], np.eye(3)[:, 1:2]))
+        with pytest.raises(DimensionMismatchError, match="measurement dim 3 is not hypothesis dim 2"):
             average_cost(m, h, zero_one_cost(2))
 
 
@@ -449,6 +484,10 @@ class TestOneVsRest:
         corpus = [("a", fv(2, {0: 1})), ("b", fv(2, {0: 1, 1: 1}))]
         assert train_pgm(corpus, 2).detectors is None
         assert train_one_vs_rest(corpus, 2).measurement is None
+
+    def test_kind_is_a_pgm_property(self):
+        corpus = [("a", fv(2, {0: 1})), ("b", fv(2, {1: 1}))]
+        assert train_one_vs_rest(corpus, 2).kind is None
 
     def test_needs_two_classes(self):
         with pytest.raises(DegenerateCorpusError):
@@ -499,6 +538,12 @@ class TestModelVectors:
         else:
             with pytest.raises(ValueError, match="unit norm"):
                 build()
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(ValueError, match="unknown strategy 'x'"):
+        MulticlassModel(strategy="x", dim=2, labels=("a", "b"), priors=(0.5, 0.5),
+                        vectors=np.eye(2))
 
 
 class TestClassify:

@@ -133,9 +133,37 @@ def statistics(reader, kind, text, chunk_chars, dim):
 
 
 # Indices below 41, so that every count table is small: a 17-digit index
-# makes the table too large to exist, which the read reports at its batch and
-# the whole parse only after the last line.
+# makes the table too large to exist, a MemoryError whose message names the
+# table each side failed on (``test_a_table_too_large_fails_after_the_last_line``).
 SMALL_INDEX_LINES = document_lines().filter(lambda line: "12345678901234567" not in line)
+
+
+def error_or_statistics(reader, kind, text, chunk_chars, dim):
+    """``statistics``, with a MemoryError as its type: its message names the table it failed on."""
+    try:
+        return statistics(reader, kind, text, chunk_chars, dim)
+    except MemoryError:
+        return MemoryError
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.one_of(document_lines(), st.sampled_from(ODD_LINES)),
+                      min_size=1, max_size=10),
+       kind=st.sampled_from(SOURCES), chunk_chars=st.sampled_from(CHUNKS),
+       dim=st.one_of(st.none(), st.integers(0, 45)))
+def test_a_table_too_large_fails_after_the_last_line(lines, kind, chunk_chars, dim):
+    text = "\n".join(lines) + "\n"
+    assert (error_or_statistics(lambda source, dim: class_statistics(DocumentReader(source), dim),
+                                kind, text, chunk_chars, dim)
+            == error_or_statistics(parsed_statistics, kind, text, chunk_chars, dim))
+
+
+def test_a_reader_is_read_once():
+    reader = DocumentReader(["a 0:1\n", "b 1:2 3:1\n"])
+    (ids, counts, indices, values), = reader
+    assert (ids.tolist(), counts.tolist(), indices.tolist(), values.tolist()) == (
+        [0, 1], [1, 2], [0, 1, 3], [1.0, 2.0, 1.0])
+    assert list(reader) == [] and reader.largest == 3
 
 
 @settings(max_examples=300, deadline=None)

@@ -37,6 +37,24 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             fv(3, {3: 1.0})
 
+    def test_dim_must_be_positive(self):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            fv(0, {})
+
+
+class TestLabeledDataset:
+    def test_needs_a_document(self):
+        with pytest.raises(ValueError, match="at least one document"):
+            LabeledDataset(dim=2, documents=[])
+
+    def test_labels_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="labels must be nonempty"):
+            LabeledDataset(dim=2, documents=[("a", fv(2, {0: 1.0})), ("", fv(2, {1: 1.0}))])
+
+    def test_documents_share_the_dim(self):
+        with pytest.raises(ValueError, match="share the dataset dim"):
+            LabeledDataset(dim=3, documents=[("a", fv(3, {0: 1.0})), ("b", fv(2, {1: 1.0}))])
+
 
 class TestFeatureStatistics:
     def test_document_frequency_counts(self):

@@ -48,6 +48,12 @@ class TestGeometry:
         h = build_hypotheses(ds.documents, ds.dim)
         assert (h.factors[0].T @ h.factors[1]).item() == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("angle", [1e-7, 1e-9])
+    def test_a_closing_angle_caps_the_pool_at_eight_blocks(self, angle):
+        # at 1e-9 the cosine rounds to 1
+        ds = synth_corpus("overlap", 4, 0.0, seed=1, n_classes=2, angle=angle)
+        assert ds.dim == 2 * 4 + 8 * 4
+
     def test_trine_like_has_three_symmetric_classes(self):
         ds = synth_corpus("trine-like", 5, 0.0, seed=7, block_size=3)
         h = build_hypotheses(ds.documents, ds.dim)
@@ -90,3 +96,7 @@ class TestValidation:
             synth_corpus("orthogonal", 5, 0.0, seed=1, n_classes=1)
         with pytest.raises(ValueError):
             synth_corpus("overlap", 5, 0.0, seed=1, angle=0.0)
+
+    def test_block_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="block_size"):
+            synth_corpus("orthogonal", 5, 0.0, seed=1, block_size=0)

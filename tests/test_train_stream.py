@@ -120,6 +120,19 @@ class TestErrors:
         err = self.train(tmp_path, capsys, strategy, head + "a 0:x\nlabel-only\nb 1:1\n")
         assert err == f"ERROR parse: line {lineno - 1}: malformed pair '0:x'\n"
 
+    # Line 2's index makes a 2 x (index + 1) count table that cannot exist: 2**62
+    # lies past the address space, 10**17 past memory.  The table's error waits
+    # for the whole parse, so line 8003's comes first.
+    @pytest.mark.parametrize("out_exists", [False, True])
+    @pytest.mark.parametrize("index", [2**62, 10**17])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_later_malformed_line_comes_before_the_table_size(self, tmp_path, capsys, strategy,
+                                                                 index, out_exists):
+        text = f"a 0:1\nb {index}:1\n" + "a 0:1 1:2 2:3\n" * 8000 + "c 1:x\n"
+        assert len(list(dataio._batches(io.StringIO(text)))) >= 2
+        err = self.train(tmp_path, capsys, strategy, text, out_exists=out_exists)
+        assert err == "ERROR parse: line 8003: malformed pair '1:x'\n"
+
     @pytest.mark.parametrize("case", ["bad line", "small dim", "one class"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_an_existing_model_is_kept(self, tmp_path, capsys, strategy, case):
