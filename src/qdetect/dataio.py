@@ -96,7 +96,7 @@ def _number_bounds(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return np.flatnonzero(inside[1:] != inside[:-1]), len(raw) - np.count_nonzero(not_colon)
 
 
-def _convert_chunk(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _convert_chunk(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Entries of several lines' pair texts, by array operations over their numbers.
 
     Returns the entry count of each line, the indices and the values, or None
@@ -170,12 +170,10 @@ def _batches(source: Iterable[str] | IO[str]):
         yield batch
 
 
-def _regular(fields: list[list[str]]) -> bool:
-    """Whether every line of a batch holds a label and pairs, the label ASCII and no comment."""
-    if min(map(len, fields)) < 2:
-        return False
-    labels = "\n".join([label for label, _ in fields])
-    return labels.isascii() and not labels.startswith("#") and "\n#" not in labels
+def _regular(labels: Sequence[str]) -> bool:
+    """Whether a batch's labels, one a line, are ASCII and none starts a comment."""
+    text = "\n".join(labels)
+    return text.isascii() and not text.startswith("#") and "\n#" not in text
 
 
 def _document_lines(fields: list[list[str]], linenos: Sequence[int]
@@ -201,7 +199,7 @@ def _document_lines(fields: list[list[str]], linenos: Sequence[int]
     return kept, numbers, None
 
 
-def _ranges(ids: np.ndarray, texts: list[str], linenos: Sequence[int], lo: int, hi: int,
+def _ranges(ids: np.ndarray, texts: Sequence[str], linenos: Sequence[int], lo: int, hi: int,
             converted: tuple[np.ndarray, np.ndarray, np.ndarray] | None):
     """Lines ``lo`` to ``hi - 1`` of a batch, given their chunk conversion, as reader items.
 
@@ -242,6 +240,8 @@ class DocumentReader:
     """
 
     def __init__(self, source: Iterable[str] | IO[str]):
+        if isinstance(source, (str, bytes)):  # one string would be read a character a line
+            raise TypeError("pass lines of text or a text file, not one str or bytes")
         self.classes: dict[str, int] = {}
         self.largest = -1
         self._pass = self._read(source)
@@ -254,12 +254,17 @@ class DocumentReader:
         for lines in _batches(source):
             fields = [line.split(None, 1) for line in lines]
             linenos, error = range(first, first + len(lines)), None
-            if not _regular(fields):
+            columns = tuple(zip(*fields))  # two only if every line holds a label and pairs
+            if len(columns) < 2 or not _regular(columns[0]):
                 fields, linenos, error = _document_lines(fields, linenos)
-            if fields:
-                ids = np.array([self.classes.setdefault(label, len(self.classes))
-                                for label, _ in fields], dtype=np.int64)
-                texts = [text for _, text in fields]
+                columns = tuple(zip(*fields))
+            if columns:
+                labels, texts = columns
+                try:
+                    ids = np.fromiter(map(self.classes.__getitem__, labels), np.int64, len(labels))
+                except KeyError:  # a new label: numbered in first-appearance order
+                    ids = np.array([self.classes.setdefault(label, len(self.classes))
+                                    for label in labels], dtype=np.int64)
                 for item in _ranges(ids, texts, linenos, 0, len(texts), _convert_chunk(texts)):
                     self.largest = max(self.largest, int(item[2].max()))
                     yield item

@@ -1,6 +1,7 @@
 """The summary arithmetic of ``tools/pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,47 @@ def test_unresolved_when_the_parent_spreads_past_the_margin(shift, verdict):
 def test_verdicts_rank_from_best_to_worst():
     assert max(["ok", "worse", "unresolved"], key=pairs.VERDICTS.index) == "worse"
     assert max(["ok", "unresolved"], key=pairs.VERDICTS.index) == "unresolved"
+
+
+def result(failed, attempted, value):
+    """A result line of ``perfbench/run.py`` that gives every metric ``value``."""
+    return {"failed": failed, "attempted": attempted,
+            "metrics": {name: {"value": value} for name in ("fast_s", "rate")}}
+
+
+@pytest.mark.parametrize("parent, change, more", [
+    ((0, 100), (0, 100), False), ((0, 100), (1, 100), True), ((1, 100), (0, 100), False),
+    # shares, not counts: 2 of 200 is the share of 1 of 100
+    ((1, 100), (2, 200), False), ((1, 100), (3, 200), True)])
+def test_fails_more_compares_shares(parent, change, more):
+    runs = {side: [result(f, a, 1.0)] for side, (f, a) in (("p", parent), ("c", change))}
+    assert pairs.fails_more(runs["p"], runs["c"]) is more
+
+
+@pytest.mark.parametrize("change_failed, gain, overall", [
+    (0, "yes", "overall: ok"), (1, "no", "overall: worse (failed share worse)")])
+def test_a_change_that_fails_more_gains_nothing(tmp_path, monkeypatch, capsys, change_failed,
+                                                gain, overall):
+    # the change is 10% faster on every pair, well past the parent's spread
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "fast_s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "better": "lower", "bound": 0.25}]}), encoding="utf-8")
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        seen.append((checkout.name, workload, seed, seconds))
+        change = checkout.name == "change"
+        return result(change_failed if change else 0, 50, 0.9 if change else 1.0)
+
+    monkeypatch.setattr(pairs, "run", fake_run)
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "w", "--seconds", "0.5", "--pairs", "3"]) == 0
+    assert seen == [("parent", "w", 1, 0.5), ("change", "w", 1, 0.5),
+                    ("change", "w", 2, 0.5), ("parent", "w", 2, 0.5),
+                    ("parent", "w", 3, 0.5), ("change", "w", 3, 0.5)]
+    out = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in out if line.startswith(("fast_s", "rate"))]
+    assert [row[-3:] for row in rows] == [["3/3", gain, "ok"]] * 2
+    assert out[-1] == overall

@@ -98,22 +98,38 @@ def test_a_line_at_either_end_of_a_batch(kind, line):
 
 @pytest.mark.parametrize("kind", ["stringio", "list"])
 def test_a_clean_corpus_stays_on_the_batch_path(kind):
-    # about 690 KB in 6000 lines, like the benchmark's many-docs train file
+    # about 690 KB in 6000 lines, like the benchmark's many-docs train file, and a
+    # ninth class first appearing inside a later batch, so that batch's id lookup
+    # misses and its labels are numbered by the fallback, still on the batch path
     rng = np.random.default_rng(1)
     lines = []
     for i in range(6000):
         indices = np.flatnonzero(rng.random(64) < 0.36).tolist()
         counts = rng.integers(1, 4, len(indices)).tolist()
-        lines.append(f"c{i % 8:02d} " + " ".join(f"{k}:{c}" for k, c in zip(indices, counts)))
+        label = "c08" if i == 3000 else f"c{i % 8:02d}"
+        lines.append(f"{label} " + " ".join(f"{k}:{c}" for k, c in zip(indices, counts)))
     text = "\n".join(lines) + "\n"
+    with opened(kind, text) as source:
+        batches = [[line.split()[0] for line in batch] for batch in dataio._batches(source)]
+    late = next(k for k, batch in enumerate(batches) if "c08" in batch)
+    assert late > 0 and 0 < batches[late].index("c08") < len(batches[late]) - 1
     with mock.patch.object(dataio, "_document_lines", side_effect=AssertionError("odd lines")), \
             mock.patch.object(dataio, "_convert_chunk", wraps=dataio._convert_chunk) as convert, \
             opened(kind, text) as source:
         ds = parse_sparse(source)
     assert len(ds) == 6000
+    assert ds.classes == tuple(f"c{k:02d}" for k in range(9))
     assert convert.call_count <= math.ceil(len(text) / dataio._CHUNK_CHARS) + 1
     assert outcome(parse_sparse, kind, text, dataio._CHUNK_CHARS) == outcome(
         reference_parse, kind, text, dataio._CHUNK_CHARS)
+
+
+@pytest.mark.parametrize("source", ["c0 0:1\n", b"c0 0:1\n"])
+def test_one_string_is_not_a_source(source):
+    # read as an iterable, a str would be one line a character and bytes one an int
+    for reader in (parse_sparse, DocumentReader):
+        with pytest.raises(TypeError, match="pass lines of text or a text file"):
+            reader(source)
 
 
 def parsed_statistics(source, dim=None):

@@ -14,8 +14,10 @@ n=4)``), the pairs the change won (ties count for neither side), whether the
 gain rule holds (the change wins at least nine tenths of the pairs, and its
 median beats the parent's by more than the parent's interquartile range), and
 the no-regression verdict of ``regression``; a last line gives the worst
-verdict over the metrics.  Each run finishes before the next starts; an
-interrupted run is killed.
+verdict over the metrics.  A change that fails a larger share of its
+operations than the parent claims no gain and is ``worse`` overall, whatever
+its metrics.  Each run finishes before the next starts; an interrupted run is
+killed.
 """
 
 from __future__ import annotations
@@ -77,6 +79,18 @@ def regression(parent: list[float], change: list[float], better: str, bound: flo
 VERDICTS = ("ok", "unresolved", "worse")  # from best to worst
 
 
+def fails_more(parent: list[dict], change: list[dict]) -> bool:
+    """Whether the change's runs failed a larger share of their operations than the parent's.
+
+    Each run is a result line of ``perfbench/run.py``, with ``failed`` and
+    ``attempted`` operation counts; the shares are compared exactly.
+    """
+    (p_failed, p_attempted), (c_failed, c_attempted) = (
+        (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+        for runs in (parent, change))
+    return c_failed * p_attempted > p_failed * c_attempted
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line ``perfbench/run.py`` prints last, as a dict."""
     done = subprocess.run(
@@ -110,6 +124,7 @@ def main(argv=None) -> int:
               f"{results['parent'][-1]['failed']} change {results['change'][-1]['failed']}",
               flush=True)
 
+    more_failed = fails_more(results["parent"], results["change"])
     print(f"{'metric':24s} {'parent Q1 / median / Q3':>36s} {'change Q1 / median / Q3':>36s}"
           f"  wins  gain  verdict")
     verdicts = {}
@@ -119,12 +134,15 @@ def main(argv=None) -> int:
                   for side in ("parent", "change")]
         s = summarize(*values, metric["better"])
         verdicts[name] = regression(*values, metric["better"], metric["bound"])
+        gain = s["gain"] and not more_failed
         print(f"{name:24s} {' / '.join(f'{v:.6g}' for v in s['parent']):>36s} "
               f"{' / '.join(f'{v:.6g}' for v in s['change']):>36s}  "
-              f"{s['wins']:2d}/{s['pairs']}  {'yes' if s['gain'] else 'no':4s}  {verdicts[name]}")
+              f"{s['wins']:2d}/{s['pairs']}  {'yes' if gain else 'no':4s}  {verdicts[name]}")
     for side, runs in results.items():
         print(f"{side}: {sum(r['failed'] for r in runs)} of "
               f"{sum(r['attempted'] for r in runs)} operations failed")
+    if more_failed:
+        verdicts["failed share"] = "worse"
     worst = max(verdicts.values(), key=VERDICTS.index, default="ok")
     flagged = [f"{name} {v}" for name, v in verdicts.items() if v != "ok"]
     print(f"overall: {worst}" + (f" ({', '.join(flagged)})" if flagged else ""))
