@@ -11,13 +11,14 @@ threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from qdetect import linalg
+from qdetect import linalg, states
 from qdetect.errors import (
+    DegenerateCorpusError,
     DegenerateSeparationError,
     DimensionMismatchError,
     InvalidPriorError,
@@ -27,7 +28,7 @@ from qdetect.states import FeatureVector, feature_statistics
 
 @dataclass(frozen=True)
 class DetectorScalars:
-    """The extreme eigenvalues of ``rho_pos - lam * rho_neg``: all a one-vs-rest detector stores."""
+    """The extreme eigenvalues of ``rho_pos - lam * rho_neg``, all a one-vs-rest detector keeps."""
 
     eta: float
     beta: float
@@ -45,7 +46,8 @@ class BinaryModel(DetectorScalars):
     ``vectors`` (dim x r, read-only) holds an orthonormal basis of the acceptance
     subspace, one unit vector ``e`` for two rank-1 class states, and
     ``labels`` names the (positive, negative) classes.  ``lam`` and the dense
-    ``projector`` are derived on demand.  Safe to score from many threads.
+    ``projector`` are derived on demand.  ``sizes`` and ``counts`` are what a
+    trainer read (see ``trained``), None otherwise.  Safe to score from many threads.
     """
 
     prior_negative: float
@@ -53,6 +55,8 @@ class BinaryModel(DetectorScalars):
     dim: int
     vectors: np.ndarray
     labels: tuple[str, str] = ("positive", "negative")
+    sizes: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     strategy: ClassVar[str] = "binary"
 
     def __post_init__(self):
@@ -97,6 +101,13 @@ class BinaryModel(DetectorScalars):
         """
         accept = scores.sum(axis=1)
         return np.where(accept >= self.threshold, 0, 1), accept
+
+
+def trained(model, sizes: Sequence[int], table: np.ndarray):
+    """``model`` holding its class sizes and count table (``states.fit_counts``); trainers only."""
+    object.__setattr__(model, "sizes", tuple(sizes))
+    object.__setattr__(model, "counts", table)
+    return model
 
 
 def _check_prior_negative(prior_negative: float) -> None:
@@ -219,24 +230,29 @@ def train_binary(
     labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
     """Train from raw documents; the prior defaults to the negative proportion."""
-    v_pos = feature_statistics(pos, dim, label=labels[0])
-    v_neg = feature_statistics(neg, dim, label=labels[1])
-    if prior_negative is None:
-        prior_negative = len(neg) / (len(pos) + len(neg))
-    return binary_from_statistics(v_pos, v_neg, prior_negative, threshold, labels)
+    counts = np.vstack([feature_statistics(pos, dim, label=labels[0]),
+                        feature_statistics(neg, dim, label=labels[1])])
+    return binary_from_statistics(labels, (len(pos), len(neg)), counts, prior_negative, threshold)
 
 
 def binary_from_statistics(
-    v_pos: np.ndarray,
-    v_neg: np.ndarray,
-    prior_negative: float,
+    labels: tuple[str, str],
+    sizes: Sequence[int],
+    counts: np.ndarray,
+    prior_negative: float | None = None,
     threshold: float = 0.5,
-    labels: tuple[str, str] = ("positive", "negative"),
 ) -> BinaryModel:
-    """The trained detector for two class count rows."""
-    e, (s,) = detectors_from_statistics(v_pos[None], v_neg[None], [prior_negative])
-    return BinaryModel(dim=len(v_pos), vectors=e.T, labels=labels, prior_negative=prior_negative,
-                       threshold=threshold, **vars(s))
+    """The detector of 2 x dim class counts; the prior defaults to the negative share of sizes."""
+    if len(counts) != 2:
+        raise DegenerateCorpusError(f"binary strategy needs exactly 2 classes, found {len(counts)}")
+    table, used, kept = states.fit_counts(sizes, counts)
+    if prior_negative is None:
+        prior_negative = states.class_priors(sizes)[1]
+    e, (s,) = detectors_from_statistics(kept[:1], kept[1:], [prior_negative])
+    model = BinaryModel(dim=table.shape[1], vectors=states.feature_rows(used, e.T),
+                        labels=labels, prior_negative=prior_negative, threshold=threshold,
+                        **vars(s))
+    return trained(model, sizes, table)
 
 
 def score(model: BinaryModel, x: np.ndarray) -> float:

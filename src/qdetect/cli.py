@@ -26,7 +26,7 @@ from qdetect.dataio import (
     split,
     write_text,
 )
-from qdetect.errors import DegenerateCorpusError, QdetectError
+from qdetect.errors import QdetectError
 from qdetect.metrics import evaluate, predictions_tsv
 from qdetect.multiclass import (
     HypothesisSet,
@@ -61,18 +61,13 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--threshold must lie in [0, 1], got {threshold}")
     # the trainers read only the class counts, so the file is counted a batch at a time
     with _open_data(args.data) as fh:
-        labels, priors, counts = class_statistics(DocumentReader(fh), args.dim)
+        labels, sizes, counts = class_statistics(DocumentReader(fh), args.dim)
     if args.strategy == "binary":
-        if len(labels) != 2:
-            raise DegenerateCorpusError(
-                f"binary strategy needs exactly 2 classes, found {len(labels)}"
-            )
-        prior = priors[1] if args.prior is None else args.prior
-        model = binary_from_statistics(counts[0], counts[1], prior, threshold, labels=labels)
+        model = binary_from_statistics(labels, sizes, counts, args.prior, threshold)
     elif args.strategy == "pgm":
-        model = pgm_from_statistics(labels, priors, counts)
+        model = pgm_from_statistics(labels, sizes, counts)
     else:
-        model = one_vs_rest_from_statistics(labels, priors, counts)
+        model = one_vs_rest_from_statistics(labels, sizes, counts)
     save_model(model, args.out)
     return 0
 

@@ -3,10 +3,10 @@
 The dataset format is line-oriented text: ``LABEL idx:val [idx:val ...]`` with
 0-based, strictly increasing integer indices that fit int64 and positive
 finite decimal values; ``#``-prefixed lines are comments.  Models are stored
-as compact JSON: the scalars as numbers written as the shortest repr that
-round-trips each double, and the vectors as one base64 string of a mask of
-the features they use and those features' little-endian doubles, so reloads
-are bit-identical.
+as compact JSON of what training reads: the class sizes, and the class count
+table as one base64 string of a mask of the features it uses and those
+features' little-endian unsigned integers.  The loader trains again from
+them, so a reload is bit-identical to training.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from qdetect.binary import BinaryModel, DetectorScalars
+from qdetect.binary import binary_from_statistics
 from qdetect.errors import (
     FormatError,
     ParseError,
@@ -31,7 +31,7 @@ from qdetect.errors import (
     SplitError,
     UnsupportedVersionError,
 )
-from qdetect.multiclass import MulticlassModel, check_cost_matrix
+from qdetect.multiclass import check_cost_matrix, one_vs_rest_from_statistics, pgm_from_statistics
 from qdetect.states import LabeledDataset
 
 
@@ -47,9 +47,7 @@ def _checked_pairs(tokens: list[str], lineno: int) -> tuple[list[int], list[floa
     values: list[float] = []
     previous = -1
     for token in tokens:
-        head, sep, tail = token.partition(":")
-        if not sep:
-            raise ParseError(f"line {lineno}: malformed pair {token!r}")
+        head, _, tail = token.partition(":")  # without a colon, float("") raises
         try:
             idx = int(head)
             value = float(tail)
@@ -227,6 +225,9 @@ def _ranges(ids: np.ndarray, texts: Sequence[str], linenos: Sequence[int], lo: i
            np.array([v for _, values in rows for v in values], dtype=float))
 
 
+_NOT_TEXT = "pass lines of text or a text file, not one str or bytes, nor lines of bytes"
+
+
 class DocumentReader:
     """A source's documents in one pass, a converted range of a batch of lines at a time.
 
@@ -241,7 +242,7 @@ class DocumentReader:
 
     def __init__(self, source: Iterable[str] | IO[str]):
         if isinstance(source, (str, bytes)):  # one string would be read a character a line
-            raise TypeError("pass lines of text or a text file, not one str or bytes")
+            raise TypeError(_NOT_TEXT)
         self.classes: dict[str, int] = {}
         self.largest = -1
         self._pass = self._read(source)
@@ -252,6 +253,8 @@ class DocumentReader:
     def _read(self, source: Iterable[str] | IO[str]):
         first = 1
         for lines in _batches(source):
+            if not isinstance(lines[0], str):  # a binary file, or lines of bytes
+                raise TypeError(_NOT_TEXT)
             fields = [line.split(None, 1) for line in lines]
             linenos, error = range(first, first + len(lines)), None
             columns = tuple(zip(*fields))  # two only if every line holds a label and pairs
@@ -420,20 +423,11 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, **_JSON_SETTINGS) + "\n"
 
 
-# Format 5 stores a model's dim x r vectors, as r rows of length dim, next to
-# the values its training data decides, in one base64 string (standard
-# alphabet, padded): a bitmask of the features whose column holds a nonzero
-# double, ceil(dim / 8) bytes with the first feature in the high bit of the
-# first byte, then the rows restricted to those features as little-endian
-# IEEE-754 doubles.  A feature that no training document holds has a zero
-# column, so a wide vocabulary costs a bit a feature and not r doubles.
-FORMAT_VERSION = 5
-_VECTOR_DTYPE = np.dtype("<f8")
-# the fields of each strategy's file between its labels and its vectors, in file order
-_FIELDS = {"binary": ("prior_negative", "eta", "beta", "threshold"),
-           "pgm": ("priors",), "one_vs_rest": ("priors", "detectors")}
-# the fields of each one-vs-rest detector
-_DETECTOR_FIELDS = ("eta", "beta")
+# Format 6 stores what training reads, the class sizes and counts (README, Models)
+FORMAT_VERSION = 6
+_TRAINERS = {"binary": binary_from_statistics, "pgm": pgm_from_statistics,
+             "one_vs_rest": one_vs_rest_from_statistics}
+_BINARY_FIELDS = ("prior_negative", "threshold")
 
 
 def _is_label(label) -> bool:
@@ -447,34 +441,25 @@ def _is_label(label) -> bool:
 
 
 def model_to_dict(model) -> dict:
-    """The model file's JSON object; ValueError for a label no dataset line can hold."""
+    """The model file's JSON object; ValueError for a label no dataset line holds, or no counts."""
     if not all(map(_is_label, model.labels)):
         raise ValueError("model labels must be nonempty UTF-8, no whitespace, no leading '#': "
                          f"{model.labels!r}")
-    if model.strategy == "binary":
-        fields = {key: getattr(model, key) for key in _FIELDS["binary"]}
-    else:
-        fields = {"priors": list(model.priors)}
-        if model.strategy == "one_vs_rest":
-            fields["detectors"] = [dict(vars(s)) for s in model.detector_scalars]
+    if model.counts is None:
+        raise ValueError("only a trained model can be saved: this one holds no class counts")
+    fields = {key: getattr(model, key) for key in _BINARY_FIELDS if model.strategy == "binary"}
+    used = model.counts.any(axis=0)  # the table takes the fewest bytes a count (fit_counts)
+    rows = model.counts[:, used].astype(f"<u{model.counts.itemsize}")
     return {
         "format_version": FORMAT_VERSION,
         "strategy": model.strategy,
         "dim": int(model.dim),
         "labels": list(model.labels),
         **fields,
-        "vectors": _vector_text(model.vectors),
+        "sizes": list(model.sizes),
+        "counts": binascii.b2a_base64(np.packbits(used).tobytes() + rows.tobytes(),
+                                      newline=False).decode("ascii"),
     }
-
-
-def _vector_text(vectors: np.ndarray) -> str:
-    """The ``vectors`` string of a dim x r array."""
-    rows = np.ascontiguousarray(vectors.T, dtype=_VECTOR_DTYPE)
-    # a -0.0 has a set bit, so its feature is kept and written as it is
-    used = (rows.view(np.uint64) != 0).any(axis=0)
-    kept = rows if used.all() else rows[:, used]
-    return binascii.b2a_base64(np.packbits(used).tobytes() + kept.tobytes(),
-                               newline=False).decode("ascii")
 
 
 def write_text(path, blocks: Iterable[str]) -> None:
@@ -522,62 +507,40 @@ def _require(doc: dict, key: str, kinds) -> object:
     return value
 
 
-def _numbers(doc: dict, keys: tuple[str, ...]) -> dict:
-    """The number under each of ``keys``, as a float."""
-    return {key: float(_require(doc, key, _NUMBER)) for key in keys}
-
-
-def _check_keys(doc, keys: tuple[str, ...], what: str) -> None:
-    """FormatError unless ``doc`` is a JSON object of no key outside ``keys``, naming the first."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{what} must be a JSON object")
-    for key in doc:
-        if key not in keys:
-            raise FormatError(f"{what} holds field {key!r}, which format {FORMAT_VERSION} "
-                              "does not write")
-
-
-def _vector_columns(text: str, dim: int) -> np.ndarray:
-    """The dim x r array of a ``vectors`` string, for any r >= 1.
-
-    The string must be what the writer makes of its bytes: standard base64
-    with padding, on one line, of a feature mask with no bits past ``dim``
-    and then whole rows of a double per marked feature, each marked feature
-    holding a nonzero double.  Anything else raises FormatError.
-    """
+def _count_table(text: str, dim: int, n: int) -> np.ndarray:
+    """The read-only n x dim table of a ``counts`` string that the writer makes, each marked
+    feature holding a nonzero count, or FormatError; the trainer checks the rest."""
     try:
         raw = binascii.a2b_base64(text)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise FormatError(f"model field 'vectors' is not base64: {exc}") from exc
+        raise FormatError(f"model field 'counts' is not base64: {exc}") from exc
     # the decoder skips characters outside the alphabet; the encoder writes none
     if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
-        raise FormatError("model field 'vectors' is not padded standard base64")
-    if dim < 1:
-        raise FormatError(f"model field 'vectors' cannot hold rows of dim {dim}")
+        raise FormatError("model field 'counts' is not padded standard base64")
     mask = raw[:-(-dim // 8)]
     # before unpacking, which takes dim bytes however short the string is
-    if 8 * len(mask) < dim:
-        raise FormatError(f"model field 'vectors' has no mask of dim {dim} features")
+    if not 0 < dim <= 8 * len(mask):
+        raise FormatError(f"model field 'counts' has no mask of dim {dim} features")
     used = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=dim).astype(bool)
     if np.packbits(used).tobytes() != mask:
-        raise FormatError(f"model field 'vectors' has no mask of dim {dim} features")
-    n_used = int(used.sum())
-    body = len(raw) - len(mask)
-    if not n_used or not body or body % (_VECTOR_DTYPE.itemsize * n_used):
-        raise FormatError(f"model field 'vectors' holds {body} bytes after its mask, "
-                          f"not whole rows of {n_used} doubles (dim {dim})")
-    kept = np.frombuffer(raw, dtype=_VECTOR_DTYPE, offset=len(mask)).reshape(-1, n_used)
-    if not (kept.view(np.uint64) != 0).any(axis=0).all():
-        raise FormatError("model field 'vectors' marks a feature whose doubles are all 0")
-    # read-only in the model's layout, so the model keeps this array and copies nothing
-    columns = np.zeros((dim, len(kept)))
-    columns[used] = kept.T
-    columns.flags.writeable = False
-    return columns
+        raise FormatError(f"model field 'counts' has no mask of dim {dim} features")
+    n_used, body = int(used.sum()), len(raw) - len(mask)
+    width = body // (n * n_used) if n * n_used else 0
+    if width not in (1, 2, 4, 8) or body != width * n * n_used:
+        raise FormatError(f"model field 'counts' holds {body} bytes after its mask, not whole "
+                          f"rows of {n_used} counts for {n} labels (dim {dim})")
+    kept = np.frombuffer(raw, dtype=f"<u{width}", offset=len(mask)).reshape(n, n_used)
+    if not kept.any(axis=0).all():
+        raise FormatError("model field 'counts' marks a feature whose counts are all 0")
+    # read-only, so a trainer keeps it without a copy when its width is the fewest bytes
+    table = np.zeros((n, dim), dtype=kept.dtype)
+    table[:, used] = kept
+    table.flags.writeable = False
+    return table
 
 
 def model_from_dict(doc: dict):
-    """A model from a format 5 JSON object; raises FormatError."""
+    """A model from a format 6 JSON object, trained from its counts; raises FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("model file must contain a JSON object")
     version = _require(doc, "format_version", int)
@@ -585,41 +548,25 @@ def model_from_dict(doc: dict):
         raise UnsupportedVersionError(
             f"unsupported model format_version {version} (expected {FORMAT_VERSION})")
     strategy = _require(doc, "strategy", str)
-    if strategy not in _FIELDS:
+    if strategy not in _TRAINERS:
         raise FormatError(f"unknown strategy {strategy!r}")
-    _check_keys(doc, ("format_version", "strategy", "dim", "labels", *_FIELDS[strategy], "vectors"),
-                "model file")
-    dim = int(_require(doc, "dim", int))
+    scalars = _BINARY_FIELDS if strategy == "binary" else ()
+    for key in doc:
+        if key not in ("format_version", "strategy", "dim", "labels", *scalars, "sizes", "counts"):
+            raise FormatError(f"model file holds field {key!r}, which format {FORMAT_VERSION} "
+                              "does not write")
+    dim = _require(doc, "dim", int)
     labels = tuple(_require(doc, "labels", list))
     if not all(map(_is_label, labels)):  # JSON can escape a lone surrogate, which is no UTF-8
         raise FormatError("model field 'labels' must hold strings, nonempty UTF-8 with no "
                           f"whitespace and no leading '#': {labels!r}")
-    try:
-        # the models check the label count, the detector count and the vector columns
-        fields = {}
-        if strategy == "binary":
-            fields = _numbers(doc, _FIELDS["binary"])
-        elif strategy == "one_vs_rest":
-            detectors = _require(doc, "detectors", list)
-            for p in detectors:
-                _check_keys(p, _DETECTOR_FIELDS, "a detector")
-            fields["detector_scalars"] = tuple(DetectorScalars(**_numbers(p, _DETECTOR_FIELDS))
-                                               for p in detectors)
-        vectors = _vector_columns(_require(doc, "vectors", str), dim)
-        if strategy == "binary":
-            return BinaryModel(dim=dim, vectors=vectors, labels=labels, **fields)
-        priors = _require(doc, "priors", list)
-        if not all(map(_is_number, priors)):
-            raise FormatError("model field 'priors' must hold numbers")
-        return MulticlassModel(
-            strategy=strategy, dim=dim, labels=labels, priors=tuple(float(x) for x in priors),
-            vectors=vectors, **fields,
-        )
-    except FormatError:
-        raise
+    sizes = _require(doc, "sizes", list)
+    values = [_require(doc, key, _NUMBER) for key in scalars]
+    table = _count_table(_require(doc, "counts", str), dim, len(labels))
+    try:  # the trainer checks the sizes, the counts, the labels, the prior and the threshold
+        return _TRAINERS[strategy](labels, sizes, table, *map(float, values))
     except (ValueError, TypeError, OverflowError, QdetectError) as exc:
-        # an inconsistent array: a shape, norm or spectrum the model rejects, or an
-        # integer too large for a double
+        # a table or a model the counts cannot train, or an integer too large for a double
         raise FormatError(f"model file is inconsistent: {exc}") from exc
 
 

@@ -10,13 +10,13 @@ models keep both in rank-1 form, one vector per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from qdetect import linalg
-from qdetect.binary import BinaryModel, DetectorScalars, detectors_from_statistics
+from qdetect import linalg, states
+from qdetect.binary import BinaryModel, DetectorScalars, detectors_from_statistics, trained
 from qdetect.errors import (
     ConvergenceError,
     DegenerateCorpusError,
@@ -172,8 +172,8 @@ def check_cost_matrix(k, n: int) -> np.ndarray:
 Corpus = Union[LabeledDataset, Sequence[tuple[str, FeatureVector]]]
 
 
-def _class_statistics(corpus: Corpus, dim: int) -> tuple[tuple[str, ...], list[float], np.ndarray]:
-    """Labels in first-appearance order, document-frequency priors, one count row per label."""
+def _class_statistics(corpus: Corpus, dim: int) -> tuple[tuple[str, ...], list[int], np.ndarray]:
+    """Labels in first-appearance order, their document counts, one count row per label."""
     return class_statistics(as_dataset(corpus, dim), dim)
 
 
@@ -189,9 +189,10 @@ def build_hypotheses(corpus: Corpus, dim: int) -> HypothesisSet:
 
     Each state is rank-1: its factor is the unit count row as one column.
     """
-    labels, priors, counts = _class_statistics(corpus, dim)
+    labels, sizes, counts = _class_statistics(corpus, dim)
     _check_classes(labels, "multi-class")
-    return HypothesisSet(priors, tuple(linalg.unit_rows(counts)[..., None]), tuple(labels))
+    factors = tuple(linalg.unit_rows(counts)[..., None])
+    return HypothesisSet(states.class_priors(sizes), factors, tuple(labels))
 
 
 def pgm(h: HypothesisSet) -> Measurement:
@@ -281,7 +282,8 @@ class MulticlassModel:
     vectors ``e_k`` of the detectors, whose eigenvalues are ``detector_scalars``.
     Class k scores ``(x . column_k)^2`` and the top score decides.
     ``vectors`` is held read-only (see ``linalg.frozen``); ``measurement`` and
-    ``detectors`` are views built on demand.
+    ``detectors`` are views built on demand.  ``sizes`` and ``counts`` are what
+    a trainer read (``binary.trained``), None otherwise.
     """
 
     strategy: str
@@ -290,6 +292,8 @@ class MulticlassModel:
     priors: tuple[float, ...]
     vectors: np.ndarray
     detector_scalars: tuple[DetectorScalars, ...] = ()
+    sizes: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -363,17 +367,16 @@ def train_pgm(corpus: Corpus, dim: int) -> MulticlassModel:
     return pgm_from_statistics(*_class_statistics(corpus, dim))
 
 
-def pgm_from_statistics(labels: Sequence[str], priors: Sequence[float],
+def pgm_from_statistics(labels: Sequence[str], sizes: Sequence[int],
                         counts: np.ndarray) -> MulticlassModel:
     """Square-root measurement of the states of N x dim class counts, from the SVD of ``Psi``."""
     _check_classes(labels, "multi-class")
-    return MulticlassModel(
-        strategy="pgm",
-        dim=counts.shape[1],
-        labels=tuple(labels),
-        priors=tuple(priors),
-        vectors=square_root_vectors(linalg.unit_rows(counts).T * np.sqrt(priors)),
-    )
+    table, used, kept = states.fit_counts(sizes, counts)
+    priors = states.class_priors(sizes)
+    vectors = square_root_vectors(linalg.unit_rows(kept).T * np.sqrt(priors))
+    model = MulticlassModel(strategy="pgm", dim=table.shape[1], labels=tuple(labels),
+                            priors=tuple(priors), vectors=states.feature_rows(used, vectors))
+    return trained(model, sizes, table)
 
 
 def train_one_vs_rest(corpus: Corpus, dim: int) -> MulticlassModel:
@@ -381,34 +384,30 @@ def train_one_vs_rest(corpus: Corpus, dim: int) -> MulticlassModel:
     return one_vs_rest_from_statistics(*_class_statistics(corpus, dim))
 
 
-def one_vs_rest_from_statistics(labels: Sequence[str], priors: Sequence[float],
+def one_vs_rest_from_statistics(labels: Sequence[str], sizes: Sequence[int],
                                 counts: np.ndarray) -> MulticlassModel:
     """One binary detector per row of N x dim class counts against the sum of the other rows.
 
-    Each detector's negative-class prior is one minus the class proportion;
-    prediction picks the class with the highest acceptance score, so no
-    detector's threshold is read.  The model stores neither; ``detectors`` supplies both.
+    Each detector's negative-class prior is one minus its class's share of the
+    ``sizes``; prediction picks the class with the highest acceptance score, so
+    no detector's threshold is read.  ``detectors`` supplies both.
     """
     _check_classes(labels, "one-vs-rest")
-    dim = counts.shape[1]
+    table, used, kept = states.fit_counts(sizes, counts)
+    priors = states.class_priors(sizes)
     # counts are integers held in floats, so the total and each difference are exact
-    total = counts.sum(axis=0)
-    step = max(1, _BLOCK_DOUBLES // (4 * dim))  # a block's four step x dim temporaries fit
-    vectors, scalars = np.empty((dim, len(counts))), ()
-    for a in range(0, len(counts), step):
-        block = counts[a:a + step]
+    total = kept.sum(axis=0)
+    step = max(1, _BLOCK_DOUBLES // (4 * len(total)))  # a block's four step x width temporaries fit
+    vectors, scalars = np.empty((len(total), len(kept))), ()
+    for a in range(0, len(kept), step):
+        block = kept[a:a + step]
         e, s = detectors_from_statistics(block, total - block, [1 - p for p in priors[a:a + step]])
         vectors[:, a:a + step] = e.T
         scalars += s
-    vectors.flags.writeable = False  # the model keeps it without a copy
-    return MulticlassModel(
-        strategy="one_vs_rest",
-        dim=dim,
-        labels=tuple(labels),
-        priors=tuple(priors),
-        vectors=vectors,
-        detector_scalars=scalars,
-    )
+    model = MulticlassModel(strategy="one_vs_rest", dim=table.shape[1], labels=tuple(labels),
+                            priors=tuple(priors), detector_scalars=scalars,
+                            vectors=states.feature_rows(used, vectors))
+    return trained(model, sizes, table)
 
 
 def class_scores(model: MulticlassModel, x: np.ndarray) -> np.ndarray:

@@ -192,8 +192,8 @@ def as_dataset(corpus, dim: int) -> LabeledDataset:
 
 
 def class_statistics(documents, dim: int | None = None
-                     ) -> tuple[tuple[str, ...], list[float], np.ndarray]:
-    """The classes of labeled documents, their document-frequency priors and N x dim counts.
+                     ) -> tuple[tuple[str, ...], list[int], np.ndarray]:
+    """The classes of labeled documents, their document counts and N x dim feature counts.
 
     ``documents`` yields CSR ranges ``(label_ids, lengths, indices, values)``
     and has ``classes``, ``largest`` and ``width(dim)``, as a
@@ -235,15 +235,57 @@ def class_statistics(documents, dim: int | None = None
     table = np.zeros((len(classes), dim))
     table[:, :counts.shape[1]] = counts
     sizes = list(map(int, sizes))
-    total = sum(sizes)
-    if not total:  # a read with no documents has failed in width() already
+    if not sum(sizes):  # a read with no documents has failed in width() already
         raise DegenerateCorpusError("dataset contains no documents")
-    priors = [size / total for size in sizes]
     empty = ~table.any(axis=1)
     if empty.any():
         label = classes[int(np.argmax(empty))]
         raise DegenerateClassError(f"class {label!r} has an all-zero statistics vector")
-    return classes, priors, table
+    return classes, sizes, table
+
+
+def class_priors(sizes: Sequence[int]) -> list[float]:
+    """Each class's share of the documents, ``size / total``, from the classes' document counts."""
+    total = sum(sizes)
+    return [size / total for size in sizes]
+
+
+def fit_counts(sizes: Sequence[int], counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked N x dim class ``counts``: the table a model keeps, and the columns a trainer fits.
+
+    ValueError unless each row holds a nonzero count, each size (a class's
+    document count) is an int in [1, 2**53] and each count is a whole number
+    no larger than its class's size.  The table is a read-only copy in the
+    narrowest uint type, or ``counts`` if it already is one that owns its memory.
+    Where at most half the features are used, a trainer fits those alone and
+    ``feature_rows`` gives the others zero rows; else it fits every column.
+    """
+    table = np.asarray(counts)
+    if not table.any(axis=1).all():
+        raise ValueError("counts hold a class whose counts are all 0")
+    if len(sizes) != len(table) or not all(type(s) is int and 0 < s <= 2**53 for s in sizes):
+        raise ValueError("sizes must hold a positive int of at most 2**53 for each class")
+    tops = table.max(axis=1).tolist()  # Python numbers, which compare with an int exactly
+    if not ((table.dtype.kind == "u" or (table >= 0).all() and not (table % 1).any())  # not NaN
+            and all(top <= size for top, size in zip(tops, sizes))):
+        raise ValueError("counts must be whole numbers, with no count above its class's size")
+    whole = table.astype(next(f"u{w}" for w in (1, 2, 4, 8) if max(tops) < 256**w),
+                         copy=table.flags.writeable or table.base is not None)
+    whole.flags.writeable = False
+    used = table.any(axis=0)
+    if 2 * int(used.sum()) > len(used):
+        return whole, np.ones_like(used), table.astype(float, copy=False)
+    return whole, used, table[:, used].astype(float)
+
+
+def feature_rows(used: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Read-only ``len(used)`` x r rows: ``rows`` on the ``used`` features, zeros elsewhere."""
+    out = rows
+    if not used.all():
+        out = np.zeros((len(used), rows.shape[1]))
+        out[used] = rows
+    out.flags.writeable = False
+    return out
 
 
 def feature_statistics(

@@ -16,15 +16,17 @@ from qdetect.dataio import dumps_canonical, load_model, parse_sparse, serialize_
 from qdetect.metrics import predict_dataset
 from qdetect.states import FeatureVector, LabeledDataset
 from qdetect.synth import synth_corpus
-from test_dataio import RETIRED_DOCUMENTS, format_four_document
+from test_dataio import RETIRED_DOCUMENTS, decode_rows, encode_counts, format_four_document
 
 # Corpora and the model, prediction and report files the version before the
 # columnar corpus wrote for them (see GOLDEN_RUNS), apart from the
-# predictions, rewritten by the dataset scorer, and the models, rewritten with
-# model format 4 and then without the keys format 5 drops (the same vectors).
+# predictions, rewritten by the dataset scorer, and the models, rewritten
+# with model format 6 (the counts, which train the same vectors).
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 # The pgm model and predictions of the same run when M was Psi G^(-1/2) with
-# G^(-1/2) formed as a matrix, before M came from the SVD of Psi.
+# G^(-1/2) formed as a matrix, before M came from the SVD of Psi.  The model
+# is the format 5 file of M's vectors that the run wrote, read by the test's
+# own decoder.
 INVERSE_ROOT = Path(__file__).resolve().parent / "data" / "inverse-root"
 # The predictions of the same runs when each document was scattered into a
 # dense row, normalized there and scored one column at a time.
@@ -66,12 +68,13 @@ class TestTrain:
         out = tmp_path / "m.json"
         assert main(["train", "--data", data, "--strategy", "binary", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 5
+        assert doc["format_version"] == 6
         assert doc["strategy"] == "binary"
         assert doc["labels"] == ["ham", "spam"]
-        # a mask of the 4 features, of which e uses the ham ones, 0 and 1, then their doubles
-        raw = base64.b64decode(doc["vectors"], validate=True)
-        assert (raw[:1], len(raw)) == (bytes([0b1100_0000]), 1 + 1 * 2 * 8)
+        assert (doc["prior_negative"], doc["threshold"], doc["sizes"]) == (0.5, 0.5, [2, 2])
+        # a mask of the 4 features, each held by some document, then a byte a count
+        raw = base64.b64decode(doc["counts"], validate=True)
+        assert raw == bytes([0b1111_0000, 2, 1, 0, 0, 0, 0, 1, 2])
 
     def test_nearly_parallel_classes_train_for_pgm(self, tmp_path):
         # cond(G) is about 1.6e9; M = U V^T from the SVD of Psi is orthogonal
@@ -244,7 +247,7 @@ class TestPredictEvaluate:
         rc = main(["predict", "--model", model, "--data", write(tmp_path, "data.txt", "a 0:1\n"),
                    "--out", str(out)])
         assert rc == 1
-        assert re.match(r"ERROR unsupported-version: .*version \d \(expected 5\)",
+        assert re.match(r"ERROR unsupported-version: .*version \d \(expected 6\)",
                         capsys.readouterr().err)
         assert not out.exists()
 
@@ -257,7 +260,7 @@ class TestPredictEvaluate:
         rc = main(["predict", "--model", model, "--data", str(GOLDEN / test), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "ERROR unsupported-version: unsupported model format_version 4 (expected 5)\n")
+            "ERROR unsupported-version: unsupported model format_version 4 (expected 6)\n")
         assert not out.exists()
 
     def test_model_labels_no_dataset_line_can_hold(self, tmp_path, capsys):
@@ -291,8 +294,8 @@ class TestPredictEvaluate:
 
     def test_integer_too_large_for_a_double(self, tmp_path, capsys):
         huge = "9" * 400  # json.load reads it as an int, which float() and numpy refuse
-        text, count = re.subn(r'"priors":\[[^,]+', f'"priors":[{huge}',
-                              (GOLDEN / "pgm.json").read_text(encoding="utf-8"))
+        text, count = re.subn(r'"threshold":[^,]+', f'"threshold":{huge}',
+                              (GOLDEN / "binary.json").read_text(encoding="utf-8"))
         assert count == 1
         model = write(tmp_path, "model.json", text)
         cost = write(tmp_path, "cost.json", json.dumps([[int(huge)] * 4] * 4))
@@ -356,12 +359,10 @@ class TestOutFile:
 
 
 class TestModelScalars:
-    # json.load reads 1e999 as inf, which the NaN/Infinity literal check never sees
+    # the two values a binary file holds that its counts do not decide
     @pytest.mark.parametrize("strategy, field, value, check", [
         ("binary", "threshold", "1.5", "threshold must lie in [0, 1]"),
-        ("binary", "prior_negative", "1.0", "prior_negative must lie strictly inside (0, 1)"),
-        ("binary", "eta", "1e999", "eta and beta must be finite, with eta > 0 > beta"),
-        ("ovr", "beta", "0.0", "eta and beta must be finite, with eta > 0 > beta"),
+        ("binary", "prior_negative", "1.0", "negative-class prior must lie in (0, 1), got 1.0"),
     ])
     def test_out_of_range_scalar_is_a_format_error(self, tmp_path, capsys, strategy, field,
                                                    value, check):
@@ -379,7 +380,8 @@ class TestModelScalars:
         assert err.count("\n") == 1
 
     # a field that the writer does not write, such as a value format 4 stored and the
-    # model now derives: lambda, or a one-vs-rest detector's prior or threshold
+    # model now derives: lambda, or a one-vs-rest detector's prior or threshold, in a
+    # list of detectors, which format 6 does not write either
     @pytest.mark.parametrize("strategy, owner, field", [
         ("binary", "file", "lambda"),
         ("ovr", "detector", "threshold"),
@@ -390,14 +392,42 @@ class TestModelScalars:
                                                field):
         _, _, test = GOLDEN_RUNS[strategy]
         doc = json.loads((GOLDEN / f"{strategy}.json").read_text(encoding="utf-8"))
-        (doc if owner == "file" else doc["detectors"][0])[field] = 0.5
+        if owner == "file":
+            doc[field] = 0.5
+        else:
+            doc["detectors"] = [{field: 0.5}] * len(doc["labels"])
         model = write(tmp_path, "model.json", json.dumps(doc))
         rc = main(["predict", "--model", model, "--data", str(GOLDEN / test),
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 1
-        where = "model file" if owner == "file" else "a detector"
+        key = field if owner == "file" else "detectors"
         assert capsys.readouterr().err == (
-            f"ERROR format: {where} holds field '{field}', which format 5 does not write\n")
+            f"ERROR format: model file holds field '{key}', which format 6 does not write\n")
+
+    def test_a_count_file_the_trainer_refuses(self, tmp_path, capsys):
+        # two parallel class rows, which no detector separates
+        doc = json.loads((GOLDEN / "ovr.json").read_text(encoding="utf-8"))
+        doc.update(dim=3, labels=["a", "b"], sizes=[6, 6],
+                   counts=encode_counts([[1, 2, 3], [2, 4, 6]]))
+        model = write(tmp_path, "model.json", json.dumps(doc))
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / "test.txt"),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR format: model file is inconsistent: ")
+        assert "numerically parallel" in err and err.count("\n") == 1
+
+    def test_a_count_above_its_class_size(self, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "pgm.json").read_text(encoding="utf-8"))
+        assert doc["sizes"] == [20] * 4
+        doc["sizes"][0] = 1
+        model = write(tmp_path, "model.json", json.dumps(doc))
+        rc = main(["predict", "--model", model, "--data", str(GOLDEN / "test.txt"),
+                   "--out", str(tmp_path / "p.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "ERROR format: model file is inconsistent: counts must be whole numbers, "
+            "with no count above its class's size\n")
 
 
 def test_pgm_kind_that_disagrees_with_its_vectors_is_a_format_error(tmp_path, capsys):
@@ -411,7 +441,7 @@ def test_pgm_kind_that_disagrees_with_its_vectors_is_a_format_error(tmp_path, ca
                    "--out", str(tmp_path / "p.tsv")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "ERROR format: model file holds field 'kind', which format 5 does not write\n")
+            "ERROR format: model file holds field 'kind', which format 6 does not write\n")
 
 
 def run_golden(tmp_path, strategy):
@@ -444,8 +474,8 @@ def assert_last_bits_move(tmp_path, strategy, old_files, bound):
     assert [row[:2] for row in got] == [row[:2] for row in want]
     new = np.array([float(row[2]) for row in got])
     old = np.array([float(row[2]) for row in want])
-    dv = float(np.linalg.norm(load_model(tmp_path / f"{strategy}.json").vectors
-                              - load_model(old_files / f"{strategy}.json").vectors))
+    old_vectors = decode_rows(json.loads((old_files / f"{strategy}.json").read_text())).T
+    dv = float(np.linalg.norm(load_model(tmp_path / f"{strategy}.json").vectors - old_vectors))
     assert dv <= bound
     assert np.all(np.abs(new - old) <= 2 * np.sqrt(old) * dv + 2 * np.spacing(old))
     return outs
@@ -625,6 +655,10 @@ class TestOracle:
     ["oracle", "--mode", "grid", "--angles", "0,x"],
     ["oracle", "--mode", "grid", "--angles", "0,45", "--priors", "0.5"],
     ["oracle", "--mode", "helstrom", "--angles", "0,45,90"],
+    # three priors for two angles, and three angles with a prior each: without its own
+    # check, each would print the cost of the first two states
+    ["oracle", "--mode", "helstrom", "--angles", "0,45", "--priors", "0.5,0.5,0"],
+    ["oracle", "--mode", "helstrom", "--angles", "0,45,90", "--priors", "0.5,0.5,0"],
 ])
 def test_input_errors_are_one_coded_line(tmp_path, capsys, argv):
     if argv[0] == "train":

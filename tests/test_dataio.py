@@ -21,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdetect import dataio
-from qdetect.binary import train_binary
+from qdetect.binary import (
+    BinaryModel,
+    binary_from_statistics,
+    detector_from_densities,
+    train_binary,
+)
 from qdetect.dataio import (
     Lcg,
     SplitSpec,
@@ -44,7 +49,13 @@ from qdetect.errors import (
     SplitError,
     UnsupportedVersionError,
 )
-from qdetect.multiclass import train_one_vs_rest, train_pgm
+from qdetect.multiclass import (
+    MulticlassModel,
+    one_vs_rest_from_statistics,
+    pgm_from_statistics,
+    train_one_vs_rest,
+    train_pgm,
+)
 from qdetect.states import FeatureVector, LabeledDataset, as_dataset
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -124,6 +135,11 @@ class TestParseSparse:
             parse("a 0:1 junk\n")
         with pytest.raises(ParseError, match="malformed"):
             parse("a x:1\n")
+
+    def test_pair_without_a_colon_rejected(self):
+        # a digit string alone reads as an index, and the empty value after it fails
+        with pytest.raises(ParseError, match="^line 1: malformed pair '5'$"):
+            parse_sparse(["a 5\n"])
 
     def test_label_only_line_rejected(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -384,6 +400,11 @@ class TestColumnarSplitAndSerialize:
                     assert getattr(side, name).tobytes() == getattr(want_side, name).tobytes()
 
 
+# each strategy's trainer from class sizes and an N x dim count table
+TRAINERS = {"binary": binary_from_statistics, "pgm": pgm_from_statistics,
+            "one_vs_rest": one_vs_rest_from_statistics}
+
+
 def make_models():
     docs_a = [fv(3, {0: 1, 1: 1}), fv(3, {0: 2})]
     docs_b = [fv(3, {1: 1, 2: 1}), fv(3, {2: 3})]
@@ -396,8 +417,27 @@ def make_models():
 
 
 def model_document(strategy):
-    """The JSON object of a model file, for a model of dim 3."""
+    """The JSON object of a model file, for a model of dim 3 trained from 2 x 3 counts."""
     return json.loads(dumps_canonical(model_to_dict(make_models()[strategy])))
+
+
+def format_five_document(model):
+    """The JSON object that model format 5 wrote: the vectors, and the values that training
+    decides and the vectors do not.
+
+    Those are a binary model's ``prior_negative``, ``eta``, ``beta`` and
+    ``threshold``, the priors of a pgm or one-vs-rest model, and each
+    one-vs-rest detector's ``eta`` and ``beta``.
+    """
+    if model.strategy == "binary":
+        fields = {"prior_negative": model.prior_negative, "eta": model.eta, "beta": model.beta,
+                  "threshold": model.threshold}
+    else:
+        fields = {"priors": list(model.priors)}
+        if model.strategy == "one_vs_rest":
+            fields["detectors"] = [dict(vars(s)) for s in model.detector_scalars]
+    return {"format_version": 5, "strategy": model.strategy, "dim": model.dim,
+            "labels": list(model.labels), **fields, "vectors": encode_rows(model.vectors.T)}
 
 
 def format_four_document(model):
@@ -410,7 +450,7 @@ def format_four_document(model):
         return {"prior_negative": detector.prior_negative, "lambda": detector.lam,
                 "eta": detector.eta, "beta": detector.beta, "threshold": detector.threshold}
 
-    doc = model_to_dict(model)
+    doc = format_five_document(model)
     if model.strategy == "binary":
         fields = scalars(model)
     elif model.strategy == "pgm":
@@ -425,14 +465,21 @@ BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678
 
 
 def encode_mask(used) -> bytes:
-    """The feature mask of a format 4 ``vectors`` string: a bit a feature, high bit first."""
+    """The feature mask of a base64 rows string: a bit a feature, high bit first."""
     size = -(-len(used) // 8)
     bits = "".join("1" if u else "0" for u in used).ljust(8 * size, "0")
     return int(bits, 2).to_bytes(size, "big")
 
 
+def decode_mask(raw, dim) -> np.ndarray:
+    """The features that the mask at the head of ``raw`` marks."""
+    size = -(-dim // 8)
+    bits = bin(int.from_bytes(raw[:size], "big"))[2:].zfill(8 * size)
+    return np.array([c == "1" for c in bits[:dim]], dtype=bool)
+
+
 def encode_rows(rows) -> str:
-    """A format 4 ``vectors`` string: the mask of the features whose column
+    """A format 4 and 5 ``vectors`` string: the mask of the features whose column
     holds a double with a set bit, then those columns' little-endian doubles,
     row after row, in base64."""
     rows = np.asarray(rows, dtype="<f8").reshape(-1, np.shape(rows)[-1])
@@ -442,13 +489,35 @@ def encode_rows(rows) -> str:
 
 
 def decode_rows(doc) -> np.ndarray:
-    """The rows of a format 4 document's ``vectors``, as a writable array."""
+    """The rows of a format 4 or 5 document's ``vectors``, as a writable array."""
     raw = base64.b64decode(doc["vectors"], validate=True)
-    dim, size = doc["dim"], -(-doc["dim"] // 8)
-    bits = bin(int.from_bytes(raw[:size], "big"))[2:].zfill(8 * size)
-    used = np.array([c == "1" for c in bits[:dim]])
-    kept = np.frombuffer(raw[size:], dtype="<f8").reshape(-1, used.sum())
-    rows = np.zeros((len(kept), dim))
+    used = decode_mask(raw, doc["dim"])
+    kept = np.frombuffer(raw[-(-doc["dim"] // 8):], dtype="<f8").reshape(-1, used.sum())
+    rows = np.zeros((len(kept), doc["dim"]))
+    rows[:, used] = kept
+    return rows
+
+
+def encode_counts(rows, width=None) -> str:
+    """A ``counts`` string: the mask of the features whose column holds a nonzero
+    count, then those columns' little-endian unsigned integers of ``width``
+    bytes, by default the fewest that hold the largest, row after row, in base64."""
+    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, np.shape(rows)[-1])
+    used = rows.any(axis=0)
+    kept = rows[:, used]
+    top = int(kept.max(initial=0))
+    width = width or next(w for w in (1, 2, 4, 8) if top < 256**w)
+    raw = encode_mask(used) + kept.astype(f"<u{width}").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_counts(doc) -> np.ndarray:
+    """The rows of a document's ``counts``, one per label, as a writable uint64 array."""
+    raw = base64.b64decode(doc["counts"], validate=True)
+    n, used = len(doc["labels"]), decode_mask(raw, doc["dim"])
+    body = raw[-(-doc["dim"] // 8):]
+    kept = np.frombuffer(body, dtype=f"<u{len(body) // (n * used.sum())}").reshape(n, -1)
+    rows = np.zeros((n, doc["dim"]), dtype=np.uint64)
     rows[:, used] = kept
     return rows
 
@@ -462,6 +531,7 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.labels == model.labels
         assert loaded.vectors.tobytes() == model.vectors.tobytes()
+        assert (loaded.sizes, loaded.counts.tobytes()) == (model.sizes, model.counts.tobytes())
         if strategy == "binary":
             assert loaded.projector.tobytes() == model.projector.tobytes()
             assert loaded.lam == model.lam
@@ -537,19 +607,60 @@ class TestModelSerialization:
 
     def test_missing_field(self):
         doc = model_to_dict(make_models()["binary"])
-        del doc["vectors"]
-        with pytest.raises(FormatError, match="vectors"):
+        del doc["counts"]
+        with pytest.raises(FormatError, match="counts"):
             model_from_dict(doc)
 
     def test_corrupt_matrix(self):
+        # parallel class rows, which no detector separates
         doc = model_document("binary")
-        doc["vectors"] = encode_rows(np.full((3, 3), 0.7))
-        with pytest.raises(FormatError):
+        doc["counts"] = encode_counts([[1, 1, 1], [2, 2, 2]])
+        with pytest.raises(FormatError, match="inconsistent: .* numerically parallel"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("top, width", [(255, 1), (256, 2), (65535, 2), (65536, 4),
+                                            (2**32 - 1, 4), (2**32, 8), (2**53, 8)])
+    def test_counts_take_the_fewest_bytes_that_hold_the_largest(self, tmp_path, top, width):
+        # one document of each class holds feature 2; the rest of the top count, feature 0 or 1
+        doc = dict(model_document("pgm"), sizes=[top, top])
+        doc["counts"] = encode_counts([[top, 0, 1], [0, top, 1]])
+        assert len(base64.b64decode(doc["counts"])) == 1 + 2 * 3 * width
+        model = model_from_dict(doc)
+        assert (model.sizes, model.counts.tolist()) == ((top, top), [[top, 0, 1], [0, top, 1]])
+        assert model_to_dict(model)["counts"] == doc["counts"]
+
+    def test_a_wider_width_than_the_writer_takes_loads(self):
+        doc = model_document("pgm")
+        rows = decode_counts(doc)
+        wide = dict(doc, counts=encode_counts(rows, width=8))
+        assert model_from_dict(wide).vectors.tobytes() == model_from_dict(doc).vectors.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_a_count_above_its_class_size(self, strategy):
+        doc = model_document(strategy)
+        assert doc["sizes"] == [2, 2] and decode_counts(doc).max() == 2
+        doc["sizes"] = [2, 1]
+        with pytest.raises(FormatError, match="count above its class's size"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_a_class_without_counts(self, strategy):
+        doc = model_document(strategy)
+        rows = decode_counts(doc)
+        rows[1] = 0
+        # the mask of the first row's features, then both rows
+        raw = encode_mask(rows[0] > 0) + rows[:, rows[0] > 0].astype("<u1").tobytes()
+        doc["counts"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(FormatError, match="a class whose counts are all 0"):
             model_from_dict(doc)
 
 
 class TestModelValidation:
-    """Model files that violate an invariant of the model raise FormatError."""
+    """Model files that violate an invariant of the model raise FormatError.
+
+    No file states vectors: the loader trains them from the counts, and the
+    model's constructor refuses vectors that break the strategy's invariants.
+    """
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literal(self, tmp_path, literal):
@@ -561,50 +672,49 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_nan_vector_entry(self, strategy):
-        doc = model_document(strategy)
-        rows = decode_rows(doc)
-        rows[0, -1] = float("nan")
-        doc["vectors"] = encode_rows(rows)
-        with pytest.raises(FormatError, match="finite"):
-            model_from_dict(doc)
+        model = make_models()[strategy]
+        vectors = model.vectors.copy()
+        vectors[-1, 0] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(model, vectors=vectors)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_wrong_vector_length(self, strategy):
-        # every row one double short of the three features that the mask marks
+        # every row one count short of the three features that the mask marks
         doc = model_document(strategy)
-        mask, rows = base64.b64decode(doc["vectors"])[:1], decode_rows(doc).astype("<f8")
+        mask, rows = base64.b64decode(doc["counts"])[:1], decode_counts(doc).astype("<u1")
         assert mask == bytes([0b1110_0000])
-        doc["vectors"] = base64.b64encode(mask + rows[:, :-1].tobytes()).decode("ascii")
+        doc["counts"] = base64.b64encode(mask + rows[:, :-1].tobytes()).decode("ascii")
         with pytest.raises(FormatError, match="dim 3"):
             model_from_dict(doc)
         ragged = np.delete(rows.ravel(), rows.shape[1] - 1)  # only the first row is short
-        doc["vectors"] = base64.b64encode(mask + ragged.tobytes()).decode("ascii")
+        doc["counts"] = base64.b64encode(mask + ragged.tobytes()).decode("ascii")
         with pytest.raises(FormatError):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_missing_vectors(self, strategy):
+        # the counts, from which the loader trains the vectors
         doc = model_document(strategy)
-        del doc["vectors"]
-        with pytest.raises(FormatError, match="vectors"):
+        del doc["counts"]
+        with pytest.raises(FormatError, match="counts"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_non_orthonormal_vectors(self, strategy):
-        doc = model_document(strategy)
-        rows = decode_rows(doc)
-        rows[0] *= 1.01
-        doc["vectors"] = encode_rows(rows)
-        with pytest.raises(FormatError, match="projector|unit norm|orthonormal"):
-            model_from_dict(doc)
+        model = make_models()[strategy]
+        vectors = model.vectors.copy()
+        vectors[:, 0] *= 1.01
+        with pytest.raises(ValueError, match="projector|unit norm|orthonormal"):
+            dataclasses.replace(model, vectors=vectors)
 
+    # the class sizes, from which the loader computes the priors
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
-    @pytest.mark.parametrize("priors", [[5.0, -3.0], [0.25, 0.25], [1.0, float("nan")],
-                                        [0.25, 0.25, 0.5]])
+    @pytest.mark.parametrize("priors", [[5, -3], [2, 0], [2.0, 2], [2, 2, 2], [2, 2**53 + 1]])
     def test_bad_priors(self, strategy, priors):
         doc = model_to_dict(make_models()[strategy])
-        doc["priors"] = priors
-        with pytest.raises(FormatError, match="priors"):
+        doc["sizes"] = priors
+        with pytest.raises(FormatError, match="sizes"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
@@ -615,32 +725,44 @@ class TestModelValidation:
             model_from_dict(doc)
 
     def test_detector_prior_must_match_its_class_prior(self):
-        # a detector whose prior_negative was not 1 - priors[k] once loaded, its
-        # priors then reading (0.5, 0.5) against a class prior of 0.25; a
-        # detector's prior now follows from its class prior, and none is stored
+        # each detector's prior_negative is 1 - p_k, with p_k its class's share of the
+        # documents; a file that states detectors is refused
         doc = json.loads((DATA / "cli" / "ovr.json").read_text())
         model = model_from_dict(doc)
+        assert model.priors == tuple(size / sum(doc["sizes"]) for size in doc["sizes"])
         assert [d.prior_negative for d in model.detectors] == [1.0 - p for p in model.priors]
-        doc["detectors"][0]["prior_negative"] = 0.5
-        with pytest.raises(FormatError, match="'prior_negative'"):
+        doc["detectors"] = [{"prior_negative": 0.5}] * len(doc["labels"])
+        with pytest.raises(FormatError, match="'detectors'"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("strategy, edit, error", [
-        ("binary", lambda doc: doc["labels"].append("c"), "two distinct labels"),
-        ("binary", lambda doc: doc["labels"].pop(), "two distinct labels"),
-        ("one_vs_rest", lambda doc: doc["detectors"].pop(), "one detector per label"),
+    @staticmethod
+    def with_classes(doc, n):
+        """``doc`` with its first ``n`` classes, or a third class of one document."""
+        rows = decode_counts(doc)
+        if n > len(rows):
+            rows = np.vstack([rows, [[1, 0, 0]]])
+            doc["labels"].append("c")
+            doc["sizes"].append(1)
+        del doc["labels"][n:], doc["sizes"][n:]
+        doc["counts"] = encode_counts(rows[:n])
+        return doc
+
+    @pytest.mark.parametrize("strategy, n, error", [
+        ("binary", 3, "binary strategy needs exactly 2 classes, found 3"),
+        ("binary", 1, "binary strategy needs exactly 2 classes, found 1"),
+        ("one_vs_rest", 1, "one-vs-rest training needs at least 2 classes, found 1"),
     ], ids=["binary-three-labels", "binary-one-label", "ovr-one-detector-short"])
-    def test_count_that_the_model_refuses(self, strategy, edit, error):
-        doc = model_document(strategy)
-        edit(doc)
+    def test_count_that_the_model_refuses(self, strategy, n, error):
+        doc = self.with_classes(model_document(strategy), n)
         with pytest.raises(FormatError, match=error):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("detector", [["eta", "beta"], 1.5, None])
     def test_a_detector_that_is_not_an_object(self, detector):
+        # format 6 stores no detector, in any form
         doc = model_document("one_vs_rest")
-        doc["detectors"][0] = detector
-        with pytest.raises(FormatError, match="a detector must be a JSON object"):
+        doc["detectors"] = [detector]
+        with pytest.raises(FormatError, match="holds field 'detectors', which format 6 does"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
@@ -667,16 +789,16 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("strategy", ["pgm", "one_vs_rest"])
     def test_non_numeric_priors(self, strategy):
+        # the class sizes, from which the loader computes the priors
         doc = model_document(strategy)
-        doc["priors"] = [str(x) for x in doc["priors"]]
-        with pytest.raises(FormatError, match="priors"):
+        doc["sizes"] = [str(x) for x in doc["sizes"]]
+        with pytest.raises(FormatError, match="sizes"):
             model_from_dict(doc)
 
     def test_boolean_dim(self):
         # a consistent one-dimensional model apart from the type of its dim
-        doc = {"format_version": 5, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
-               "priors": [0.5, 0.5],
-               "vectors": encode_rows([[math.sqrt(0.5)], [math.sqrt(0.5)]])}
+        doc = {"format_version": 6, "strategy": "pgm", "dim": True, "labels": ["a", "b"],
+               "sizes": [1, 1], "counts": encode_counts([[1], [1]])}
         with pytest.raises(FormatError, match="'dim'"):
             model_from_dict(doc)
         doc["dim"] = 1
@@ -711,23 +833,87 @@ class TestModelValidation:
         assert path.read_bytes() == b"kept\n"
 
 
+def untrained_models():
+    """A model of each strategy that holds no training counts, by id."""
+    binary, pgm, ovr = (make_models()[strategy] for strategy in ("binary", "pgm", "one_vs_rest"))
+    rho_pos, rho_neg = np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0])
+    return {
+        "densities": detector_from_densities(rho_pos, rho_neg, 0.5, labels=("a", "b")),
+        "by-hand": MulticlassModel(strategy="pgm", dim=3, labels=("a", "b"), priors=(0.5, 0.5),
+                                   vectors=np.eye(3)[:, :2]),
+        "replaced-binary": dataclasses.replace(binary, threshold=0.25),
+        "replaced-pgm": dataclasses.replace(pgm, labels=("x", "y")),
+        "replaced-ovr": dataclasses.replace(ovr, vectors=ovr.vectors[:, ::-1]),
+    }
+
+
+class TestSaveOnlyTrainedModels:
+    @pytest.mark.parametrize("kind", sorted(untrained_models()))
+    def test_a_model_without_counts_is_refused(self, tmp_path, kind):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"kept\n")
+        model = untrained_models()[kind]
+        assert model.sizes is None and model.counts is None
+        with pytest.raises(ValueError, match="only a trained model can be saved"):
+            save_model(model, path)
+        assert path.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    @pytest.mark.parametrize("sizes, counts, error", [
+        ([2, 2], [[1.5, 1.0], [1.0, 1.0]], "whole numbers"),
+        ([2, 2], [[-1.0, 1.0], [1.0, 1.0]], "whole numbers"),
+        ([2, 2], [[np.nan, 1.0], [1.0, 1.0]], "whole numbers"),
+        ([2, 2], [[2.0**64, 1.0], [1.0, 1.0]], "count above its class's size"),
+        ([1, 1], [[3, 0], [0, 1]], "count above its class's size"),
+        ([2, 2], [[1, 0], [0, 0]], "a class whose counts are all 0"),
+        ([2.0, 2], [[1, 0], [0, 1]], "sizes must hold a positive int"),
+        ([np.int64(2), 2], [[1, 0], [0, 1]], "sizes must hold a positive int"),
+        ([True, 2], [[1, 0], [0, 1]], "sizes must hold a positive int"),
+        ([0, 2], [[1, 0], [0, 1]], "sizes must hold a positive int"),
+        ([2**53 + 1, 2], [[1, 0], [0, 1]], "sizes must hold a positive int"),
+        ([2], [[1, 0], [0, 1]], "sizes must hold a positive int"),
+    ])
+    def test_counts_that_no_file_holds_are_refused(self, strategy, sizes, counts, error):
+        # the trainer refuses them, so no model that save_model writes holds them
+        with pytest.raises(ValueError, match=error):
+            TRAINERS[strategy](("a", "b"), sizes, np.array(counts))
+
+    @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
+    def test_the_counts_are_a_read_only_copy(self, tmp_path, strategy):
+        counts = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
+        model = TRAINERS[strategy](("a", "b"), [2, 2], counts)
+        counts[0, 0] = 9.0
+        assert model.counts.tolist() == [[2, 1, 0], [0, 1, 2]]
+        with pytest.raises(ValueError, match="read-only"):
+            model.counts[0, 0] = 5
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json").counts.tolist() == model.counts.tolist()
+
+
 class TestFormatFourVectors:
-    """The base64 ``vectors`` string, which format 5 keeps as format 4 wrote it."""
+    """The base64 string of a feature mask and rows that format 4 introduced.
+
+    Formats 4 and 5 held the model's vectors in it as doubles; format 6
+    holds the count table in it as unsigned integers, from which the loader
+    trains the vectors again.
+    """
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_rows_are_little_endian_doubles(self, strategy):
+        # the rows are the model's count table, a whole number a count
         model = make_models()[strategy]
-        assert decode_rows(model_document(strategy)).tobytes() == model.vectors.T.tobytes()
+        doc = model_document(strategy)
+        assert decode_counts(doc).tolist() == model.counts.tolist()
+        assert model_from_dict(doc).vectors.tobytes() == model.vectors.tobytes()
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.01])
     def test_entry_outside_the_unit_range(self, strategy, value):
-        doc = model_document(strategy)
-        rows = decode_rows(doc)
-        rows[-1, 0] = value
-        doc["vectors"] = encode_rows(rows)
-        with pytest.raises(FormatError, match="finite"):
-            model_from_dict(doc)
+        model = make_models()[strategy]
+        vectors = model.vectors.copy()
+        vectors[0, -1] = value
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(model, vectors=vectors)
 
     @staticmethod
     def two_feature_document():
@@ -738,33 +924,22 @@ class TestFormatFourVectors:
 
     def test_features_without_a_nonzero_double_are_left_out(self):
         doc = self.two_feature_document()
-        raw = base64.b64decode(doc["vectors"], validate=True)
-        assert (raw[:1], len(raw)) == (bytes([0b1100_0000]), 1 + 2 * 8)
-        assert model_from_dict(doc).vectors[:, 0].tobytes() == decode_rows(doc)[0].tobytes()
+        raw = base64.b64decode(doc["counts"], validate=True)
+        assert (raw[:1], raw[1:]) == (bytes([0b1100_0000]), bytes([1, 1, 0, 1]))
         assert model_from_dict(doc).vectors[2, 0] == 0.0
 
-    def test_negative_zero_is_kept(self):
-        doc = self.two_feature_document()
-        rows = decode_rows(doc)
-        rows[0, 2] = -0.0
-        doc["vectors"] = encode_rows(rows)
-        assert base64.b64decode(doc["vectors"])[:1] == bytes([0b1110_0000])
-        model = model_from_dict(doc)
-        assert model.vectors.T.tobytes() == rows.tobytes()
-        assert model_to_dict(model)["vectors"] == doc["vectors"]
-
     @pytest.mark.parametrize("mask, error", [
-        (0b1110_0000, "doubles are all 0"),  # feature 2 marked, with a +0.0 in its place
+        (0b1110_0000, "counts are all 0"),  # feature 2 marked, with 0s in its place
         (0b1101_0000, "no mask of dim 3"),
         (0b1100_0001, "no mask of dim 3"),
         (0, "not whole rows"),
     ], ids=["zero-feature", "bit-past-dim", "last-bit", "no-feature"])
     def test_mask_that_the_writer_does_not_make(self, mask, error):
         doc = self.two_feature_document()
-        kept = base64.b64decode(doc["vectors"], validate=True)[1:] if mask else b""
+        kept = base64.b64decode(doc["counts"], validate=True)[1:] if mask else b""
         if mask == 0b1110_0000:
-            kept += bytes(8)
-        doc["vectors"] = base64.b64encode(bytes([mask]) + kept).decode("ascii")
+            kept = bytes([1, 1, 0, 0, 1, 0])
+        doc["counts"] = base64.b64encode(bytes([mask]) + kept).decode("ascii")
         with pytest.raises(FormatError, match=error):
             model_from_dict(doc)
 
@@ -794,13 +969,14 @@ class TestFormatFourVectors:
     ], ids=["dash", "newline", "space", "non-ascii", "inner-padding", "no-padding",
             "extra-padding", "trailing-bits", "dropped-character"])
     def test_text_that_the_writer_does_not_make(self, edit):
-        # a mask of 16 features and one row of 16 doubles: 130 bytes, 174 characters and "=="
+        # a mask of 16 features and two rows of 16 one-byte counts: 34 bytes, 46 characters
+        # and "=="
         doc = json.loads((DATA / "cli" / "binary.json").read_text())
-        assert (doc["format_version"], len(doc["vectors"])) == (5, 176)
-        assert doc["vectors"][-3:] != "===" and doc["vectors"][-2:] == "=="
+        assert (doc["format_version"], len(doc["counts"])) == (6, 48)
+        assert doc["counts"][-3:] != "===" and doc["counts"][-2:] == "=="
         model_from_dict(dict(doc))
-        doc["vectors"] = edit(doc["vectors"])
-        with pytest.raises(FormatError, match="'vectors'"):
+        doc["counts"] = edit(doc["counts"])
+        with pytest.raises(FormatError, match="'counts'"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
@@ -808,27 +984,29 @@ class TestFormatFourVectors:
                              ids=["first-row", "last-row", "every-row"])
     def test_missing_rows(self, strategy, cut):
         doc = model_document(strategy)
-        doc["vectors"] = encode_rows(decode_rows(doc)[cut])
+        doc["counts"] = encode_counts(decode_counts(doc)[cut])
         with pytest.raises(FormatError, match="dim 3"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("strategy", ["binary", "pgm", "one_vs_rest"])
     def test_bytes_that_are_not_whole_rows(self, strategy):
         doc = model_document(strategy)
-        raw = base64.b64decode(doc["vectors"]) + bytes(8)
-        doc["vectors"] = base64.b64encode(raw).decode("ascii")
+        raw = base64.b64decode(doc["counts"]) + bytes(8)
+        doc["counts"] = base64.b64encode(raw).decode("ascii")
         with pytest.raises(FormatError, match="not whole rows"):
             model_from_dict(doc)
 
-    def test_binary_model_of_two_vectors(self):
-        doc = model_document("binary")
-        doc["vectors"] = encode_rows(np.eye(3)[:2])
-        assert model_from_dict(doc).vectors.shape == (3, 2)
+    def test_binary_model_of_two_vectors(self, tmp_path):
+        # a detector of rank-2 acceptance, which only densities give: no counts, so no file
+        model = BinaryModel(eta=0.5, beta=-0.5, prior_negative=0.5, threshold=0.5, dim=3,
+                            vectors=np.eye(3)[:, :2], labels=("a", "b"))
+        with pytest.raises(ValueError, match="only a trained model can be saved"):
+            save_model(model, tmp_path / "model.json")
 
     def test_vectors_of_the_other_format(self):
-        # the JSON lists of numbers that format 3 wrote
+        # the counts as JSON lists of numbers, as format 3 wrote its vectors
         doc = model_document("pgm")
-        doc["vectors"] = decode_rows(doc).tolist()
+        doc["counts"] = decode_counts(doc).tolist()
         with pytest.raises(FormatError, match="wrong type"):
             model_from_dict(doc)
 
@@ -844,11 +1022,11 @@ NOT_BASE64 = st.sampled_from(["=", "-", "_", " ", "\n", ".", "\u00e9", "\x00"])
 
 @st.composite
 def mutated_base64(draw, doc):
-    """A format 4 document's ``vectors`` string with one change to its text or its doubles."""
-    text = doc["vectors"]
+    """A document's ``counts`` string with one change to its text or its counts."""
+    text = doc["counts"]
     at = draw(st.integers(0, len(text) - 1))
     edit = draw(st.sampled_from(["flip", "drop", "insert", "mask-bit", "drop-row", "entry",
-                                 "perturb", "truncate", "transpose"]))
+                                 "perturb", "truncate", "transpose", "widen"]))
     if edit == "mask-bit":  # a feature marked or unmarked, or a bit past dim set
         raw = bytearray(base64.b64decode(text))
         bit = draw(st.integers(0, 8 * -(-doc["dim"] // 8) - 1))
@@ -861,43 +1039,45 @@ def mutated_base64(draw, doc):
         return text[:at] + text[at + 1:]
     if edit == "insert":
         return text[:at] + draw(NOT_BASE64) + text[at:]
-    rows = decode_rows(doc)
+    rows = decode_counts(doc)
     row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, doc["dim"] - 1))
     if edit == "drop-row":
         rows = np.delete(rows, row, axis=0)
     elif edit == "entry":
-        rows[row, column] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1.01, -1.01]))
+        rows[row, column] = draw(st.sampled_from([0, 1, 3, 255, 256, 2**32, 2**64 - 1]))
     elif edit == "perturb":
-        rows[row, column] += draw(DELTAS)
-    elif edit == "truncate":  # the first rows kept, or each row's last double cut
+        rows[row, column] = max(0, int(rows[row, column]) + draw(st.integers(-2, 2)))
+    elif edit == "truncate":  # the first rows kept, or each row's last count cut
         rows = rows[:row] if draw(st.booleans()) else rows[:, :-1]
-    else:
+    elif edit == "transpose":
         rows = rows.T
-    return encode_rows(rows)
+    return encode_counts(rows, width=draw(st.sampled_from([None, 2, 4, 8])))
 
 
-# keys that some model file or detector holds, or that format 4 wrote
+# keys that some model file holds, or that formats 4 and 5 wrote
 KEYS = st.one_of(st.sampled_from(["format_version", "strategy", "dim", "labels", "priors", "kind",
                                   "detectors", "prior_negative", "lambda", "eta", "beta",
-                                  "threshold", "vectors"]), st.text(max_size=3))
+                                  "threshold", "vectors", "sizes", "counts"]),
+                 st.text(max_size=3))
 
 
 @st.composite
 def mutated_documents(draw):
-    """A fuzz base with one mutation, in it or in one of its detectors, and the mutation."""
+    """A fuzz base with one mutation, and the mutation."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
-    owner = draw(st.sampled_from([doc] + [d for d in doc.get("detectors", []) if d]))
-    mutation = draw(st.sampled_from(["drop", "retype", "dim", "reorder", "add"]))
+    mutation = draw(st.sampled_from(["drop", "retype", "dim", "reorder", "add", "size"]))
     if mutation == "add":  # a key the writer does not write
-        owner[draw(KEYS.filter(lambda key: key not in owner))] = draw(JUNK | DELTAS)
+        doc[draw(KEYS.filter(lambda key: key not in doc))] = draw(JUNK | DELTAS)
     elif mutation in ("drop", "retype"):
-        key = draw(st.sampled_from(sorted(owner)))
+        key = draw(st.sampled_from(sorted(doc)))
         if mutation == "drop":
-            del owner[key]
+            del doc[key]
         else:
-            owner[key] = draw(JUNK)
+            doc[key] = draw(JUNK)
     elif mutation == "dim":
         doc["dim"] = draw(st.integers(-1, 2 * doc["dim"] + 1))
+    elif mutation == "size":
+        doc["sizes"][draw(st.integers(0, 1))] = draw(st.integers(-1, 4) | st.just(10**400))
     else:
         doc["labels"] = draw(st.permutations(doc["labels"]))
     return mutation, doc
@@ -920,7 +1100,7 @@ class TestModelDocumentFuzzing:
     def test_mutation_is_rejected_or_round_trips(self, mutated):
         mutation, doc = mutated
         if mutation == "add":
-            with pytest.raises(FormatError, match="which format 5 does not write"):
+            with pytest.raises(FormatError, match="which format 6 does not write"):
                 model_from_dict(doc)
         else:
             assert_rejected_or_round_trips(doc)
@@ -929,15 +1109,16 @@ class TestModelDocumentFuzzing:
     @given(st.sampled_from(["binary", "pgm", "one_vs_rest"]), st.data())
     def test_vectors_mutation_is_rejected_or_round_trips(self, strategy, data):
         doc = model_document(strategy)
-        doc["vectors"] = data.draw(mutated_base64(doc))
+        doc["counts"] = data.draw(mutated_base64(doc))
         assert_rejected_or_round_trips(doc)
 
 
 # Documents of the retired formats, each of which the version that wrote it
 # loaded: a format 1 pgm model stored its measurement elements as dense
 # matrices, a format 2 binary model its acceptance projector, a format 3 pgm
-# model its vectors as JSON lists of numbers, and format 4 the values that the
-# model derives (see ``format_four_document``).
+# model its vectors as JSON lists of numbers, format 4 the values that the
+# model derives (see ``format_four_document``), and format 5 the vectors as
+# doubles next to the values training decides (see ``format_five_document``).
 RETIRED_DOCUMENTS = {
     "1": {"format_version": 1, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
         "priors": [0.5, 0.5], "kind": "projective",
@@ -948,14 +1129,23 @@ RETIRED_DOCUMENTS = {
     "3": {"format_version": 3, "strategy": "pgm", "dim": 2, "labels": ["a", "b"],
         "priors": [0.5, 0.5], "kind": "projective", "vectors": [[1.0, 0.0], [0.0, 1.0]]},
     **{f"4-{strategy}": format_four_document(model) for strategy, model in make_models().items()},
+    **{f"5-{strategy}": format_five_document(model) for strategy, model in make_models().items()},
 }
 
 
 class TestRetiredFormats:
     @pytest.mark.parametrize("version", sorted(RETIRED_DOCUMENTS))
     def test_document_is_refused(self, version):
-        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 5\)"):
+        with pytest.raises(UnsupportedVersionError, match=r"version \d \(expected 6\)"):
             model_from_dict(RETIRED_DOCUMENTS[version])
+
+    def test_format_five_decoder_reads_the_inverse_root_file(self):
+        # the one format 5 file kept, for its test of the last bits in tests/test_cli.py
+        doc = json.loads((DATA / "inverse-root" / "pgm.json").read_text())
+        assert doc["format_version"] == 5
+        rows = decode_rows(doc)
+        assert rows.shape == (len(doc["labels"]), doc["dim"])
+        assert np.linalg.norm(rows @ rows.T - np.eye(len(rows))) <= 1e-12
 
 
 class TestWriteText:

@@ -24,6 +24,7 @@ from qdetect.binary import (
 )
 from qdetect.errors import DegenerateSeparationError, InvalidPriorError
 from qdetect.linalg import ZERO_EIGENVALUE_RTOL
+from qdetect.states import fit_counts
 
 
 def reference_detector(v_pos, v_neg, prior_negative):
@@ -117,16 +118,20 @@ def test_blocks_of_classes_match_the_per_class_reference(drawn, budget):
     if len(counts) < 2:
         counts = np.vstack([counts, counts[::-1] + 1.0])
     n, dim = counts.shape
-    weights = rng.integers(1, 10, size=n)
-    priors = (weights / weights.sum()).tolist()
-    total = counts.sum(axis=0)
-    stats = ([f"c{k}" for k in range(n)], priors, counts)
+    # class sizes that hold every count, and the priors the trainer takes from them
+    sizes = (rng.integers(1, 10, size=n) * int(counts.max())).tolist()
+    priors = [size / sum(sizes) for size in sizes]
+    # the trainer fits the columns that fit_counts keeps; the rest get zero rows
+    _, used, kept = fit_counts(sizes, counts)
+    total = kept.sum(axis=0)
+    stats = ([f"c{k}" for k in range(n)], sizes, counts)
     with mock.patch.object(multiclass, "_class_statistics", return_value=stats), \
             mock.patch.object(multiclass, "_BLOCK_DOUBLES", budget):
         got = outcome(lambda: multiclass.train_one_vs_rest(None, dim))
-    want = outcome(lambda: reference_pass(counts, total - counts, [1.0 - p for p in priors]))
+    want = outcome(lambda: reference_pass(kept, total - kept, [1.0 - p for p in priors]))
     if not isinstance(want[0], type):
-        got = (got.vectors.T.copy(), got.detector_scalars)
+        assert not got.vectors[~used].any()
+        got = (got.vectors[used].T.copy(), got.detector_scalars)
     assert_same(got, want)
 
 
@@ -148,7 +153,8 @@ def test_first_failing_class_raises_its_own_error():
 @pytest.mark.parametrize("prior_negative", [0.0, 1.0, -0.2, float("nan")])
 def test_binary_path_rejects_a_bad_prior(prior_negative):
     with pytest.raises(InvalidPriorError):
-        binary_from_statistics(np.array([1.0, 0.0]), np.array([1.0, 1.0]), prior_negative)
+        binary_from_statistics(("a", "b"), [1, 1], np.array([[1.0, 0.0], [1.0, 1.0]]),
+                               prior_negative)
 
 
 def test_detector_pass_peak_memory():
@@ -157,7 +163,7 @@ def test_detector_pass_peak_memory():
     # temporaries take at most 1 MiB
     n, dim = 256, 1024
     counts = np.random.default_rng(3).integers(0, 50, size=(n, dim)).astype(float)
-    stats = ([f"c{k}" for k in range(n)], [1.0 / n] * n, counts)
+    stats = ([f"c{k}" for k in range(n)], [50] * n, counts)
     with mock.patch.object(multiclass, "_class_statistics", return_value=stats):
         tracemalloc.start()
         try:

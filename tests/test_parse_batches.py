@@ -132,6 +132,17 @@ def test_one_string_is_not_a_source(source):
             reader(source)
 
 
+def test_lines_of_bytes_are_not_a_source(tmp_path):
+    # each batch's first line is checked, before the batch's labels are joined
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"c0 0:1\nc1 1:2\n")
+    for reader in (parse_sparse, lambda lines: list(DocumentReader(lines))):
+        with open(path, "rb") as binary_file:
+            for source in ([b"c0 0:1\n"], io.BytesIO(b"c0 0:1\n"), binary_file):
+                with pytest.raises(TypeError, match="pass lines of text or a text file"):
+                    reader(source)
+
+
 def parsed_statistics(source, dim=None):
     """The reference for a read's ``class_statistics``: the whole parse, then its statistics."""
     ds = parse_sparse(source, dim)
@@ -139,13 +150,13 @@ def parsed_statistics(source, dim=None):
 
 
 def statistics(reader, kind, text, chunk_chars, dim):
-    """The error message, or the classes, priors, and count table shape and bytes."""
+    """The error message, or the classes, class sizes, and count table shape and bytes."""
     with mock.patch.object(dataio, "_CHUNK_CHARS", chunk_chars), opened(kind, text) as source:
         try:
-            classes, priors, counts = reader(source, dim)
+            classes, sizes, counts = reader(source, dim)
         except ParseError as exc:
             return str(exc)
-    return classes, priors, counts.shape, counts.tobytes()
+    return classes, sizes, counts.shape, counts.tobytes()
 
 
 # Indices below 41, so that every count table is small: a 17-digit index

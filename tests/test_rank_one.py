@@ -242,7 +242,8 @@ def test_scoring_memory_does_not_grow_with_documents_times_classes():
 
 @pytest.mark.parametrize("strategy", ["pgm", "ovr"])
 def test_loaded_model_holds_one_array_of_its_vectors(tmp_path, strategy):
-    # the 100_000 x 8 vectors take 6.1 MB: a second copy, or a temporary as large, exceeds 9 MB
+    # the 100_000 x 8 vectors take 6.1 MB and the count table, a byte a count, 0.8 MB:
+    # a second copy of the vectors, or a temporary as large, exceeds 9 MB
     dim, limit = 100_000, 9 * 2**20
     data = tmp_path / "data.txt"
     write_wide_corpus(data, dim, n_classes=8, docs_per_class=25, seed=5)
@@ -255,6 +256,7 @@ def test_loaded_model_holds_one_array_of_its_vectors(tmp_path, strategy):
     finally:
         tracemalloc.stop()
     assert loaded.vectors.shape == (dim, 8)
+    assert (loaded.counts.shape, loaded.counts.dtype) == ((8, dim), np.uint8)
     assert peak < limit, f"peak {peak / 2**20:.1f} MB"
     ds = parse_sparse(data.read_text(encoding="utf-8").splitlines(), dim=dim)
     trained = (train_pgm if strategy == "pgm" else train_one_vs_rest)(ds, dim)

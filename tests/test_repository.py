@@ -99,9 +99,11 @@ def test_readme_python_blocks_run(tmp_path):
         assert result.returncode == 0, result.stderr
 
 
-# every model file under tests/data: each JSON file but the evaluation reports
+# every model file under tests/data: each JSON file but the evaluation reports and
+# the inverse-root model, a format 5 file that its test reads with its own decoder
 MODEL_FIXTURES = sorted(path for path in (ROOT / "tests" / "data").rglob("*.json")
-                        if not path.name.endswith(".report.json"))
+                        if not path.name.endswith(".report.json")
+                        and path.parent.name != "inverse-root")
 
 
 @pytest.mark.parametrize("path", MODEL_FIXTURES,

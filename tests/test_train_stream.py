@@ -187,8 +187,8 @@ def test_statistics_read_peak_does_not_grow_with_the_documents(tmp_path):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    (classes, priors, counts), (classes10, priors10, counts10) = results
-    assert (classes10, priors10) == (classes, priors)
+    (classes, sizes, counts), (classes10, sizes10, counts10) = results
+    assert (classes10, sizes10) == (classes, [10 * size for size in sizes])
     np.testing.assert_array_equal(counts10, 10 * counts)
     assert peaks[1] <= 1.25 * peaks[0], f"peaks {[p / 2**20 for p in peaks]} MiB"
 
